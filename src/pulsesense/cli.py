@@ -25,7 +25,14 @@ from .dsp.pipeline import (
     write_segment_dump,
 )
 from .errors import ConfigError, ConfigInvalidValue, DataError, PulseSenseError
-from .ingest import align, parse_canonical, parse_esp32_csv, parse_labels, write_canonical
+from .ingest import (
+    align,
+    iter_canonical,
+    parse_canonical,
+    parse_esp32_csv,
+    parse_labels,
+    write_canonical,
+)
 from .nn.model import init_params
 from .nn.serialize import load_model, save_model
 from .streaming import StreamingPredictor, streaming_column_means
@@ -179,20 +186,10 @@ def cmd_cv(args) -> int:
 def _iter_canonical_packets(path: str):
     """Yield (timestamp, complex row) pairs without materializing the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            if line.strip():
-                header = json.loads(line)
-                break
-        if header is None or header.get("schema") != "pulse-sense/csi/v1":
-            from .errors import SchemaMismatch
-            raise SchemaMismatch("stream source is not canonical JSONL")
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            yield float(obj["t"]), (np.asarray(obj["re"], dtype=np.float64)
-                                    + 1j * np.asarray(obj["im"], dtype=np.float64))
+        _, _, frames = iter_canonical(fh)
+        for t, re, im in frames:
+            yield t, (np.asarray(re, dtype=np.float64)
+                      + 1j * np.asarray(im, dtype=np.float64))
 
 
 def cmd_infer(args) -> int:
@@ -208,8 +205,7 @@ def cmd_infer(args) -> int:
     pipeline_cfg = PipelineConfig.from_dict(pipeline_block)
 
     with open(args.stream, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-    fs = float(header["sample_rate_hz"])
+        fs, _, _ = iter_canonical(fh)
 
     mu, _count = streaming_column_means(
         (row for _, row in _iter_canonical_packets(args.stream)),

@@ -274,6 +274,9 @@ def write_segment_dump(segments: Sequence[WindowSegment]) -> bytes:
 def read_segment_dump(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of write_segment_dump: (count, W, S) values plus labels."""
     from ..errors import BadMagic, MalformedLine
+    if len(data) < 18:
+        raise MalformedLine(
+            0, f"dump of {len(data)} bytes is shorter than its 18-byte header")
     if data[:6] != SEGMENT_DUMP_MAGIC:
         raise BadMagic("not a segment dump")
     count, w, s = struct.unpack_from("<III", data, 6)

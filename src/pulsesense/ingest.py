@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ _LABEL_RANGES = {
 }
 
 TextSource = Union[bytes, str, IO[bytes], IO[str]]
+Frame = Tuple[float, List[float], List[float]]  # one canonical line: t, re, im
 
 
 @dataclass(frozen=True)
@@ -210,11 +211,18 @@ def parse_esp32_csv(source: TextSource,
     return CsiStream(ts, np.asarray(rows, dtype=np.complex128), float(sample_rate_hz))
 
 
-def parse_canonical(source: TextSource) -> CsiStream:
-    """Parse the canonical JSONL format (lossless round trip)."""
-    lines = _iter_text_lines(source)
+def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
+    """Read the canonical JSONL header from ``lines``.
+
+    Returns ``(sample_rate_hz, subcarriers, frames)``. ``frames`` lazily
+    yields ``(t, re, im)`` per data line, after checking that the line is a
+    JSON object with a numeric ``t``, ``re`` and ``im`` of the header's width
+    and a timestamp after the previous one. Frame errors name the 1-based
+    line number.
+    """
+    numbered = enumerate(lines, start=1)
     header_raw = None
-    for raw in lines:
+    for line_no, raw in numbered:
         if raw.strip():
             header_raw = raw
             break
@@ -223,7 +231,7 @@ def parse_canonical(source: TextSource) -> CsiStream:
     try:
         header = json.loads(header_raw)
     except json.JSONDecodeError as exc:
-        raise MalformedLine(1, f"invalid header JSON: {exc}") from None
+        raise MalformedLine(line_no, f"invalid header JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("schema") != CANONICAL_SCHEMA:
         raise SchemaMismatch(f"expected schema {CANONICAL_SCHEMA!r}")
     try:
@@ -232,25 +240,38 @@ def parse_canonical(source: TextSource) -> CsiStream:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"bad header fields: {exc}") from None
 
+    def frames() -> Iterator[Frame]:
+        t_prev = None
+        for line_no, raw in numbered:
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                t = float(obj["t"])
+                re = obj["re"]
+                im = obj["im"]
+                width_ok = len(re) == n_sub and len(im) == n_sub
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise MalformedLine(line_no, f"bad frame: {exc!r}") from None
+            if not width_ok:
+                raise MalformedLine(
+                    line_no, f"got {len(re)}/{len(im)} values, header says {n_sub}")
+            if t_prev is not None and t <= t_prev:
+                raise NonMonotonicTimestamp(
+                    f"line {line_no}: timestamp {t} not after {t_prev}")
+            t_prev = t
+            yield t, re, im
+
+    return fs, n_sub, frames()
+
+
+def parse_canonical(source: TextSource) -> CsiStream:
+    """Parse the canonical JSONL format (lossless round trip)."""
+    fs, n_sub, frames = iter_canonical(_iter_text_lines(source))
     timestamps = []
     rows = []
-    for line_no, raw in enumerate(lines, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            t = float(obj["t"])
-            re = obj["re"]
-            im = obj["im"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-        if len(re) != n_sub or len(im) != n_sub:
-            raise MalformedLine(
-                line_no, f"got {len(re)}/{len(im)} values, header says {n_sub}")
-        if timestamps and t <= timestamps[-1]:
-            raise NonMonotonicTimestamp(
-                f"line {line_no}: timestamp {t} not after {timestamps[-1]}")
+    for t, re, im in frames:
         timestamps.append(t)
         rows.append([complex(r, i) for r, i in zip(re, im)])
     values = (np.asarray(rows, dtype=np.complex128)

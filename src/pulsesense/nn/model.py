@@ -7,6 +7,10 @@ output) along the 4H axis; the serialized container relies on this order.
 Training math is float64 throughout. Dropout is inverted (masks scaled by
 1/(1-p)), applied to the first LSTM's output sequence and to the second
 LSTM's final hidden state, and disabled at inference.
+
+The sigmoid is computed as 0.5 * (1 + tanh(z / 2)), so each timestep applies
+one ufunc chain to the whole packed gate row (no per-sign masks) and no z
+overflows, since tanh saturates where exp would not.
 """
 
 from __future__ import annotations
@@ -125,12 +129,13 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
                        dense_w, dense_b, head_w, head_b)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(z, out=None):
+    """Logistic function as 0.5 * (1 + tanh(z / 2)), in place when ``out`` is
+    ``z``."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -160,28 +165,32 @@ class ForwardCache:
 def _lstm_forward(w, u, b, x) -> _LayerCache:
     batch, t_len, _ = x.shape
     units = u.shape[1]
-    gates = np.empty((batch, t_len, 4 * units))
+    # input projection plus bias for all timesteps, written into the gates
+    gates = np.matmul(x.reshape(batch * t_len, -1), w.T,
+                      out=np.empty((batch * t_len, 4 * units)))
+    gates += b
+    gates = gates.reshape(batch, t_len, 4 * units)
     c_seq = np.empty((batch, t_len, units))
     h_seq = np.empty((batch, t_len, units))
-    # input projection for all timesteps at once
-    zx = x.reshape(batch * t_len, -1) @ w.T
-    zx = zx.reshape(batch, t_len, 4 * units) + b
-    h = np.zeros((batch, units))
-    c = np.zeros((batch, units))
+    u_t = u.T
+    rec = np.empty((batch, 4 * units))
+    h = c = np.zeros((batch, units))
     for t in range(t_len):
-        z = zx[:, t, :] + h @ u.T
-        i = _sigmoid(z[:, :units])
-        f = _sigmoid(z[:, units:2 * units])
-        g = np.tanh(z[:, 2 * units:3 * units])
-        o = _sigmoid(z[:, 3 * units:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates[:, t, :units] = i
-        gates[:, t, units:2 * units] = f
-        gates[:, t, 2 * units:3 * units] = g
-        gates[:, t, 3 * units:] = o
-        c_seq[:, t, :] = c
-        h_seq[:, t, :] = h
+        z = gates[:, t, :]
+        np.matmul(h, u_t, out=rec)
+        z += rec
+        g_pre = z[:, 2 * units:3 * units]
+        np.tanh(g_pre, out=rec[:, :units])
+        _sigmoid(z, out=z)
+        g_pre[...] = rec[:, :units]
+        i, f, g, o = (z[:, :units], z[:, units:2 * units], g_pre,
+                      z[:, 3 * units:])
+        c_new, h_new = c_seq[:, t, :], h_seq[:, t, :]
+        np.multiply(f, c, out=c_new)
+        c_new += i * g
+        np.tanh(c_new, out=h_new)
+        h_new *= o
+        h, c = h_new, c_new
     return _LayerCache(x, gates, c_seq, h_seq)
 
 
@@ -192,22 +201,25 @@ def _lstm_backward(w, u, cache: _LayerCache, dh_seq):
     dz_seq = np.empty((batch, t_len, 4 * units))
     dh_carry = np.zeros((batch, units))
     dc_next = np.zeros((batch, units))
+    c0 = np.zeros((batch, units))
     for t in range(t_len - 1, -1, -1):
-        i = gates[:, t, :units]
-        f = gates[:, t, units:2 * units]
-        g = gates[:, t, 2 * units:3 * units]
-        o = gates[:, t, 3 * units:]
-        c = c_seq[:, t, :]
-        c_prev = c_seq[:, t - 1, :] if t > 0 else np.zeros((batch, units))
-        tc = np.tanh(c)
+        s = gates[:, t, :]
+        i = s[:, :units]
+        f = s[:, units:2 * units]
+        g = s[:, 2 * units:3 * units]
+        o = s[:, 3 * units:]
+        c_prev = c_seq[:, t - 1, :] if t > 0 else c0
+        tc = np.tanh(c_seq[:, t, :])
         dh = dh_seq[:, t, :] + dh_carry
-        do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
+        # sigmoid derivative s * (1 - s) for the packed row, then each slice
+        # times its upstream factor; the candidate slice is tanh, not sigmoid
         dz = dz_seq[:, t, :]
-        dz[:, :units] = dc * g * i * (1.0 - i)
-        dz[:, units:2 * units] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * units:3 * units] = dc * i * (1.0 - g * g)
-        dz[:, 3 * units:] = do * o * (1.0 - o)
+        np.multiply(s, 1.0 - s, out=dz)
+        dz[:, :units] *= dc * g
+        dz[:, units:2 * units] *= dc * c_prev
+        np.multiply(dc * i, 1.0 - g * g, out=dz[:, 2 * units:3 * units])
+        dz[:, 3 * units:] *= dh * tc
         dh_carry = dz @ u
         dc_next = dc * f
     flat_dz = dz_seq.reshape(batch * t_len, 4 * units)

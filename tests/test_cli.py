@@ -184,6 +184,40 @@ def test_data_error_exits_3(workdir, capsys):
     assert "BadMagic" in capsys.readouterr().err
 
 
+def test_truncated_segment_dump_exits_3(workdir, capsys):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    model_path = tmp_path / "m.psnn"
+    model_path.write_bytes(save_model(init_params(ModelConfig(input_dim=3), 0)))
+    truncated = tmp_path / "truncated.psseg"
+    truncated.write_bytes((out / "segments.psseg").read_bytes()[:10])
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_path),
+                 "--data", str(truncated)]) == 3
+    assert "MalformedLine" in capsys.readouterr().err
+
+
+def test_infer_frame_missing_key_exits_3(workdir, capsys):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    frame = json.loads(lines[5])
+    del frame["im"]
+    lines[5] = json.dumps(frame)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["infer", "--model", str(out / "model.psnn"),
+                 "--stream", str(broken),
+                 "--out", str(tmp_path / "preds.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "MalformedLine" in err and "line 6:" in err
+
+
 def test_runtime_error_exits_4(workdir, capsys):
     """Model/data shape disagreement is a runtime error, not config or data."""
     tmp_path, out, cfg_path = workdir

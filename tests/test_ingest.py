@@ -1,5 +1,7 @@
 """Parsing, canonical round trips, and label alignment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,16 @@ class TestCanonical:
     def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
             parse_canonical('{"schema":"someone/else/v9","sample_rate_hz":1,"subcarriers":1}\n')
+
+    @pytest.mark.parametrize("key", ["t", "re", "im"])
+    def test_missing_key_names_line(self, key):
+        frame = {"t": 0.0, "re": [1.0, 2.0], "im": [3.0, 4.0]}
+        bad = {k: v for k, v in frame.items() if k != key}
+        text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":2}\n'
+                + json.dumps(frame) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(MalformedLine) as err:
+            parse_canonical(text)
+        assert err.value.line_no == 3
 
     def test_wrong_width_line(self):
         text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":64}\n'

@@ -1,5 +1,6 @@
 """Network forward/backward correctness: finite-difference gradients,
-dropout semantics, parameter accounting."""
+dropout semantics, parameter accounting, and the fused gate kernels against
+a per-gate reference."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pulsesense.nn import (
     ModelConfig,
     ModelParams,
     backward,
+    backward_batch,
     bce_loss,
     count_parameters,
     forward,
@@ -16,6 +18,7 @@ from pulsesense.nn import (
     init_params,
     mse_loss,
 )
+from pulsesense.nn.model import _sigmoid
 
 SMALL = dict(input_dim=3, lstm1_units=4, lstm2_units=3, dense_units=5)
 
@@ -159,6 +162,80 @@ class TestBackward:
         for name_idx, g in enumerate(batch_grads.tensors()):
             total = sum(s.tensors()[name_idx] for s in singles)
             np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12)
+
+
+def reference_logistic(z):
+    """1 / (1 + exp(-z)), each sign evaluated on its non-overflowing side."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(params, x):
+    """The stack evaluated one gate at a time, with separate i, f, g, o
+    slices and the textbook LSTM cell update."""
+    def lstm(w, u, b, seq):
+        units = u.shape[1]
+        h = np.zeros((seq.shape[0], units))
+        c = np.zeros((seq.shape[0], units))
+        hs = []
+        for t in range(seq.shape[1]):
+            z = seq[:, t, :] @ w.T + h @ u.T + b
+            i = reference_logistic(z[:, :units])
+            f = reference_logistic(z[:, units:2 * units])
+            g = np.tanh(z[:, 2 * units:3 * units])
+            o = reference_logistic(z[:, 3 * units:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            hs.append(h)
+        return np.stack(hs, axis=1)
+
+    h1 = lstm(params.w1, params.u1, params.b1, x)
+    h2 = lstm(params.w2, params.u2, params.b2, h1)
+    dense = np.maximum(h2[:, -1, :] @ params.dense_w.T + params.dense_b, 0.0)
+    head = (dense @ params.head_w.T + params.head_b)[:, 0]
+    if params.config.head == "binary":
+        head = reference_logistic(head)
+    return head, h1, h2
+
+
+class TestGateKernels:
+    def test_sigmoid_against_logistic_on_wide_grid(self):
+        """The reference runs in extended precision: evaluated in float64,
+        1 / (1 + exp(-z)) is itself up to 1.6e-16 off on this grid, and
+        differs from the tanh form by 2.2e-16 (two ulps below 1) at some
+        points where the tanh form is the closer one."""
+        z = np.linspace(-800.0, 800.0, 200_001)
+        s = _sigmoid(z)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        assert np.all(np.diff(s) >= 0.0)
+        exact = reference_logistic(z.astype(np.longdouble))
+        assert np.max(np.abs(s - exact)) <= 2e-16
+
+    @pytest.mark.parametrize("head", ["regression", "binary"])
+    def test_no_floating_point_errors_at_large_inputs(self, head):
+        """Inputs scaled by 1e3 saturate every gate; no step overflows."""
+        params = init_params(small_config(head), 4)
+        x = np.random.default_rng(4).standard_normal((3, 10, 3)) * 1e3
+        with np.errstate(all="raise"):
+            preds, cache = forward_batch(params, x)
+            grads = backward_batch(params, cache, np.array([1.0, -0.5, 2.0]))
+        assert np.all(np.isfinite(preds))
+        assert all(np.all(np.isfinite(g)) for g in grads.tensors())
+
+    @pytest.mark.parametrize("head", ["regression", "binary"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_forward_matches_per_gate_reference(self, head, batch):
+        params = init_params(small_config(head), 11)
+        x = np.random.default_rng(batch).standard_normal((batch, 15, 3)) * 2
+        preds, cache = forward_batch(params, x)
+        ref_preds, ref_h1, ref_h2 = reference_forward(params, x)
+        np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.layer1.h, ref_h1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.layer2.h, ref_h2, rtol=0, atol=1e-12)
 
 
 class TestDropout:

@@ -13,7 +13,12 @@ from pulsesense.dsp import (
     standardize,
     write_segment_dump,
 )
-from pulsesense.errors import BadMagic, EmptyStream, WindowLongerThanSeries
+from pulsesense.errors import (
+    BadMagic,
+    EmptyStream,
+    MalformedLine,
+    WindowLongerThanSeries,
+)
 from pulsesense.ingest import CsiStream, align
 from pulsesense.synth import Scenario, Schedule, generate
 
@@ -251,3 +256,10 @@ class TestSegmentDump:
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             read_segment_dump(b"NOTSEG" + b"\x00" * 20)
+
+    @pytest.mark.parametrize("length", [3, 10, 17])
+    def test_truncated_header(self, length):
+        recording, _ = heart_recording(duration_s=20.0)
+        data = write_segment_dump(run_pipeline(recording, "heart", 5.0, 100))
+        with pytest.raises(MalformedLine):
+            read_segment_dump(data[:length])
