@@ -27,6 +27,7 @@ from .dsp.pipeline import (
 from .errors import ConfigError, ConfigInvalidValue, DataError, PulseSenseError
 from .ingest import (
     align,
+    complex_values,
     iter_canonical,
     parse_canonical,
     parse_esp32_csv,
@@ -188,8 +189,7 @@ def _iter_canonical_packets(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         _, _, frames = iter_canonical(fh)
         for t, re, im in frames:
-            yield t, (np.asarray(re, dtype=np.float64)
-                      + 1j * np.asarray(im, dtype=np.float64))
+            yield t, complex_values(re, im)
 
 
 def cmd_infer(args) -> int:

@@ -13,13 +13,11 @@ from .pipeline import (
     PipelineConfig,
     WindowSegment,
     amplitude,
-    apply_filter,
     band_for_mode,
     read_segment_dump,
     remove_dc,
     run_pipeline,
     run_pipeline_config,
-    savgol_smooth,
     segment,
     sequential_column_mean,
     standardize,
@@ -31,10 +29,10 @@ from .savgol import SavGolKernel, mirror_pad, savgol_kernel, smooth_sample, smoo
 __all__ = [
     "AmplitudeSeries", "BiquadCascade", "BiquadSection", "FilterSpec",
     "FilterState", "PipelineConfig", "SavGolKernel", "WindowSegment",
-    "amplitude", "apply_filter", "band_for_mode", "design_bandpass",
+    "amplitude", "band_for_mode", "design_bandpass",
     "filter_values", "filter_values_zero_phase", "frequency_response",
     "mirror_pad", "read_segment_dump", "remove_dc", "run_pipeline",
-    "run_pipeline_config", "savgol_kernel", "savgol_smooth", "segment",
+    "run_pipeline_config", "savgol_kernel", "segment",
     "sequential_column_mean", "smooth_sample", "smooth_values", "standardize",
     "window_length", "write_segment_dump",
 ]

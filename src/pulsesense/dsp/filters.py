@@ -202,21 +202,30 @@ class FilterState:
         self.cascade = cascade
         self.s1 = np.zeros((len(cascade.sections), n_channels))
         self.s2 = np.zeros((len(cascade.sections), n_channels))
+        self._out = np.empty(n_channels)  # one section output
+        self._tmp = np.empty(n_channels)
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a (T, S) block (or a single (S,) packet), advancing state."""
         single = block.ndim == 1
         x = np.atleast_2d(np.asarray(block, dtype=np.float64))
         y = x.copy()
+        mul = np.multiply
+        out, tmp = self._out, self._tmp
         for i, sec in enumerate(self.cascade.sections):
+            b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
             s1 = self.s1[i]
             s2 = self.s2[i]
-            for t in range(y.shape[0]):
-                xt = y[t]
-                out = sec.b0 * xt + s1
-                s1[:] = sec.b1 * xt - sec.a1 * out + s2
-                s2[:] = sec.b2 * xt - sec.a2 * out
-                y[t] = out
+            for xt in y:
+                # out = b0 x + s1;  s1 = b1 x - a1 out + s2;  s2 = b2 x - a2 out
+                mul(b0, xt, out=out)
+                out += s1
+                mul(b1, xt, out=s1)
+                s1 -= mul(a1, out, out=tmp)
+                s1 += s2
+                mul(b2, xt, out=s2)
+                s2 -= mul(a2, out, out=tmp)
+                xt[:] = out
         y *= self.cascade.overall_gain
         return y[0] if single else y
 

@@ -17,13 +17,12 @@ import numpy as np
 from ..errors import ConfigInvalidValue, EmptyStream, WindowLongerThanSeries
 from ..ingest import AlignedRecording, CsiStream
 from .filters import (
-    BiquadCascade,
     FilterSpec,
     design_bandpass,
     filter_values,
     filter_values_zero_phase,
 )
-from .savgol import SavGolKernel, savgol_kernel, smooth_values
+from .savgol import savgol_kernel, smooth_values
 
 MODE_BANDS = {
     "heart": (0.8, 2.17),
@@ -95,16 +94,6 @@ def band_for_mode(mode: str) -> Tuple[float, float]:
             f"mode must be one of {sorted(MODE_BANDS)}, got {mode!r}") from None
 
 
-def apply_filter(cascade: BiquadCascade, series: AmplitudeSeries) -> AmplitudeSeries:
-    """Causal single-pass filtering of every subcarrier independently."""
-    return AmplitudeSeries(filter_values(cascade, series.values), series.sample_rate_hz)
-
-
-def savgol_smooth(kernel: SavGolKernel, series: AmplitudeSeries) -> AmplitudeSeries:
-    """Smooth each subcarrier; boundaries mirror-padded, shape preserved."""
-    return AmplitudeSeries(smooth_values(kernel, series.values), series.sample_rate_hz)
-
-
 def window_length(window_s: float, sample_rate_hz: float) -> int:
     return int(round(window_s * sample_rate_hz))
 
@@ -131,9 +120,9 @@ def standardize(window: np.ndarray) -> np.ndarray:
     Columns whose std is below 1e-12 come out identically zero.
     """
     window = np.asarray(window, dtype=np.float64)
-    mu = window.mean(axis=0)
-    sigma = window.std(axis=0)
-    out = window - mu
+    out = window - window.mean(axis=0)
+    # np.std's own steps on the array centred once: mean of squares, sqrt
+    sigma = np.sqrt(np.add.reduce(out * out, axis=0) / window.shape[0])
     degenerate = sigma < 1e-12
     sigma_safe = np.where(degenerate, 1.0, sigma)
     out /= sigma_safe
@@ -228,13 +217,10 @@ def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
     low, high = band if band is not None else band_for_mode(mode)
     spec = FilterSpec(low, high, BANDPASS_ORDER, series.sample_rate_hz)
     cascade = design_bandpass(spec)
-    if zero_phase:
-        series = AmplitudeSeries(filter_values_zero_phase(cascade, series.values),
-                                 series.sample_rate_hz)
-    else:
-        series = apply_filter(cascade, series)
+    band_pass = filter_values_zero_phase if zero_phase else filter_values
+    filtered = band_pass(cascade, series.values)
     kernel = savgol_kernel(savgol_window, savgol_order)
-    series = savgol_smooth(kernel, series)
+    series = AmplitudeSeries(smooth_values(kernel, filtered), series.sample_rate_hz)
     raw_windows = segment(series, window_s, stride)
     w = window_length(window_s, series.sample_rate_hz)
     segments = []

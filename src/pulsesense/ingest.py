@@ -4,9 +4,12 @@ Two on-disk formats are read:
 
 * ESP32 CSV: one frame per line, ``timestamp,<2S ints>`` where the integers
   alternate imaginary,real per subcarrier (toolchain convention). An optional
-  header line is detected by a non-numeric first field and skipped.
+  header line is detected by a non-numeric first field and skipped. Fields
+  are read in numpy's number grammar, all data lines in one call.
 * Canonical JSONL: a header object followed by one frame object per line.
   This is the lossless interchange format written by the toolkit itself.
+
+Both formats require finite, strictly increasing timestamps.
 
 Label files are plain ``timestamp,value`` CSV.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -42,16 +46,7 @@ _LABEL_RANGES = {
 }
 
 TextSource = Union[bytes, str, IO[bytes], IO[str]]
-Frame = Tuple[float, List[float], List[float]]  # one canonical line: t, re, im
-
-
-@dataclass(frozen=True)
-class CsiFrame:
-    """One timestamped CSI measurement across all subcarriers."""
-
-    timestamp: float
-    subcarriers: tuple  # complex values, one per subcarrier
-    source_meta: Optional[str] = None
+Frame = Tuple[float, np.ndarray, np.ndarray]  # one canonical line: t, re, im
 
 
 @dataclass
@@ -88,10 +83,6 @@ class CsiStream:
     @property
     def frame_count(self) -> int:
         return self.values.shape[0]
-
-    def frames(self) -> Iterator[CsiFrame]:
-        for t, row in zip(self.timestamps, self.values):
-            yield CsiFrame(float(t), tuple(row), self.source_meta)
 
     def slice_time(self, start_s: float, end_s: float) -> "CsiStream":
         """Frames with start_s <= t < end_s."""
@@ -144,15 +135,76 @@ class AlignedRecording:
             raise ValueError("alignment length must equal frame count")
 
 
-def _iter_text_lines(source: TextSource) -> Iterable[str]:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        return io.StringIO(source)
-    data = source.read()
+def _iter_text_lines(source: TextSource) -> List[str]:
+    """The text's lines, split at LF only (as io.StringIO would split them)."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return io.StringIO(data)
+    return data.split("\n")
+
+
+def complex_values(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array whose parts are exactly ``re`` and ``im``.
+
+    Assigning the parts keeps signed zeros and infinities, which arithmetic
+    such as ``re + 1j * im`` does not.
+    """
+    values = np.empty(np.shape(re), dtype=np.complex128)
+    values.real = re
+    values.imag = im
+    return values
+
+
+def _read_numbers(lines: List[str]) -> np.ndarray:
+    """The ESP32 number converter: comma-separated fields, one row per line."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _bad_field(line_no: int, fields: List[str]) -> Optional[MalformedLine]:
+    """Name the first of ``fields`` that the converter rejects, if any."""
+    for col, field in enumerate(fields):
+        try:
+            if not field.strip():  # the converter would skip it as an empty line
+                raise ValueError
+            _read_numbers([field])
+        except ValueError:
+            what = "timestamp" if col == 0 else f"value in column {col + 1}"
+            return MalformedLine(line_no, f"non-numeric {what} {field!r}")
+    return None
+
+
+def _esp32_table(lines: List[str], line_nos: List[int]) -> np.ndarray:
+    """Convert the data lines in one call and check their timestamps.
+
+    Errors name the first bad line: if the bulk call fails, the lines are
+    converted one at a time to find it, and the timestamps before it are
+    checked first.
+    """
+    bad = None
+    try:
+        table = _read_numbers(lines)
+    except ValueError:
+        rows = []
+        for line_no, line in zip(line_nos, lines):
+            try:
+                rows.append(_read_numbers([line]))
+            except ValueError:
+                bad = (_bad_field(line_no, line.split(","))
+                       or MalformedLine(line_no, "unreadable values"))
+                break
+        table = np.concatenate(rows) if rows else np.empty((0, 1))
+    ts = table[:, 0]
+    wrong = ~np.isfinite(ts)
+    wrong[1:] |= ~(np.diff(ts) > 0)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if not math.isfinite(ts[i]):
+            raise MalformedLine(line_nos[i], f"non-finite timestamp {float(ts[i])}")
+        raise NonMonotonicTimestamp(
+            f"line {line_nos[i]}: timestamp {float(ts[i])} not after {float(ts[i - 1])}")
+    if bad is not None:
+        raise bad
+    return table
 
 
 def parse_esp32_csv(source: TextSource,
@@ -162,63 +214,65 @@ def parse_esp32_csv(source: TextSource,
     Each data line is ``timestamp`` followed by 2S integers alternating
     imaginary,real per subcarrier. Unless ``sample_rate_hz`` is supplied, the
     rate is estimated as (N-1)/(t_last - t_first).
+
+    One pass over the lines skips blanks and the optional header and checks
+    each line's field count; then every data line is converted at once.
+    Errors name the first bad line, as a line-by-line reader would.
     """
-    timestamps = []
-    rows = []
-    n_sub = None
+    lines: List[str] = []
+    line_nos: List[int] = []
+    n_values = None
+    error = None
     for line_no, raw in enumerate(_iter_text_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split(",")
-        # optional header: first field not numeric
-        try:
-            t = float(fields[0])
-        except ValueError:
-            if line_no == 1:
+        if line_no == 1:
+            # optional header: a first field that float() cannot read (one
+            # it reads but the converter rejects is a bad line, not a header)
+            try:
+                float(line.partition(",")[0])
+            except ValueError:
                 continue
-            raise MalformedLine(line_no, f"non-numeric timestamp {fields[0]!r}")
-        payload = fields[1:]
-        if not payload:
-            raise MalformedLine(line_no, "no subcarrier values")
-        if len(payload) % 2 != 0:
-            raise InconsistentSubcarrierCount(
-                line_no, f"odd value count {len(payload)} (expected 2 per subcarrier)")
-        if n_sub is None:
-            n_sub = len(payload) // 2
-        elif len(payload) != 2 * n_sub:
-            raise InconsistentSubcarrierCount(
-                line_no, f"{len(payload) // 2} subcarriers, expected {n_sub}")
-        try:
-            ints = [float(v) for v in payload]
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-        if timestamps and t <= timestamps[-1]:
-            raise NonMonotonicTimestamp(
-                f"line {line_no}: timestamp {t} not after {timestamps[-1]}")
-        timestamps.append(t)
-        im = ints[0::2]
-        re = ints[1::2]
-        rows.append([complex(r, i) for r, i in zip(re, im)])
-    if not rows:
-        raise MalformedLine(0, "no data lines")
-    ts = np.asarray(timestamps)
+        count = line.count(",")
+        if count == 0:
+            error = MalformedLine(line_no, "no subcarrier values")
+        elif count % 2 != 0:
+            error = InconsistentSubcarrierCount(
+                line_no, f"odd value count {count} (expected 2 per subcarrier)")
+        elif n_values is not None and count != n_values:
+            error = InconsistentSubcarrierCount(
+                line_no, f"{count // 2} subcarriers, expected {n_values // 2}")
+        if error is not None:
+            error = _bad_field(line_no, [line.partition(",")[0]]) or error
+            break
+        n_values = count
+        lines.append(line)
+        line_nos.append(line_no)
+    if not lines:
+        raise error or MalformedLine(0, "no data lines")
+    table = _esp32_table(lines, line_nos)  # raises for a bad line before ``error``
+    if error is not None:
+        raise error
+    ts = table[:, 0].copy()
     if sample_rate_hz is None:
-        if len(rows) < 2:
+        if len(ts) < 2:
             raise InsufficientFrames(
                 "cannot estimate sample rate from a single frame; pass sample_rate_hz")
-        sample_rate_hz = (len(rows) - 1) / (ts[-1] - ts[0])
-    return CsiStream(ts, np.asarray(rows, dtype=np.complex128), float(sample_rate_hz))
+        sample_rate_hz = (len(ts) - 1) / (ts[-1] - ts[0])
+    values = complex_values(table[:, 2::2], table[:, 1::2])
+    return CsiStream(ts, values, float(sample_rate_hz))
 
 
 def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
     """Read the canonical JSONL header from ``lines``.
 
     Returns ``(sample_rate_hz, subcarriers, frames)``. ``frames`` lazily
-    yields ``(t, re, im)`` per data line, after checking that the line is a
-    JSON object with a numeric ``t``, ``re`` and ``im`` of the header's width
-    and a timestamp after the previous one. Frame errors name the 1-based
-    line number.
+    yields ``(t, re, im)`` per data line, ``re`` and ``im`` as float64 arrays,
+    after checking that the line is a JSON object with a numeric ``t``, ``re``
+    and ``im`` lists of JSON numbers of the header's width, and a finite
+    timestamp after the previous one. Frame errors name the 1-based line
+    number.
     """
     numbered = enumerate(lines, start=1)
     header_raw = None
@@ -240,6 +294,18 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"bad header fields: {exc}") from None
 
+    def numbers(line_no: int, key: str, items) -> np.ndarray:
+        try:
+            arr = np.asarray(items)
+        except ValueError as exc:  # ragged nesting
+            raise MalformedLine(line_no, f"bad frame: {key}: {exc}") from None
+        if arr.shape != (n_sub,):
+            raise MalformedLine(
+                line_no, f"{key} has shape {arr.shape}, header says {n_sub} values")
+        if arr.dtype.kind not in "fi":
+            raise MalformedLine(line_no, f"{key} must hold JSON numbers only")
+        return arr.astype(np.float64, copy=False)
+
     def frames() -> Iterator[Frame]:
         t_prev = None
         for line_no, raw in numbered:
@@ -249,14 +315,20 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
             try:
                 obj = json.loads(line)
                 t = float(obj["t"])
-                re = obj["re"]
-                im = obj["im"]
-                width_ok = len(re) == n_sub and len(im) == n_sub
+                re_items = obj["re"]
+                im_items = obj["im"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise MalformedLine(line_no, f"bad frame: {exc!r}") from None
-            if not width_ok:
-                raise MalformedLine(
-                    line_no, f"got {len(re)}/{len(im)} values, header says {n_sub}")
+            re = numbers(line_no, "re", re_items)
+            im = numbers(line_no, "im", im_items)
+            # booleans mixed with numbers come out as numbers above; a JSON
+            # true or false holds a "u" or an "l", which no number and none
+            # of the keys t, re and im do, so most lines skip the exact check
+            if ("u" in line or "l" in line) and any(
+                    type(v) is bool for v in re_items + im_items):
+                raise MalformedLine(line_no, "re/im must hold JSON numbers only")
+            if not math.isfinite(t):
+                raise MalformedLine(line_no, f"non-finite timestamp {t}")
             if t_prev is not None and t <= t_prev:
                 raise NonMonotonicTimestamp(
                     f"line {line_no}: timestamp {t} not after {t_prev}")
@@ -270,12 +342,16 @@ def parse_canonical(source: TextSource) -> CsiStream:
     """Parse the canonical JSONL format (lossless round trip)."""
     fs, n_sub, frames = iter_canonical(_iter_text_lines(source))
     timestamps = []
-    rows = []
+    re_rows = []
+    im_rows = []
     for t, re, im in frames:
         timestamps.append(t)
-        rows.append([complex(r, i) for r, i in zip(re, im)])
-    values = (np.asarray(rows, dtype=np.complex128)
-              if rows else np.empty((0, n_sub), dtype=np.complex128))
+        re_rows.append(re)
+        im_rows.append(im)
+    if re_rows:
+        values = complex_values(np.array(re_rows), np.array(im_rows))
+    else:
+        values = np.empty((0, n_sub), dtype=np.complex128)
     return CsiStream(np.asarray(timestamps), values, fs)
 
 

@@ -1,10 +1,13 @@
 """End-to-end CLI workflows on a desk-scale synthetic recording."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
-from pulsesense.cli import main
+from pulsesense.cli import _iter_canonical_packets, main
+from pulsesense.ingest import CsiStream, parse_canonical, write_canonical
 
 
 @pytest.fixture()
@@ -152,6 +155,26 @@ def test_esp32_ingest_path(workdir):
     assert summary["subcarriers"] == 2
 
 
+def test_esp32_non_finite_timestamp_exits_3(workdir, capsys):
+    """A nan timestamp is a data error naming its line, also when the rate
+    is estimated from the timestamps."""
+    tmp_path, out, cfg_path = workdir
+    lines = [f"{i / 20.0},1,2,3,4" for i in range(200)]
+    lines[57] = "nan,1,2,3,4"
+    capture = tmp_path / "capture.csv"
+    capture.write_text("\n".join(lines) + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0.0,72\n5.0,72\n10.0,72\n")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["ingest"] = {"format": "esp32", "path": str(capture),
+                     "labels": {"path": str(labels), "kind": "heart_rate_bpm"}}
+    esp_cfg = tmp_path / "esp.json"
+    esp_cfg.write_text(json.dumps(cfg))
+    assert main(["process", "--config", str(esp_cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "MalformedLine" in err and "line 58:" in err
+
+
 def test_unknown_config_key_exits_2(workdir, capsys):
     tmp_path, out, cfg_path = workdir
     cfg = json.loads(cfg_path.read_text())
@@ -216,6 +239,47 @@ def test_infer_frame_missing_key_exits_3(workdir, capsys):
                  "--out", str(tmp_path / "preds.csv")]) == 3
     err = capsys.readouterr().err
     assert "MalformedLine" in err and "line 6:" in err
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1.0], True],
+                         ids=["string", "null", "nested", "boolean"])
+def test_infer_non_number_value_exits_3(workdir, capsys, bad):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    model_path = tmp_path / "m.psnn"
+    model_path.write_bytes(save_model(init_params(ModelConfig(input_dim=3), 0)))
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    frame = json.loads(lines[9])
+    frame["re"][1] = bad
+    lines[9] = json.dumps(frame)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model_path), "--stream", str(broken),
+                 "--out", str(tmp_path / "preds.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "MalformedLine" in err and "line 10:" in err
+
+
+def test_infer_packets_equal_parse_canonical_bitwise(tmp_path):
+    """infer builds its rows as parse_canonical does: signed zeros and
+    infinite imaginary parts come through unchanged and without warnings."""
+    rng = np.random.default_rng(2)
+    re = rng.standard_normal((30, 4))
+    im = rng.standard_normal((30, 4))
+    re[3, 1] = im[4, 2] = -0.0
+    re[5, 0] = im[6, 3] = 0.0
+    im[7, 0], im[8, 1] = np.inf, -np.inf
+    values = np.empty(re.shape, dtype=np.complex128)
+    values.real, values.imag = re, im
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(write_canonical(CsiStream(np.arange(30) / 80.0, values, 80.0)))
+    expected = parse_canonical(path.read_bytes()).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.stack([row for _, row in _iter_canonical_packets(str(path))])
+    assert rows.tobytes() == expected.tobytes() == values.tobytes()
 
 
 def test_runtime_error_exits_4(workdir, capsys):

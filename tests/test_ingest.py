@@ -75,6 +75,123 @@ class TestEsp32Csv:
             parse_esp32_csv(b"0.0,1,2\n0.5,x,2\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("stamp", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("rate", [None, 80.0])
+    def test_non_finite_timestamp_names_line(self, stamp, rate):
+        text = f"t,a,b\n0.0,1,2\n\n0.5,1,2\n{stamp},1,2\n2.0,1,2\n"
+        with pytest.raises(MalformedLine) as err:
+            parse_esp32_csv(text, sample_rate_hz=rate)
+        assert err.value.line_no == 5
+        assert "non-finite timestamp" in str(err.value)
+
+    def test_non_finite_first_timestamp_names_line(self):
+        with pytest.raises(MalformedLine) as err:
+            parse_esp32_csv(b"-inf,1,2\n0.5,1,2\n")
+        assert err.value.line_no == 1
+
+
+def reference_esp32(text):
+    """A line-by-line reader with one float() per field and one complex()
+    per subcarrier."""
+    timestamps, rows = [], []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            t = float(fields[0])
+        except ValueError:
+            assert line_no == 1
+            continue
+        ints = [float(v) for v in fields[1:]]
+        timestamps.append(t)
+        rows.append([complex(r, i) for r, i in zip(ints[1::2], ints[0::2])])
+    return np.array(timestamps), np.array(rows, dtype=np.complex128)
+
+
+def random_field(rng):
+    x = float(rng.standard_normal() * 10.0 ** rng.integers(-12, 12))
+    kind = int(rng.integers(8))
+    if kind == 0:
+        return str(int(rng.integers(-128, 128)))
+    if kind == 1:
+        return repr(x)
+    if kind == 2:
+        return f"{x:.17g}"
+    if kind == 3:
+        return f"{x:.5e}"
+    if kind == 4:
+        return f"{x:.16E}"
+    if kind == 5:
+        return ["-0.0", "-0", "0.0", "+0", "-0e5"][int(rng.integers(5))]
+    if kind == 6:
+        return f" +{abs(x)!r}\t"
+    return str(float(rng.standard_normal()) * 1e-310)  # subnormal
+
+
+def random_capture(rng):
+    n_sub = int(rng.integers(1, 6))
+    t = 0.0
+    lines = ["timestamp,data"] if rng.integers(2) else []
+    for _ in range(int(rng.integers(1, 40))):
+        t += float(rng.uniform(1e-3, 1.0))
+        stamp = f"{t:.17g}" if rng.integers(2) else f"{t:.17e}"
+        lines.append(",".join([stamp] + [random_field(rng) for _ in range(2 * n_sub)]))
+        if rng.integers(8) == 0:
+            lines.append("  ")
+    return "\n".join(lines) + ("\n" if rng.integers(2) else "")
+
+
+class TestEsp32Oracle:
+    def test_equals_float_per_field_reference_bitwise(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            text = random_capture(rng)
+            t_ref, v_ref = reference_esp32(text)
+            stream = parse_esp32_csv(text, sample_rate_hz=80.0)
+            assert stream.timestamps.tobytes() == t_ref.tobytes()
+            assert stream.values.tobytes() == v_ref.tobytes()
+
+    def test_negative_zero_kept(self):
+        stream = parse_esp32_csv(b"0.0,-0.0,-0,0,0\n1.0,1,2,3,4\n")
+        v = stream.values[0]
+        assert np.signbit(v.imag[0]) and np.signbit(v.real[0])
+        assert not np.signbit(v.imag[1]) and not np.signbit(v.real[1])
+
+    @pytest.mark.parametrize("token", ["x", "1_0", "", " ", "1.2.3", "0x10", "--1"])
+    @pytest.mark.parametrize("column", [0, 1, 4])
+    @pytest.mark.parametrize("line_no", [2, 4, 7])
+    def test_bad_value_names_its_line(self, token, column, line_no):
+        """Line 1 is a header and line 3 is blank; float() accepts "1_0" but
+        the capture grammar does not."""
+        lines = ["timestamp,im0,re0,im1,re1"]
+        for k in range(2, 8):
+            lines.append("" if k == 3 else f"{k * 0.1!r},1,2,3,4")
+        fields = lines[line_no - 1].split(",")
+        fields[column] = token
+        lines[line_no - 1] = ",".join(fields)
+        with pytest.raises(MalformedLine) as err:
+            parse_esp32_csv("\n".join(lines) + "\n")
+        assert err.value.line_no == line_no
+        what = "timestamp" if column == 0 else f"column {column + 1}"
+        assert what in str(err.value)
+
+    def test_first_bad_line_wins(self):
+        """Errors are reported for the first bad line, whatever comes later."""
+        with pytest.raises(MalformedLine) as err:
+            parse_esp32_csv(b"0.0,1,2\n0.1,1,2\n0.2,x,2\n0.3,1,2\n0.4,1,2,3,4\n")
+        assert err.value.line_no == 3
+        assert not isinstance(err.value, InconsistentSubcarrierCount)
+        with pytest.raises(NonMonotonicTimestamp, match="line 2:"):
+            parse_esp32_csv(b"0.5,1,2\n0.1,1,2\n0.2,1,2\n0.3,x,2\n")
+        with pytest.raises(MalformedLine, match="non-numeric timestamp 'y'") as err:
+            parse_esp32_csv(b"0.0,1,2\n0.1,1,2\ny,1,2,3\n")
+        assert err.value.line_no == 3
+        with pytest.raises(InconsistentSubcarrierCount) as err:
+            parse_esp32_csv(b"0.0,1,2\n0.1,1,2\n0.0,1,2,3\n")
+        assert err.value.line_no == 3
+
 
 class TestCanonical:
     def test_single_zero_frame(self):
@@ -109,6 +226,49 @@ class TestCanonical:
         with pytest.raises(MalformedLine) as err:
             parse_canonical(text)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("bad", ["x", None, [1.0], True, False],
+                             ids=["string", "null", "nested", "true", "false"])
+    @pytest.mark.parametrize("key", ["re", "im"])
+    def test_non_number_value_names_line(self, bad, key):
+        frame = {"t": 0.0, "re": [1.0, 2.0], "im": [3.0, 4.0]}
+        broken = {"t": 1.0, "re": [1.0, 2.0], "im": [3.0, 4.0]}
+        broken[key] = [0.5, bad]
+        text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":2}\n'
+                + json.dumps(frame) + "\n" + json.dumps(broken) + "\n")
+        with pytest.raises(MalformedLine) as err:
+            parse_canonical(text)
+        assert err.value.line_no == 3
+
+    def test_all_boolean_values_rejected(self):
+        text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":2}\n'
+                '{"t":0.0,"re":[true,false],"im":[1,2]}\n')
+        with pytest.raises(MalformedLine):
+            parse_canonical(text)
+
+    def test_boolean_text_elsewhere_does_not_reject(self):
+        text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":2}\n'
+                '{"t":0.0,"re":[1,2],"im":[3,4],"note":"true full"}\n')
+        assert parse_canonical(text).values.tolist() == [[1 + 3j, 2 + 4j]]
+
+    @pytest.mark.parametrize("stamp", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_names_line(self, stamp):
+        text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":1}\n'
+                '{"t":0.0,"re":[1.0],"im":[2.0]}\n'
+                + json.dumps({"t": stamp, "re": [1.0], "im": [2.0]}) + "\n")
+        with pytest.raises(MalformedLine, match="non-finite timestamp") as err:
+            parse_canonical(text)
+        assert err.value.line_no == 3
+
+    def test_signed_zeros_and_infinities_kept_bitwise(self):
+        re = np.array([[-0.0, 0.0, 1.5, np.inf], [2.0, -np.inf, -0.0, 3.0]])
+        im = np.array([[0.0, -0.0, np.inf, -0.0], [-np.inf, 0.0, 1.0, -0.0]])
+        values = np.empty(re.shape, dtype=np.complex128)
+        values.real, values.imag = re, im
+        stream = CsiStream([0.0, 0.0125], values, 80.0)
+        with np.errstate(all="raise"):
+            back = parse_canonical(write_canonical(stream))
+        assert back.values.tobytes() == values.tobytes()
 
     def test_wrong_width_line(self):
         text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":64}\n'

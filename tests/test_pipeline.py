@@ -136,6 +136,20 @@ class TestStandardize:
                 out = standardize(win)
                 assert out.shape == win.shape
 
+    def test_equals_numpy_formula_bitwise(self):
+        """(x - mean) / std per column, bit for bit; columns with std below
+        1e-12 (a constant column among them) come out as +0.0."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            w, s = int(rng.integers(2, 500)), int(rng.integers(1, 70))
+            x = rng.standard_normal((w, s)) * rng.uniform(1e-3, 1e3) + rng.uniform(-50, 50)
+            x[:, int(rng.integers(s))] = rng.uniform(-5, 5)
+            sd = x.std(0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = (x - x.mean(0)) / sd
+            expected[:, sd < 1e-12] = 0.0
+            assert standardize(x).tobytes() == expected.tobytes()
+
 
 def heart_recording(duration_s=60.0, fs=80.0, n_sub=4, seed=0):
     scenario = Scenario(name="unit", duration_s=duration_s, sample_rate_hz=fs,
