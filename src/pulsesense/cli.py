@@ -14,17 +14,23 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import config as cfgmod
 from .bench import CSV_HEADER, bench_inference
 from .dsp.pipeline import (
     PipelineConfig,
     read_segment_dump,
     run_pipeline_config,
+    segments_to_arrays,
+    window_length,
     write_segment_dump,
 )
-from .errors import ConfigError, ConfigInvalidValue, DataError, PulseSenseError
+from .errors import (
+    ConfigError,
+    ConfigInvalidValue,
+    DataError,
+    PulseSenseError,
+    SchemaMismatch,
+)
 from .ingest import (
     align,
     complex_values,
@@ -116,27 +122,30 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _segments_for_training(cfg: dict, training_cfg: TrainingConfig):
-    if training_cfg.segments_path:
-        with open(training_cfg.segments_path, "rb") as fh:
+def _training_inputs(cfg: dict):
+    """Configs and the (x, y) pair for train and cv. ``training.segments``,
+    the CLI's own key, names a segment dump to read instead of running
+    ingest and the pipeline."""
+    block = cfg.get("training", {})
+    segments_path = block.pop("segments", None) if isinstance(block, dict) else None
+    training_cfg = TrainingConfig.from_dict(block)
+    if segments_path:
+        with open(segments_path, "rb") as fh:
             x, y = read_segment_dump(fh.read())
         pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
-        return x, y, pipeline_cfg
-    segments, pipeline_cfg, _ = _process_segments(cfg)
-    x = np.stack([seg.values for seg in segments])
-    y = np.asarray([seg.label for seg in segments])
-    return x, y, pipeline_cfg
+    else:
+        segments, pipeline_cfg, _ = _process_segments(cfg)
+        x, y = segments_to_arrays(segments)
+    head = "binary" if pipeline_cfg.mode == "apnea" else "regression"
+    model_cfg = cfgmod.model_config_from_dict(
+        cfg.get("model", {}), input_dim=x.shape[2], head=head)
+    return training_cfg, model_cfg, pipeline_cfg, x, y
 
 
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config, args.set)
     out = _out_dir(cfg)
-    training_cfg = TrainingConfig.from_dict(cfg.get("training", {}))
-    x, y, pipeline_cfg = _segments_for_training(cfg, training_cfg)
-    head = "binary" if pipeline_cfg.mode == "apnea" else "regression"
-    model_cfg = cfgmod.model_config_from_dict(
-        cfg.get("model", {}), input_dim=x.shape[2], head=head)
-
+    training_cfg, model_cfg, pipeline_cfg, x, y = _training_inputs(cfg)
     idx = split_segments(x.shape[0], training_cfg)
     params, history = train((x[idx.train], y[idx.train]), model_cfg, training_cfg,
                             val_segments=(x[idx.val], y[idx.val]))
@@ -144,7 +153,8 @@ def cmd_train(args) -> int:
     report = evaluate(params, (x[idx.test], y[idx.test]), threshold=threshold)
 
     _write(os.path.join(out, "model.psnn"),
-           save_model(params, extra={"pipeline": pipeline_cfg.to_dict()}))
+           save_model(params, extra={"pipeline": pipeline_cfg.to_dict(),
+                                     "window_packets": x.shape[1]}))
     _write(os.path.join(out, "history.csv"), history.to_csv())
     _write(os.path.join(out, "metrics.json"), report.to_json() + "\n")
     print(f"trained {history.stopped_epoch} epochs "
@@ -170,11 +180,7 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     cfg = cfgmod.load_config(args.config, args.set)
     out = _out_dir(cfg)
-    training_cfg = TrainingConfig.from_dict(cfg.get("training", {}))
-    x, y, pipeline_cfg = _segments_for_training(cfg, training_cfg)
-    head = "binary" if pipeline_cfg.mode == "apnea" else "regression"
-    model_cfg = cfgmod.model_config_from_dict(
-        cfg.get("model", {}), input_dim=x.shape[2], head=head)
+    training_cfg, model_cfg, pipeline_cfg, x, y = _training_inputs(cfg)
     threshold = MODE_THRESHOLDS.get(pipeline_cfg.mode, 1.5)
     reports, aggregate = kfold_cv((x, y), model_cfg, training_cfg, k=args.k,
                                   threshold=threshold)
@@ -206,6 +212,11 @@ def cmd_infer(args) -> int:
 
     with open(args.stream, "r", encoding="utf-8") as fh:
         fs, _, _ = iter_canonical(fh)
+    w = window_length(pipeline_cfg.window_s, fs)
+    if extra and "window_packets" in extra and extra["window_packets"] != w:
+        raise SchemaMismatch(
+            f"model was trained on {extra['window_packets']}-packet windows; "
+            f"{pipeline_cfg.window_s} s at the stream's {fs} Hz is {w} packets")
 
     mu, _count = streaming_column_means(
         (row for _, row in _iter_canonical_packets(args.stream)),

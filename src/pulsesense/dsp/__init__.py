@@ -19,6 +19,7 @@ from .pipeline import (
     run_pipeline,
     run_pipeline_config,
     segment,
+    segments_to_arrays,
     sequential_column_mean,
     standardize,
     window_length,
@@ -32,7 +33,7 @@ __all__ = [
     "amplitude", "band_for_mode", "design_bandpass",
     "filter_values", "filter_values_zero_phase", "frequency_response",
     "mirror_pad", "read_segment_dump", "remove_dc", "run_pipeline",
-    "run_pipeline_config", "savgol_kernel", "segment",
+    "run_pipeline_config", "savgol_kernel", "segment", "segments_to_arrays",
     "sequential_column_mean", "smooth_sample", "smooth_values", "standardize",
     "window_length", "write_segment_dump",
 ]

@@ -197,50 +197,45 @@ class PipelineConfig:
 
 
 def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
-                 stride: int = 1, *,
-                 band: Optional[Tuple[float, float]] = None,
-                 savgol_window: int = 15, savgol_order: int = 3,
-                 zero_phase: bool = False,
-                 subcarriers: Optional[Sequence[int]] = None) -> List[WindowSegment]:
-    """Run all five stages over an aligned recording.
+                 stride: int = 1) -> List[WindowSegment]:
+    """run_pipeline_config with the mode's default band and smoothing."""
+    return run_pipeline_config(recording, PipelineConfig(mode, window_s, stride))
 
-    ``band`` overrides the mode's default edges; everything else follows the
-    fixed stage order.
-    """
-    stream = recording.stream
-    aligned = recording.alignment
-    series = amplitude(stream)
-    if subcarriers is not None:
-        series = AmplitudeSeries(series.values[:, list(subcarriers)],
+
+def run_pipeline_config(recording: AlignedRecording,
+                        cfg: PipelineConfig) -> List[WindowSegment]:
+    """Run all five stages over an aligned recording in the fixed order."""
+    series = amplitude(recording.stream)
+    if cfg.subcarriers is not None:
+        series = AmplitudeSeries(series.values[:, list(cfg.subcarriers)],
                                  series.sample_rate_hz)
     series = remove_dc(series)
-    low, high = band if band is not None else band_for_mode(mode)
+    low, high = cfg.effective_band()
     spec = FilterSpec(low, high, BANDPASS_ORDER, series.sample_rate_hz)
     cascade = design_bandpass(spec)
-    band_pass = filter_values_zero_phase if zero_phase else filter_values
+    band_pass = filter_values_zero_phase if cfg.zero_phase else filter_values
     filtered = band_pass(cascade, series.values)
-    kernel = savgol_kernel(savgol_window, savgol_order)
+    kernel = savgol_kernel(cfg.savgol_window, cfg.savgol_order)
     series = AmplitudeSeries(smooth_values(kernel, filtered), series.sample_rate_hz)
-    raw_windows = segment(series, window_s, stride)
-    w = window_length(window_s, series.sample_rate_hz)
+    raw_windows = segment(series, cfg.window_s, cfg.stride)
+    w = window_length(cfg.window_s, series.sample_rate_hz)
     segments = []
     for i, win in enumerate(raw_windows):
-        start = i * stride
+        start = i * cfg.stride
         segments.append(WindowSegment(
             values=standardize(win),
-            label=window_label(aligned, start, w, mode),
+            label=window_label(recording.alignment, start, w, cfg.mode),
             start_index=start,
             duration_s=w / series.sample_rate_hz,
         ))
     return segments
 
 
-def run_pipeline_config(recording: AlignedRecording,
-                        cfg: PipelineConfig) -> List[WindowSegment]:
-    return run_pipeline(
-        recording, cfg.mode, cfg.window_s, cfg.stride, band=cfg.band,
-        savgol_window=cfg.savgol_window, savgol_order=cfg.savgol_order,
-        zero_phase=cfg.zero_phase, subcarriers=cfg.subcarriers)
+def segments_to_arrays(segments: Sequence[WindowSegment]) -> Tuple[np.ndarray, np.ndarray]:
+    """Stack a segment list into (x, y): (N, W, S) windows and N labels."""
+    x = np.stack([seg.values for seg in segments])
+    y = np.asarray([seg.label for seg in segments], dtype=np.float64)
+    return x, y
 
 
 def write_segment_dump(segments: Sequence[WindowSegment]) -> bytes:
@@ -266,17 +261,13 @@ def read_segment_dump(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
     if data[:6] != SEGMENT_DUMP_MAGIC:
         raise BadMagic("not a segment dump")
     count, w, s = struct.unpack_from("<III", data, 6)
-    rec_bytes = (w * s + 1) * 4
-    expected = 6 + 12 + count * rec_bytes
+    if not (count and w and s):
+        raise MalformedLine(
+            0, f"dump header count={count} W={w} S={s} has a zero dimension")
+    expected = 6 + 12 + count * (w * s + 1) * 4
     if len(data) != expected:
         raise MalformedLine(0, f"dump length {len(data)} != expected {expected}")
-    values = np.empty((count, w, s), dtype=np.float64)
-    labels = np.empty(count, dtype=np.float64)
-    off = 18
-    for i in range(count):
-        arr = np.frombuffer(data, dtype="<f4", count=w * s, offset=off)
-        values[i] = arr.reshape(w, s)
-        off += w * s * 4
-        labels[i] = struct.unpack_from("<f", data, off)[0]
-        off += 4
-    return values, labels
+    record = np.dtype([("values", "<f4", (w, s)), ("label", "<f4")])
+    records = np.frombuffer(data, dtype=record, offset=18)
+    return (records["values"].astype(np.float64),
+            records["label"].astype(np.float64))

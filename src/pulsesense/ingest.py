@@ -314,10 +314,14 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
                 continue
             try:
                 obj = json.loads(line)
-                t = float(obj["t"])
+                t = obj["t"]
                 re_items = obj["re"]
                 im_items = obj["im"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                if type(t) not in (int, float):  # bool is not a JSON number
+                    raise TypeError(f"t must be a JSON number, got {t!r}")
+                t = float(t)  # OverflowError past the float range
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise MalformedLine(line_no, f"bad frame: {exc!r}") from None
             re = numbers(line_no, "re", re_items)
             im = numbers(line_no, "im", im_items)

@@ -15,7 +15,7 @@ same recording offline in causal mode.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,20 +58,16 @@ class StreamingPredictor:
         self.n_in = 0        # packets pushed
         self.n_smoothed = 0  # smoothed rows produced
 
-    def _amplitude_row(self, packet: np.ndarray) -> np.ndarray:
-        row = np.hypot(packet.real, packet.imag)
-        if self.cfg.subcarriers is not None:
-            row = row[list(self.cfg.subcarriers)]
-        return row
-
     def _smoothed_row(self, i: int) -> np.ndarray:
-        """Smoothed value at absolute index i from the lookahead buffer."""
+        """Smoothed value at absolute index i from the lookahead buffer,
+        mirrored at the series start and at the newest packet."""
         first = self.n_in - len(self.filt)  # absolute index of filt[0]
+        last = self.n_in - 1
         rows = np.empty((self.kernel.window, self.mu.shape[0]))
         for k in range(self.kernel.window):
-            idx = i - self.m + k
-            if idx < 0:
-                idx = -idx  # mirror at the series start
+            idx = abs(i - self.m + k)
+            if idx > last:
+                idx = 2 * last - idx
             rows[k] = self.filt[idx - first]
         return smooth_sample(self.kernel, rows)
 
@@ -92,7 +88,7 @@ class StreamingPredictor:
 
     def push(self, timestamp: float, packet: np.ndarray) -> List[Tuple[float, float]]:
         """Feed one packet; returns any (t_end, prediction) pairs now ready."""
-        row = self._amplitude_row(np.asarray(packet)) - self.mu
+        row = _amplitude_row(packet, self.cfg.subcarriers) - self.mu
         self.filt.append(self.filter_state.process(row))
         self.times.append(float(timestamp))
         self.n_in += 1
@@ -115,21 +111,20 @@ class StreamingPredictor:
             raise WindowLongerThanSeries(
                 f"window of {self.w} packets exceeds stream length {t_total}")
         out = []
-        first = t_total - len(self.filt)
         while self.n_smoothed < t_total:
-            i = self.n_smoothed
-            rows = np.empty((self.kernel.window, self.mu.shape[0]))
-            for k in range(self.kernel.window):
-                idx = i - self.m + k
-                if idx < 0:
-                    idx = -idx
-                elif idx > t_total - 1:
-                    idx = 2 * (t_total - 1) - idx  # mirror at the series end
-                rows[k] = self.filt[idx - first]
-            self.ring.append(smooth_sample(self.kernel, rows))
+            self.ring.append(self._smoothed_row(self.n_smoothed))
             self.n_smoothed += 1
             out.extend(self._emit_ready())
         return out
+
+
+def _amplitude_row(packet: np.ndarray,
+                   subcarriers: Optional[Sequence[int]]) -> np.ndarray:
+    packet = np.asarray(packet)
+    row = np.hypot(packet.real, packet.imag)
+    if subcarriers is not None:
+        row = row[list(subcarriers)]
+    return row
 
 
 def streaming_column_means(packets: Iterable[np.ndarray],
@@ -141,9 +136,7 @@ def streaming_column_means(packets: Iterable[np.ndarray],
     acc = None
     count = 0
     for packet in packets:
-        row = np.hypot(packet.real, packet.imag)
-        if subcarriers is not None:
-            row = row[list(subcarriers)]
+        row = _amplitude_row(packet, subcarriers)
         if acc is None:
             acc = np.zeros_like(row, dtype=np.float64)
         acc += row

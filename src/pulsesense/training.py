@@ -17,12 +17,11 @@ predictions come out in label units and no side-car state is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsp.pipeline import WindowSegment
 from .errors import (
     ConfigInvalidValue,
     DivergedLoss,
@@ -44,7 +43,7 @@ from .nn import (
 
 SPLIT_MODES = ("window_level", "recording_level")
 
-SegmentData = Union[Sequence[WindowSegment], Tuple[np.ndarray, np.ndarray]]
+Arrays = Tuple[np.ndarray, np.ndarray]  # (x, y): (N, W, S) windows, N labels
 
 
 @dataclass
@@ -59,12 +58,6 @@ class TrainingConfig:
     seed: int = 0
     split: str = "window_level"
     standardize_targets: bool = True
-    segments_path: Optional[str] = None  # CLI wiring, unused by train()
-
-    _ALLOWED = ("learning_rate", "batch_size", "max_epochs",
-                "early_stop_patience", "lr_plateau_patience", "lr_factor",
-                "val_fraction_of_train", "seed", "split",
-                "standardize_targets", "segments")
 
     def __post_init__(self):
         if self.early_stop_patience < 1 or self.lr_plateau_patience < 1:
@@ -81,25 +74,8 @@ class TrainingConfig:
     @classmethod
     def from_dict(cls, block: dict) -> "TrainingConfig":
         from .config import reject_unknown
-        reject_unknown("training", block, cls._ALLOWED)
-        kwargs = {k: block[k] for k in block if k != "segments"}
-        cfg = cls(**kwargs)
-        cfg.segments_path = block.get("segments")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "early_stop_patience": self.early_stop_patience,
-            "lr_plateau_patience": self.lr_plateau_patience,
-            "lr_factor": self.lr_factor,
-            "val_fraction_of_train": self.val_fraction_of_train,
-            "seed": self.seed,
-            "split": self.split,
-            "standardize_targets": self.standardize_targets,
-        }
+        reject_unknown("training", block, [f.name for f in fields(cls)])
+        return cls(**block)
 
 
 @dataclass
@@ -130,27 +106,18 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def segments_to_arrays(segments: SegmentData) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalize either a WindowSegment list or an (X, y) pair to arrays."""
-    if isinstance(segments, tuple) and len(segments) == 2:
-        x, y = segments
-        return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    x = np.stack([seg.values for seg in segments]).astype(np.float64)
-    y = np.asarray([seg.label for seg in segments], dtype=np.float64)
-    return x, y
+def _float_arrays(data: Arrays) -> Arrays:
+    x, y = data
+    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
 
 
-def split_segments(segments_or_count, config: TrainingConfig,
+def split_segments(n: int, config: TrainingConfig,
                    recording_ids: Optional[Sequence] = None) -> SplitIndices:
-    """Seeded shuffle then a 64/16/20 cut.
+    """Seeded shuffle of ``n`` segment indices, then a 64/16/20 cut.
 
     In recording_level mode whole recordings are shuffled and the cuts land
     on recording boundaries, so no recording straddles two splits.
     """
-    if isinstance(segments_or_count, (int, np.integer)):
-        n = int(segments_or_count)
-    else:
-        n = len(segments_or_count)
     if n < 5:
         raise TooFewSegments(f"need at least 5 segments, got {n}")
     rng = np.random.default_rng(config.seed)
@@ -205,24 +172,25 @@ def _fold_target_scaler(params: ModelParams, offset: float, scale: float) -> Mod
     return out
 
 
-def train(segments: SegmentData, model_config: ModelConfig,
+def train(segments: Arrays, model_config: ModelConfig,
           config: TrainingConfig, *,
-          val_segments: Optional[SegmentData] = None,
+          val_segments: Optional[Arrays] = None,
           val_loss_fn: Optional[Callable[[int, ModelParams], float]] = None,
           ) -> Tuple[ModelParams, TrainHistory]:
-    """Train on ``segments``; the test split must already be held out.
+    """Train on the ``(x, y)`` pair ``segments``; the test split must already
+    be held out.
 
     If ``val_segments`` is missing, ``val_fraction_of_train`` of the segments
     is carved off (seeded) for validation. ``val_loss_fn(epoch, params)`` is
     a test hook that replaces the validation-loss computation.
     """
-    x_all, y_all = segments_to_arrays(segments)
+    x_all, y_all = _float_arrays(segments)
     if x_all.shape[0] == 0:
         raise EmptyTrainSet("no training segments")
 
     if val_segments is not None:
         x_train, y_train = x_all, y_all
-        x_val, y_val = segments_to_arrays(val_segments)
+        x_val, y_val = _float_arrays(val_segments)
     else:
         n = x_all.shape[0]
         n_val = max(1, _round_half_up(config.val_fraction_of_train * n))
@@ -310,9 +278,9 @@ def train(segments: SegmentData, model_config: ModelConfig,
     return best_params, history
 
 
-def predict(params: ModelParams, segments: SegmentData, chunk: int = 64) -> np.ndarray:
-    """Inference over a segment set; predictions come out in label units."""
-    x, _ = segments_to_arrays(segments)
+def predict(params: ModelParams, segments: Arrays, chunk: int = 64) -> np.ndarray:
+    """Inference over an ``(x, y)`` pair; predictions come out in label units."""
+    x, _ = _float_arrays(segments)
     preds = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], chunk):
         preds[lo:lo + chunk], _ = forward_batch(params, x[lo:lo + chunk],
@@ -320,11 +288,11 @@ def predict(params: ModelParams, segments: SegmentData, chunk: int = 64) -> np.n
     return preds
 
 
-def evaluate(params: ModelParams, segments: SegmentData, *,
+def evaluate(params: ModelParams, segments: Arrays, *,
              threshold: float = 1.5,
              decision_threshold: float = 0.5) -> MetricsReport:
     """Predict then score with the metric set matching the head type."""
-    x, y = segments_to_arrays(segments)
+    x, y = _float_arrays(segments)
     preds = predict(params, (x, y))
     if params.config.head == "binary":
         return classification_metrics(preds, y, decision_threshold)
@@ -360,12 +328,12 @@ def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateReport:
     return AggregateReport(list(reports), means, stds)
 
 
-def repeat_runs(segments: SegmentData, model_config: ModelConfig,
+def repeat_runs(segments: Arrays, model_config: ModelConfig,
                 config: TrainingConfig, n: int = 3, *,
                 threshold: float = 1.5,
                 recording_ids: Optional[Sequence] = None) -> AggregateReport:
     """n independent seeded runs (seed, seed+1, ...) with fresh shuffles."""
-    x, y = segments_to_arrays(segments)
+    x, y = _float_arrays(segments)
     reports = []
     for run in range(n):
         cfg = replace(config, seed=config.seed + run)
@@ -377,11 +345,11 @@ def repeat_runs(segments: SegmentData, model_config: ModelConfig,
     return aggregate_reports(reports)
 
 
-def kfold_cv(segments: SegmentData, model_config: ModelConfig,
+def kfold_cv(segments: Arrays, model_config: ModelConfig,
              config: TrainingConfig, k: int = 10, *,
              threshold: float = 1.5) -> Tuple[List[MetricsReport], AggregateReport]:
     """Seeded shuffle, k contiguous folds, each fold once as the test set."""
-    x, y = segments_to_arrays(segments)
+    x, y = _float_arrays(segments)
     n = x.shape[0]
     if n < k:
         raise TooFewSegments(f"{n} segments cannot form {k} folds")

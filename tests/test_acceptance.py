@@ -20,6 +20,7 @@ from pulsesense.dsp import (
     frequency_response,
     run_pipeline_config,
     savgol_kernel,
+    segments_to_arrays,
     smooth_values,
 )
 from pulsesense.ingest import align
@@ -42,7 +43,6 @@ from pulsesense.training import (
     evaluate,
     kfold_cv,
     repeat_runs,
-    segments_to_arrays,
     split_segments,
     train,
 )
@@ -197,8 +197,9 @@ def test_criterion_6_heart_rate_end_to_end(scenario_a):
 
         model_cfg = ModelConfig(input_dim=64)
         train_cfg = TrainingConfig(seed=1, batch_size=32, max_epochs=10)
-        params, history = train(train_part, model_cfg, train_cfg)
-        report = evaluate(params, test_part, threshold=1.5)
+        params, history = train(segments_to_arrays(train_part), model_cfg,
+                                train_cfg)
+        report = evaluate(params, segments_to_arrays(test_part), threshold=1.5)
         elapsed = time.perf_counter() - t0
         print(f"    heart e2e: MAE {report.mae:.4f} BPM, "
               f"{100 * report.frac_within_threshold:.1f}% within 1.5, "
@@ -219,8 +220,8 @@ def test_criterion_7_breathing_rate_end_to_end():
         train_part, test_part = _time_split_segments(segments, w, fs, 320.0)
         model_cfg = ModelConfig(input_dim=234)
         train_cfg = TrainingConfig(seed=2, batch_size=32, max_epochs=8)
-        params, _ = train(train_part, model_cfg, train_cfg)
-        report = evaluate(params, test_part, threshold=0.75)
+        params, _ = train(segments_to_arrays(train_part), model_cfg, train_cfg)
+        report = evaluate(params, segments_to_arrays(test_part), threshold=0.75)
         print(f"    breathing e2e: MAE {report.mae:.4f} brpm, "
               f"{100 * report.frac_within_threshold:.1f}% within 0.75")
         assert report.mae < 1.0

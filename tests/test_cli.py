@@ -1,6 +1,7 @@
 """End-to-end CLI workflows on a desk-scale synthetic recording."""
 
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -195,6 +196,15 @@ def test_unknown_top_level_key_exits_2(workdir, capsys):
     assert "ConfigUnknownKey" in capsys.readouterr().err
 
 
+def test_unknown_training_key_exits_2(workdir, capsys):
+    """training.segments belongs to the CLI; other unknown keys still fail."""
+    tmp_path, out, cfg_path = workdir
+    for cmd in ("train", "cv"):
+        assert main([cmd, "--config", str(cfg_path),
+                     "--set", "training.segmentz=x.psseg"]) == 2
+        assert "ConfigUnknownKey: training.segmentz" in capsys.readouterr().err
+
+
 def test_data_error_exits_3(workdir, capsys):
     tmp_path, out, cfg_path = workdir
     from pulsesense.nn import ModelConfig, init_params, save_model
@@ -219,6 +229,21 @@ def test_truncated_segment_dump_exits_3(workdir, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(model_path),
                  "--data", str(truncated)]) == 3
+    assert "MalformedLine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["count", "W", "S"])
+def test_zero_dimension_segment_dump_exits_3(workdir, capsys, field):
+    tmp_path, out, cfg_path = workdir
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    model_path = tmp_path / "m.psnn"
+    model_path.write_bytes(save_model(init_params(ModelConfig(input_dim=3), 0)))
+    dims = {"count": 2, "W": 5, "S": 3}
+    dims[field] = 0
+    dump = tmp_path / "degenerate.psseg"
+    dump.write_bytes(b"PSSEG1" + struct.pack("<III", dims["count"], dims["W"], dims["S"])
+                     + b"\x00" * (dims["count"] * (dims["W"] * dims["S"] + 1) * 4))
+    assert main(["eval", "--model", str(model_path), "--data", str(dump)]) == 3
     assert "MalformedLine" in capsys.readouterr().err
 
 
@@ -260,6 +285,56 @@ def test_infer_non_number_value_exits_3(workdir, capsys, bad):
                  "--out", str(tmp_path / "preds.csv")]) == 3
     err = capsys.readouterr().err
     assert "MalformedLine" in err and "line 10:" in err
+
+
+@pytest.mark.parametrize("bad", [False, True, "0.5"], ids=["false", "true", "string"])
+def test_infer_non_number_timestamp_exits_3(workdir, capsys, bad):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    model_path = tmp_path / "m.psnn"
+    model_path.write_bytes(save_model(init_params(ModelConfig(input_dim=3), 0)))
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    frame = json.loads(lines[1])
+    frame["t"] = bad
+    lines[1] = json.dumps(frame)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model_path), "--stream", str(broken),
+                 "--out", str(tmp_path / "preds.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "MalformedLine" in err and "line 2:" in err
+
+
+def test_infer_refuses_window_length_mismatch(workdir, capsys):
+    """train stores its window length; infer on a stream whose rate gives
+    another window length is a data error, the matching rate runs."""
+    tmp_path, out, cfg_path = workdir
+    from pulsesense.nn import load_model
+    fast = ["--set", "synth.scenario.sample_rate_hz=80.0",
+            "--set", "pipeline.stride=40"]
+    assert main(["synth", "--config", str(cfg_path)] + fast) == 0
+    assert main(["train", "--config", str(cfg_path)] + fast) == 0
+    _, extra = load_model((out / "model.psnn").read_bytes())
+    assert extra["window_packets"] == 400
+    model_80 = tmp_path / "model_80.psnn"
+    model_80.write_bytes((out / "model.psnn").read_bytes())
+
+    assert main(["synth", "--config", str(cfg_path)]) == 0  # 20 Hz stream
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model_80),
+                 "--stream", str(out / "stream.jsonl"),
+                 "--out", str(tmp_path / "preds.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "SchemaMismatch" in err and "400" in err and "100" in err
+
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    _, extra = load_model((out / "model.psnn").read_bytes())
+    assert extra["window_packets"] == 100
+    assert main(["infer", "--model", str(out / "model.psnn"),
+                 "--stream", str(out / "stream.jsonl"),
+                 "--out", str(tmp_path / "preds.csv")]) == 0
 
 
 def test_infer_packets_equal_parse_canonical_bitwise(tmp_path):

@@ -260,6 +260,16 @@ class TestCanonical:
             parse_canonical(text)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("stamp", [False, True, "0.5", 10 ** 400],
+                             ids=["false", "true", "string", "huge-int"])
+    def test_non_number_timestamp_names_line(self, stamp):
+        text = ('{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":1}\n'
+                + json.dumps({"t": stamp, "re": [1.0], "im": [2.0]}) + "\n"
+                '{"t":2.0,"re":[1.0],"im":[2.0]}\n')
+        with pytest.raises(MalformedLine, match="t must be a JSON number|too large") as err:
+            parse_canonical(text)
+        assert err.value.line_no == 2
+
     def test_signed_zeros_and_infinities_kept_bitwise(self):
         re = np.array([[-0.0, 0.0, 1.5, np.inf], [2.0, -np.inf, -0.0, 3.0]])
         im = np.array([[0.0, -0.0, np.inf, -0.0], [-np.inf, 0.0, 1.0, -0.0]])

@@ -1,14 +1,19 @@
 """Pipeline stages and the assembled five-stage chain."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from pulsesense.dsp import (
     AmplitudeSeries,
+    PipelineConfig,
+    WindowSegment,
     amplitude,
     read_segment_dump,
     remove_dc,
     run_pipeline,
+    run_pipeline_config,
     segment,
     standardize,
     write_segment_dump,
@@ -248,7 +253,8 @@ class TestPipelineConfig:
     def test_zero_phase_mode_runs_and_differs_from_causal(self):
         recording, _ = heart_recording(duration_s=20.0)
         causal = run_pipeline(recording, "heart", 5.0, 200)
-        zp = run_pipeline(recording, "heart", 5.0, 200, zero_phase=True)
+        zp = run_pipeline_config(recording, PipelineConfig(
+            mode="heart", window_s=5.0, stride=200, zero_phase=True))
         assert len(causal) == len(zp)
         assert causal[0].values.shape == zp[0].values.shape
         assert not np.allclose(causal[0].values, zp[0].values)
@@ -277,3 +283,50 @@ class TestSegmentDump:
         data = write_segment_dump(run_pipeline(recording, "heart", 5.0, 100))
         with pytest.raises(MalformedLine):
             read_segment_dump(data[:length])
+
+    @pytest.mark.parametrize("field", ["count", "W", "S"])
+    def test_zero_header_dimension(self, field):
+        dims = {"count": 2, "W": 3, "S": 4}
+        dims[field] = 0
+        data = b"PSSEG1" + struct.pack("<III", dims["count"], dims["W"], dims["S"])
+        data += b"\x00" * (dims["count"] * (dims["W"] * dims["S"] + 1) * 4)
+        with pytest.raises(MalformedLine, match="zero dimension"):
+            read_segment_dump(data)
+
+
+def reference_read_segment_dump(data):
+    """The per-record struct reader: one frombuffer and one unpack per record."""
+    count, w, s = struct.unpack_from("<III", data, 6)
+    values = np.empty((count, w, s), dtype=np.float64)
+    labels = np.empty(count, dtype=np.float64)
+    off = 18
+    for i in range(count):
+        arr = np.frombuffer(data, dtype="<f4", count=w * s, offset=off)
+        values[i] = arr.reshape(w, s)
+        off += w * s * 4
+        labels[i] = struct.unpack_from("<f", data, off)[0]
+        off += 4
+    return values, labels
+
+
+class TestSegmentDumpOracle:
+    @pytest.mark.parametrize("count,w,s", [(1, 1, 1), (1, 6, 3), (4, 5, 1),
+                                           (7, 1, 9), (30, 40, 4)])
+    def test_equals_per_record_reader_bitwise(self, count, w, s):
+        rng = np.random.default_rng(count * 1000 + w * 10 + s)
+        values = rng.standard_normal((count, w, s)) * 10.0 ** rng.integers(-30, 30)
+        flat = values.reshape(-1)
+        specials = [-0.0, np.inf, -np.inf, np.nan, 1e-42, 3.4e38]
+        flat[rng.integers(0, flat.size, len(specials))] = specials
+        labels = rng.uniform(-200.0, 200.0, count)
+        labels[0] = -0.0
+        segments = [WindowSegment(values[i], float(labels[i]), i, 1.0)
+                    for i in range(count)]
+        data = write_segment_dump(segments)
+        got_values, got_labels = read_segment_dump(data)
+        want_values, want_labels = reference_read_segment_dump(data)
+        assert got_values.dtype == want_values.dtype == np.float64
+        assert got_values.shape == want_values.shape == (count, w, s)
+        assert got_values.tobytes() == want_values.tobytes()
+        assert got_labels.shape == want_labels.shape == (count,)
+        assert got_labels.tobytes() == want_labels.tobytes()
