@@ -198,6 +198,16 @@ def _iter_canonical_packets(path: str):
             yield t, complex_values(re, im)
 
 
+class _StreamRows:
+    """The complex rows of a canonical file; each iteration reads it anew."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __iter__(self):
+        return (row for _, row in _iter_canonical_packets(self.path))
+
+
 def cmd_infer(args) -> int:
     with open(args.model, "rb") as fh:
         params, extra = load_model(fh.read())
@@ -218,9 +228,8 @@ def cmd_infer(args) -> int:
             f"model was trained on {extra['window_packets']}-packet windows; "
             f"{pipeline_cfg.window_s} s at the stream's {fs} Hz is {w} packets")
 
-    mu, _count = streaming_column_means(
-        (row for _, row in _iter_canonical_packets(args.stream)),
-        pipeline_cfg.subcarriers)
+    mu, _count = streaming_column_means(_StreamRows(args.stream),
+                                        pipeline_cfg.subcarriers)
     predictor = StreamingPredictor(params, pipeline_cfg, fs, mu)
 
     sink = open(args.out, "w") if args.out else sys.stdout

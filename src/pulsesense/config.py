@@ -8,7 +8,7 @@ rejected everywhere; each block is validated by the module that owns it.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import List, Optional, get_type_hints
 
 from .errors import ConfigInvalidValue, ConfigUnknownKey
 from .nn.model import ModelConfig
@@ -27,12 +27,36 @@ SCENARIO_KEYS = ("name", "duration_s", "sample_rate_hz", "subcarriers",
                  "breath_gain", "cardiac_gain", "noise_std", "seed")
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list"}
+
+
 def reject_unknown(block_name: str, block: dict, allowed) -> None:
     if not isinstance(block, dict):
         raise ConfigInvalidValue(f"{block_name} must be an object")
     for key in block:
         if key not in allowed:
             raise ConfigUnknownKey(f"{block_name}.{key}")
+
+
+def check_type(name: str, value, kind: type):
+    """Return the JSON ``value`` of a field of type ``kind``, or raise.
+
+    An int field takes no bool or float, a float field also takes an int,
+    and a bool field takes only a bool. This runs where JSON enters, not in
+    the config classes, whose library callers may pass numpy scalars.
+    """
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigInvalidValue(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def check_field_types(block_name: str, block: dict, cls) -> None:
+    """check_type each key of ``block`` against the dataclass field it sets."""
+    hints = get_type_hints(cls)
+    for key, value in block.items():
+        check_type(f"{block_name}.{key}", value, hints[key])
 
 
 def _parse_override_value(text: str):
@@ -94,6 +118,7 @@ def validate_ingest(block: dict) -> dict:
 def model_config_from_dict(block: dict, input_dim: Optional[int] = None,
                            head: Optional[str] = None) -> ModelConfig:
     reject_unknown("model", block, MODEL_KEYS)
+    check_field_types("model", block, ModelConfig)
     kwargs = dict(block)
     if "input_dim" not in kwargs:
         if input_dim is None:

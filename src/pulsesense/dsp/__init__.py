@@ -1,11 +1,8 @@
 from .filters import (
-    BiquadCascade,
-    BiquadSection,
     FilterSpec,
     FilterState,
     design_bandpass,
     filter_values,
-    filter_values_zero_phase,
     frequency_response,
 )
 from .pipeline import (
@@ -25,15 +22,13 @@ from .pipeline import (
     window_length,
     write_segment_dump,
 )
-from .savgol import SavGolKernel, mirror_pad, savgol_kernel, smooth_sample, smooth_values
+from .savgol import mirror_pad, savgol_kernel, smooth_padded, smooth_values
 
 __all__ = [
-    "AmplitudeSeries", "BiquadCascade", "BiquadSection", "FilterSpec",
-    "FilterState", "PipelineConfig", "SavGolKernel", "WindowSegment",
-    "amplitude", "band_for_mode", "design_bandpass",
-    "filter_values", "filter_values_zero_phase", "frequency_response",
-    "mirror_pad", "read_segment_dump", "remove_dc", "run_pipeline",
-    "run_pipeline_config", "savgol_kernel", "segment", "segments_to_arrays",
-    "sequential_column_mean", "smooth_sample", "smooth_values", "standardize",
-    "window_length", "write_segment_dump",
+    "AmplitudeSeries", "FilterSpec", "FilterState", "PipelineConfig",
+    "WindowSegment", "amplitude", "band_for_mode", "design_bandpass",
+    "filter_values", "frequency_response", "mirror_pad", "read_segment_dump",
+    "remove_dc", "run_pipeline", "run_pipeline_config", "savgol_kernel",
+    "segment", "segments_to_arrays", "sequential_column_mean", "smooth_padded",
+    "smooth_values", "standardize", "window_length", "write_segment_dump",
 ]

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigInvalidValue, EmptyStream, WindowLongerThanSeries
+from ..errors import (
+    ConfigInvalidValue,
+    EmptyStream,
+    NonFiniteSample,
+    WindowLongerThanSeries,
+)
 from ..ingest import AlignedRecording, CsiStream
 from .filters import (
     FilterSpec,
@@ -80,9 +85,27 @@ def sequential_column_mean(values: np.ndarray) -> np.ndarray:
     return acc / values.shape[0]
 
 
+def check_finite_means(mu: np.ndarray, rows: Iterable[np.ndarray]) -> None:
+    """Refuse a recording whose column means are not finite.
+
+    One non-finite sample makes its column's mean non-finite, so checking
+    the S means stands in for checking every sample. Only on failure are
+    ``rows`` (the amplitude rows, in packet order) read again, to name the
+    first packet with a non-finite value.
+    """
+    if np.isfinite(mu).all():
+        return
+    for index, row in enumerate(rows):
+        if not np.isfinite(row).all():
+            raise NonFiniteSample(f"packet {index} has a non-finite CSI sample")
+    raise NonFiniteSample("column means are not finite: the amplitude sums "
+                          "overflow, or the packets could not be read again")
+
+
 def remove_dc(series: AmplitudeSeries) -> AmplitudeSeries:
     """Subtract each subcarrier's mean over all T samples."""
     mu = sequential_column_mean(series.values)
+    check_finite_means(mu, series.values)
     return AmplitudeSeries(series.values - mu, series.sample_rate_hz)
 
 
@@ -157,25 +180,33 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, block: dict) -> "PipelineConfig":
-        from ..config import reject_unknown  # local import avoids a cycle
+        from ..config import check_type, reject_unknown  # local import avoids a cycle
         reject_unknown("pipeline", block, cls._ALLOWED)
         cfg = cls()
-        cfg.mode = block.get("mode", cfg.mode)
+        cfg.mode = check_type("pipeline.mode", block.get("mode", cfg.mode), str)
         band_for_mode(cfg.mode)
-        cfg.window_s = float(block.get("window_s", cfg.window_s))
-        cfg.stride = int(block.get("stride", cfg.stride))
+        cfg.window_s = float(check_type(
+            "pipeline.window_s", block.get("window_s", cfg.window_s), float))
+        cfg.stride = check_type("pipeline.stride", block.get("stride", cfg.stride), int)
         if "band" in block:
             band = block["band"]
             reject_unknown("pipeline.band", band, ("low_hz", "high_hz"))
-            cfg.band = (float(band["low_hz"]), float(band["high_hz"]))
+            cfg.band = tuple(float(check_type(f"pipeline.band.{key}", band.get(key), float))
+                             for key in ("low_hz", "high_hz"))
         if "savgol" in block:
             sg = block["savgol"]
             reject_unknown("pipeline.savgol", sg, ("window", "order"))
-            cfg.savgol_window = int(sg.get("window", cfg.savgol_window))
-            cfg.savgol_order = int(sg.get("order", cfg.savgol_order))
-        cfg.zero_phase = bool(block.get("zero_phase", cfg.zero_phase))
-        if "subcarriers" in block and block["subcarriers"] is not None:
-            cfg.subcarriers = [int(i) for i in block["subcarriers"]]
+            cfg.savgol_window = check_type(
+                "pipeline.savgol.window", sg.get("window", cfg.savgol_window), int)
+            cfg.savgol_order = check_type(
+                "pipeline.savgol.order", sg.get("order", cfg.savgol_order), int)
+        cfg.zero_phase = check_type(
+            "pipeline.zero_phase", block.get("zero_phase", cfg.zero_phase), bool)
+        subcarriers = block.get("subcarriers")
+        if subcarriers is not None:
+            check_type("pipeline.subcarriers", subcarriers, list)
+            cfg.subcarriers = [check_type("pipeline.subcarriers[]", i, int)
+                               for i in subcarriers]
         return cfg
 
     def to_dict(self) -> dict:

@@ -55,32 +55,25 @@ def mirror_pad(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def smooth_values(kernel: SavGolKernel, values: np.ndarray) -> np.ndarray:
-    """Smooth each column of a (T, S) matrix; boundaries use mirror padding.
-
-    The accumulation runs coefficient by coefficient in a fixed order so that
-    a streaming evaluator performing the same per-sample dot product produces
-    bit-identical output.
-    """
+    """Smooth each column of a (T, S) matrix; boundaries use mirror padding."""
     t_len = values.shape[0]
     if t_len < kernel.window:
         raise SeriesTooShort(
             f"series length {t_len} shorter than kernel window {kernel.window}")
-    m = kernel.half_width
-    padded = mirror_pad(np.asarray(values, dtype=np.float64), m)
+    padded = mirror_pad(np.asarray(values, dtype=np.float64), kernel.half_width)
+    return smooth_padded(kernel, padded)
+
+
+def smooth_padded(kernel: SavGolKernel, padded: np.ndarray) -> np.ndarray:
+    """The T smoothed rows of an already padded (T + 2m, S) matrix.
+
+    This is the one Savitzky-Golay accumulation. It runs coefficient by
+    coefficient in a fixed order, so the streaming predictor, which calls it
+    on its 2m+1 buffered rows, reproduces smooth_values bit for bit.
+    """
+    t_len = padded.shape[0] - kernel.window + 1
     c = kernel.coefficients
     out = c[0] * padded[0:t_len]
     for k in range(1, kernel.window):
         out += c[k] * padded[k:k + t_len]
-    return out
-
-
-def smooth_sample(kernel: SavGolKernel, window_rows: np.ndarray) -> np.ndarray:
-    """One smoothed sample from 2m+1 consecutive rows (streaming counterpart).
-
-    Accumulates in the same coefficient order as smooth_values.
-    """
-    c = kernel.coefficients
-    out = c[0] * window_rows[0]
-    for k in range(1, kernel.window):
-        out = out + c[k] * window_rows[k]
     return out

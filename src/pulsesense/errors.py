@@ -59,6 +59,10 @@ class InsufficientFrames(DataError):
     pass
 
 
+class NonFiniteSample(DataError):
+    pass
+
+
 # --- DSP --------------------------------------------------------------------
 
 class EmptyStream(PulseSenseError):

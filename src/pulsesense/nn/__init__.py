@@ -1,13 +1,11 @@
 from .adam import AdamState, adam_step, adam_update
 from .losses import bce_loss, mse_loss
 from .model import (
-    ForwardCache,
     ModelConfig,
     ModelParams,
     backward,
     backward_batch,
     count_parameters,
-    expected_shapes,
     forward,
     forward_batch,
     init_params,
@@ -15,8 +13,8 @@ from .model import (
 from .serialize import load_model, quantize_params, save_model
 
 __all__ = [
-    "AdamState", "ForwardCache", "ModelConfig", "ModelParams", "adam_step",
-    "adam_update", "backward", "backward_batch", "bce_loss",
-    "count_parameters", "expected_shapes", "forward", "forward_batch",
-    "init_params", "load_model", "mse_loss", "quantize_params", "save_model",
+    "AdamState", "ModelConfig", "ModelParams", "adam_step", "adam_update",
+    "backward", "backward_batch", "bce_loss", "count_parameters", "forward",
+    "forward_batch", "init_params", "load_model", "mse_loss",
+    "quantize_params", "save_model",
 ]

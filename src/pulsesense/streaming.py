@@ -2,14 +2,13 @@
 
 The batch pipeline subtracts the whole-recording per-subcarrier mean, so a
 single pass cannot reproduce it; streaming therefore runs two passes over
-the source: pass one accumulates the per-subcarrier amplitude sums (O(S)
-memory), pass two pushes packets through the causal chain. State is one
-biquad cascade, a Savitzky-Golay lookahead of m packets, and a ring of
-exactly W smoothed packets, so memory is independent of stream length.
-
-Every arithmetic step mirrors the batch pipeline's element-wise operation
-order, which makes streaming predictions bit-identical to processing the
-same recording offline in causal mode.
+the source. Pass one accumulates the per-subcarrier amplitude sums (O(S)
+memory) and refuses non-finite means as remove_dc does. Pass two pushes
+packets through the batch stages on bounded buffers: one biquad cascade,
+the 2m+1 mirror-padded filtered rows that smooth_padded turns into the next
+smoothed row, and a ring of exactly W smoothed rows for standardize and
+forward. Memory is independent of stream length, and predictions are
+bit-identical to processing the same recording offline in causal mode.
 """
 
 from __future__ import annotations
@@ -20,8 +19,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dsp.filters import FilterSpec, FilterState, design_bandpass
-from .dsp.pipeline import BANDPASS_ORDER, PipelineConfig, standardize, window_length
-from .dsp.savgol import savgol_kernel, smooth_sample
+from .dsp.pipeline import (
+    BANDPASS_ORDER,
+    PipelineConfig,
+    check_finite_means,
+    standardize,
+    window_length,
+)
+from .dsp.savgol import savgol_kernel, smooth_padded
 from .errors import ConfigInvalidValue, SeriesTooShort, WindowLongerThanSeries
 from .nn.model import ModelParams, forward
 
@@ -51,59 +56,39 @@ class StreamingPredictor:
         self.m = self.kernel.half_width
         self.w = window_length(cfg.window_s, sample_rate_hz)
         self.stride = cfg.stride
-        # filtered-row lookahead (2m+1 rows) and smoothed-row ring (W rows)
+        # filtered rows around the next row to smooth, the newest W smoothed
+        # rows, and the timestamps of the rows not yet smoothed
         self.filt = deque(maxlen=2 * self.m + 1)
         self.ring = deque(maxlen=self.w)
-        self.times = deque(maxlen=self.w + self.m)
-        self.n_in = 0        # packets pushed
-        self.n_smoothed = 0  # smoothed rows produced
+        self.times = deque()
+        self.n_smoothed = 0
 
-    def _smoothed_row(self, i: int) -> np.ndarray:
-        """Smoothed value at absolute index i from the lookahead buffer,
-        mirrored at the series start and at the newest packet."""
-        first = self.n_in - len(self.filt)  # absolute index of filt[0]
-        last = self.n_in - 1
-        rows = np.empty((self.kernel.window, self.mu.shape[0]))
-        for k in range(self.kernel.window):
-            idx = abs(i - self.m + k)
-            if idx > last:
-                idx = 2 * last - idx
-            rows[k] = self.filt[idx - first]
-        return smooth_sample(self.kernel, rows)
-
-    def _emit_ready(self) -> List[Tuple[float, float]]:
-        out = []
-        i = self.n_smoothed - 1  # newest smoothed index
-        if i >= self.w - 1 and (i - self.w + 1) % self.stride == 0:
-            window = np.stack(self.ring)
-            pred, _ = forward(self.params, standardize(window), training=False)
-            out.append((self._time_of(i), pred))
-        return out
-
-    def _time_of(self, smoothed_index: int) -> float:
-        # times holds the last len(times) packet timestamps; smoothed_index
-        # lags n_in by at least 0 and at most m + w
-        first = self.n_in - len(self.times)
-        return float(self.times[smoothed_index - first])
+    def _smooth_next(self) -> List[Tuple[float, float]]:
+        """Smooth the centre row of filt into the ring; predict when a window
+        ends on it."""
+        self.ring.append(smooth_padded(self.kernel, np.array(self.filt))[0])
+        t_end = self.times.popleft()
+        self.n_smoothed += 1
+        start = self.n_smoothed - self.w
+        if start < 0 or start % self.stride:
+            return []
+        pred, _ = forward(self.params, standardize(np.stack(self.ring)), training=False)
+        return [(t_end, pred)]
 
     def push(self, timestamp: float, packet: np.ndarray) -> List[Tuple[float, float]]:
         """Feed one packet; returns any (t_end, prediction) pairs now ready."""
         row = _amplitude_row(packet, self.cfg.subcarriers) - self.mu
         self.filt.append(self.filter_state.process(row))
         self.times.append(float(timestamp))
-        self.n_in += 1
-        out = []
-        p = self.n_in - 1
-        i = p - self.m
-        if i >= 0:
-            self.ring.append(self._smoothed_row(i))
-            self.n_smoothed += 1
-            out.extend(self._emit_ready())
-        return out
+        if len(self.times) <= self.m:
+            return []
+        if len(self.filt) == self.m + 1:  # packet m: mirror rows m..1 before row 0
+            self.filt.extendleft(list(self.filt)[1:])
+        return self._smooth_next()
 
     def finish(self) -> List[Tuple[float, float]]:
         """Flush the tail once the stream ends (mirror-pads the far edge)."""
-        t_total = self.n_in
+        t_total = self.n_smoothed + len(self.times)
         if t_total < self.kernel.window:
             raise SeriesTooShort(
                 f"stream of {t_total} packets shorter than the smoothing window")
@@ -111,10 +96,10 @@ class StreamingPredictor:
             raise WindowLongerThanSeries(
                 f"window of {self.w} packets exceeds stream length {t_total}")
         out = []
-        while self.n_smoothed < t_total:
-            self.ring.append(self._smoothed_row(self.n_smoothed))
-            self.n_smoothed += 1
-            out.extend(self._emit_ready())
+        # rows T-2 down to T-1-m, the far-edge mirror, one per smoothed row
+        for row in reversed(list(self.filt)[self.m:-1]):
+            self.filt.append(row)
+            out.extend(self._smooth_next())
         return out
 
 
@@ -131,7 +116,10 @@ def streaming_column_means(packets: Iterable[np.ndarray],
                            subcarriers: Optional[list] = None) -> Tuple[np.ndarray, int]:
     """Pass-one accumulation: per-subcarrier amplitude means, packet count.
 
-    Accumulates in strict packet order, matching sequential_column_mean.
+    Accumulates in strict packet order, matching sequential_column_mean, and
+    refuses non-finite means as remove_dc does. ``packets`` is iterated a
+    second time only then, to name the first non-finite packet, so pass an
+    iterable that restarts (a sequence, or a file reader) to get the name.
     """
     acc = None
     count = 0
@@ -143,4 +131,6 @@ def streaming_column_means(packets: Iterable[np.ndarray],
         count += 1
     if acc is None or count == 0:
         raise SeriesTooShort("empty stream")
-    return acc / count, count
+    mu = acc / count
+    check_finite_means(mu, (_amplitude_row(p, subcarriers) for p in packets))
+    return mu, count

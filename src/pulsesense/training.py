@@ -73,8 +73,9 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, block: dict) -> "TrainingConfig":
-        from .config import reject_unknown
+        from .config import check_field_types, reject_unknown
         reject_unknown("training", block, [f.name for f in fields(cls)])
+        check_field_types("training", block, cls)
         return cls(**block)
 
 

@@ -205,6 +205,50 @@ def test_unknown_training_key_exits_2(workdir, capsys):
         assert "ConfigUnknownKey: training.segmentz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,key", [
+    ('training.seed="abc"', "training.seed"),
+    ("training.max_epochs=1.5", "training.max_epochs"),
+    ('model.lstm1_units="8"', "model.lstm1_units"),
+    ("pipeline.stride=abc", "pipeline.stride"),
+    ('pipeline.zero_phase="false"', "pipeline.zero_phase"),
+    ("pipeline.stride=20.9", "pipeline.stride"),
+    ("pipeline.window_s=true", "pipeline.window_s"),
+])
+def test_wrong_config_type_exits_2(workdir, capsys, override, key):
+    """A config value of the wrong JSON type is a config error naming its key,
+    never a traceback or a silent conversion."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--set", override]) == 2
+    assert f"ConfigInvalidValue: {key} must be " in capsys.readouterr().err
+    assert not (out / "model.psnn").exists()
+
+
+def test_non_finite_sample_exits_3_before_any_output(workdir, capsys):
+    """process and infer refuse a NaN sample, naming its packet, and write
+    neither a dump nor a prediction."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    frame = json.loads(lines[201])  # packet 200, after the header line
+    frame["im"][2] = float("nan")
+    lines[201] = json.dumps(frame)
+    (out / "stream.jsonl").write_text("\n".join(lines) + "\n")
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    model_path = tmp_path / "m.psnn"
+    model_path.write_bytes(save_model(init_params(ModelConfig(input_dim=3), 0)))
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert "NonFiniteSample: packet 200 " in capsys.readouterr().err
+    assert not (out / "segments.psseg").exists()
+    preds = tmp_path / "preds.csv"
+    assert main(["infer", "--model", str(model_path),
+                 "--stream", str(out / "stream.jsonl"), "--out", str(preds)]) == 3
+    assert "NonFiniteSample: packet 200 " in capsys.readouterr().err
+    assert not preds.exists()
+
+
 def test_data_error_exits_3(workdir, capsys):
     tmp_path, out, cfg_path = workdir
     from pulsesense.nn import ModelConfig, init_params, save_model

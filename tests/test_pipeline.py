@@ -22,6 +22,7 @@ from pulsesense.errors import (
     BadMagic,
     EmptyStream,
     MalformedLine,
+    NonFiniteSample,
     WindowLongerThanSeries,
 )
 from pulsesense.ingest import CsiStream, align
@@ -78,6 +79,31 @@ class TestRemoveDc:
     def test_single_sample_column(self):
         series = AmplitudeSeries(np.array([[4.2, 7.0]]), 80.0)
         np.testing.assert_allclose(remove_dc(series).values, 0.0, atol=1e-15)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                     complex(-np.inf, 2.0)])
+    def test_non_finite_sample_names_first_packet(self, bad):
+        values = np.ones((30, 3), dtype=complex)
+        values[17, 1] = bad
+        values[25, 0] = np.nan
+        series = amplitude(make_stream(values))
+        with pytest.raises(NonFiniteSample, match="packet 17 "):
+            remove_dc(series)
+
+    def test_overflowing_sums_are_refused(self):
+        series = AmplitudeSeries(np.full((4, 2), 1e308), 80.0)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteSample, match="overflow"):
+            remove_dc(series)
+
+    def test_process_stops_before_any_window(self):
+        recording, _ = heart_recording(duration_s=20.0)
+        recording.stream.values[200, 2] = complex(np.nan, 0.0)
+        with pytest.raises(NonFiniteSample, match="packet 200 "):
+            run_pipeline(recording, "heart", 5.0, 200)
+        # a subset without the bad subcarrier never reads it
+        assert run_pipeline_config(recording, PipelineConfig(
+            mode="heart", window_s=5.0, stride=200, subcarriers=[0, 1]))
 
 
 class TestSegment:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pulsesense.dsp import mirror_pad, savgol_kernel, smooth_sample, smooth_values
+from pulsesense.dsp import mirror_pad, savgol_kernel, smooth_padded, smooth_values
 from pulsesense.errors import InvalidKernelSpec, SeriesTooShort
 
 
@@ -113,12 +113,13 @@ class TestSmoothing:
         with pytest.raises(SeriesTooShort):
             smooth_values(kernel, np.zeros((14, 1)))
 
-    def test_smooth_sample_bitwise_matches_block(self):
+    def test_smooth_padded_per_row_bitwise_matches_block(self):
         kernel = savgol_kernel(15, 3)
         rng = np.random.default_rng(4)
         values = rng.standard_normal((50, 3))
         block = smooth_values(kernel, values)
         padded = mirror_pad(values, kernel.half_width)
         for i in range(50):
-            row = smooth_sample(kernel, padded[i:i + 15])
-            assert np.array_equal(row, block[i])
+            row = smooth_padded(kernel, padded[i:i + 15])
+            assert row.shape == (1, 3)
+            assert np.array_equal(row[0], block[i])

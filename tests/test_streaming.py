@@ -6,11 +6,12 @@ import pytest
 from pulsesense.dsp import (
     PipelineConfig,
     amplitude,
+    remove_dc,
     run_pipeline_config,
     sequential_column_mean,
 )
-from pulsesense.errors import ConfigInvalidValue
-from pulsesense.ingest import align
+from pulsesense.errors import ConfigInvalidValue, NonFiniteSample
+from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
 from pulsesense.streaming import StreamingPredictor, streaming_column_means
 from pulsesense.synth import Scenario, Schedule, generate
@@ -104,3 +105,86 @@ class TestBoundedMemory:
             assert len(predictor.ring) <= w
             assert len(predictor.filt) <= 2 * predictor.m + 1
             assert len(predictor.times) <= w + predictor.m
+
+
+# (mode, savgol window, order, window_s, stride, T, subcarriers) at 20 Hz
+SWEEP = [
+    ("heart", 1, 0, 1.0, 3, 40, None),        # m = 0: no look-ahead
+    ("heart", 3, 1, 1.0, 1, 40, None),
+    ("breath", 15, 3, 5.0, 7, 200, None),     # the default kernel
+    ("apnea", 31, 3, 5.0, 9, 200, None),
+    ("heart", 31, 3, 0.5, 4, 120, None),      # W = 10 < 2m+1 = 31
+    ("heart", 15, 3, 2.0, 5, 60, None),       # W = 40 > 2m+1 = 15
+    ("heart", 15, 3, 0.5, 1, 15, None),       # T equal to the kernel window
+    ("breath", 31, 2, 1.0, 2, 31, None),      # T = 2m+1 with W < 2m+1
+    ("heart", 15, 3, 2.0, 3, 40, None),       # T equal to W
+    ("heart", 3, 1, 1.0, 100, 60, None),      # stride beyond the window count
+    ("heart", 15, 3, 1.0, 6, 80, [3, 0]),     # subcarrier subset, reordered
+    ("apnea", 31, 4, 1.5, 2, 90, [1]),        # one subcarrier
+]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("mode,sg_window,sg_order,window_s,stride,t_len,subs", SWEEP)
+    def test_streaming_equals_batch_with_emission_timing(
+            self, mode, sg_window, sg_order, window_s, stride, t_len, subs):
+        """Each prediction equals run_pipeline_config + forward bit for bit,
+        and comes from the push of packet end + m, or from finish when the
+        stream ends sooner."""
+        fs, m = 20.0, sg_window // 2
+        rng = np.random.default_rng(t_len * 100 + sg_window)
+        values = 3 + rng.standard_normal((t_len, 4)) + 1j * rng.standard_normal((t_len, 4))
+        stream = CsiStream(np.arange(t_len) / fs, values, fs)
+        labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
+        cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
+                             savgol_window=sg_window, savgol_order=sg_order,
+                             subcarriers=subs)
+        head = "binary" if mode == "apnea" else "regression"
+        params = init_params(ModelConfig(input_dim=4 if subs is None else len(subs),
+                                         lstm1_units=4, lstm2_units=3, dense_units=2,
+                                         head=head), seed=3)
+
+        segments = run_pipeline_config(
+            AlignedRecording(stream, labels, np.zeros(t_len)), cfg)
+        w = segments[0].values.shape[0]
+        expected = []
+        for seg in segments:
+            end = seg.start_index + w - 1
+            pred, _ = forward(params, seg.values, training=False)
+            expected.append((min(end + m, t_len), float(stream.timestamps[end]), pred))
+
+        mu, _ = streaming_column_means(values, subs)
+        predictor = StreamingPredictor(params, cfg, fs, mu)
+        got = []
+        for k in range(t_len):
+            got.extend((k, t, p) for t, p in predictor.push(stream.timestamps[k], values[k]))
+            assert len(predictor.filt) <= 2 * m + 1 and len(predictor.times) <= m + 1
+        got.extend((t_len, t, p) for t, p in predictor.finish())
+        assert len(expected) >= 1 and got == expected
+
+
+class TestNonFinite:
+    def test_pass_one_names_the_packet_batch_names(self):
+        rec = small_recording(duration_s=20.0)
+        values = rec.stream.values.copy()
+        values[123, 1] = complex(np.inf, 0.0)
+        values[150, 0] = np.nan
+        with pytest.raises(NonFiniteSample, match="packet 123 "):
+            streaming_column_means(values)
+        series = amplitude(CsiStream(rec.stream.timestamps, values, 20.0))
+        with pytest.raises(NonFiniteSample, match="packet 123 "):
+            remove_dc(series)
+        # a one-shot iterator cannot be read again: refused, without a name
+        with pytest.raises(NonFiniteSample, match="could not be read again"):
+            streaming_column_means(iter(values))
+
+    def test_subset_without_the_bad_subcarrier_still_matches_batch(self):
+        fs = 20.0
+        rec = small_recording(duration_s=30.0, fs=fs, n_sub=4)
+        rec.stream.values[40, 1] = np.nan
+        recording = align(rec.stream, rec.heart)
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=11,
+                             subcarriers=[0, 2])
+        params = init_params(ModelConfig(input_dim=2), seed=2)
+        batch = batch_predictions(params, recording, cfg, fs)
+        assert batch == stream_predictions(params, rec, cfg, fs)
