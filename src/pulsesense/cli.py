@@ -14,6 +14,8 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from . import config as cfgmod
 from .bench import CSV_HEADER, bench_inference
 from .dsp.pipeline import (
@@ -21,7 +23,7 @@ from .dsp.pipeline import (
     read_segment_dump,
     run_pipeline_config,
     segments_to_arrays,
-    window_length,
+    subcarrier_index,
     write_segment_dump,
 )
 from .errors import (
@@ -209,24 +211,24 @@ class _StreamRows:
 
 
 def cmd_infer(args) -> int:
+    # the pipeline and window length stored with the model are the contract
     with open(args.model, "rb") as fh:
         params, extra = load_model(fh.read())
-    pipeline_block = {}
-    if extra and "pipeline" in extra:
-        pipeline_block = extra["pipeline"]
-    if args.config:
-        cfg = cfgmod.load_config(args.config, args.set)
-        if "pipeline" in cfg:
-            pipeline_block = cfg["pipeline"]
-    pipeline_cfg = PipelineConfig.from_dict(pipeline_block)
+    extra = extra or {}
+    pipeline_cfg = PipelineConfig.from_dict(extra.get("pipeline", {}))
 
     with open(args.stream, "r", encoding="utf-8") as fh:
-        fs, _, _ = iter_canonical(fh)
-    w = window_length(pipeline_cfg.window_s, fs)
-    if extra and "window_packets" in extra and extra["window_packets"] != w:
+        fs, n_sub, _ = iter_canonical(fh)
+    _, _, w = pipeline_cfg.stages(fs)
+    if "window_packets" in extra and extra["window_packets"] != w:
         raise SchemaMismatch(
             f"model was trained on {extra['window_packets']}-packet windows; "
             f"{pipeline_cfg.window_s} s at the stream's {fs} Hz is {w} packets")
+    width = np.arange(n_sub)[subcarrier_index(pipeline_cfg.subcarriers, n_sub)].size
+    if width != params.config.input_dim:
+        raise SchemaMismatch(
+            f"model takes {params.config.input_dim} subcarriers; the stream's "
+            f"selection has {width} of its {n_sub}")
 
     mu, _count = streaming_column_means(_StreamRows(args.stream),
                                         pipeline_cfg.subcarriers)
@@ -295,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     inf = sub.add_parser("infer", help="streaming inference over a recording")
     inf.add_argument("--model", required=True)
     inf.add_argument("--stream", required=True, help="canonical JSONL recording")
-    inf.add_argument("--config", help="optional config overriding the pipeline block")
-    inf.add_argument("--set", action="append", metavar="PATH.KEY=VALUE")
     inf.add_argument("--out")
     inf.set_defaults(fn=cmd_infer)
 

@@ -8,9 +8,11 @@ rejected everywhere; each block is validated by the module that owns it.
 from __future__ import annotations
 
 import json
+import math
 from typing import List, Optional, get_type_hints
 
 from .errors import ConfigInvalidValue, ConfigUnknownKey
+from .ingest import LABEL_KINDS
 from .nn.model import ModelConfig
 from .synth import Scenario, Schedule, scenario_by_name
 
@@ -107,11 +109,19 @@ def validate_ingest(block: dict) -> dict:
         raise ConfigInvalidValue(f"ingest.format must be esp32|canonical, got {fmt!r}")
     if "path" not in block:
         raise ConfigInvalidValue("ingest.path is required")
+    check_type("ingest.path", block["path"], str)
+    rate = block.get("sample_rate_hz")
+    if rate is not None and not 0 < check_type("ingest.sample_rate_hz", rate, float) < math.inf:
+        raise ConfigInvalidValue(f"ingest.sample_rate_hz must be positive and finite, got {rate!r}")
     labels = block.get("labels")
     if labels is not None:
         reject_unknown("ingest.labels", labels, INGEST_LABEL_KEYS)
         if "path" not in labels or "kind" not in labels:
             raise ConfigInvalidValue("ingest.labels needs path and kind")
+        check_type("ingest.labels.path", labels["path"], str)
+        if labels["kind"] not in LABEL_KINDS:
+            raise ConfigInvalidValue(
+                f"ingest.labels.kind must be one of {LABEL_KINDS}, got {labels['kind']!r}")
     return block
 
 
@@ -132,12 +142,21 @@ def model_config_from_dict(block: dict, input_dim: Optional[int] = None,
         raise ConfigInvalidValue(str(exc)) from None
 
 
-def _schedule_from_config(value) -> Schedule:
-    if isinstance(value, (int, float)):
-        return Schedule.constant(float(value))
-    times = tuple(float(t) for t, _ in value)
-    vals = tuple(float(v) for _, v in value)
-    return Schedule(times, vals)
+def _pairs(name: str, value) -> tuple:
+    """A JSON list of [number, number] pairs, as a tuple of float pairs."""
+    pairs = check_type(name, value, list)
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ConfigInvalidValue(f"{name} must hold [a, b] pairs, got {value!r}")
+    return tuple((float(check_type(name, a, float)), float(check_type(name, b, float)))
+                 for a, b in pairs)
+
+
+def _schedule_from_config(name: str, value) -> Schedule:
+    """A number (constant) or a list of [t, value] breakpoints."""
+    if not isinstance(value, list):
+        return Schedule.constant(float(check_type(name, value, float)))
+    pairs = _pairs(name, value)
+    return Schedule(tuple(t for t, _ in pairs), tuple(v for _, v in pairs))
 
 
 def scenario_from_config(block: dict) -> Scenario:
@@ -149,12 +168,18 @@ def scenario_from_config(block: dict) -> Scenario:
         return scenario_by_name(spec)
     reject_unknown("synth.scenario", spec, SCENARIO_KEYS)
     kwargs = dict(spec)
-    for key in ("hr_bpm", "br_brpm"):
-        if key in kwargs:
-            kwargs[key] = _schedule_from_config(kwargs[key])
-    if "apnea_intervals" in kwargs:
-        kwargs["apnea_intervals"] = tuple(
-            (float(a), float(b)) for a, b in kwargs["apnea_intervals"])
+    hints = get_type_hints(Scenario)
+    for key, value in spec.items():
+        name = f"synth.scenario.{key}"
+        if key in ("hr_bpm", "br_brpm"):
+            kwargs[key] = _schedule_from_config(name, value)
+        elif key == "apnea_intervals":
+            kwargs[key] = _pairs(name, value)
+        elif hints[key] in _TYPE_NAMES:
+            check_type(name, value, hints[key])
+        else:  # a number, or one per subcarrier
+            for item in (value if isinstance(value, list) else [value]):
+                check_type(name, item, float)
     try:
         return Scenario(**kwargs)
     except TypeError as exc:
@@ -165,4 +190,4 @@ def validate_output(block: dict) -> str:
     reject_unknown("output", block, OUTPUT_KEYS)
     if "dir" not in block:
         raise ConfigInvalidValue("output.dir is required")
-    return block["dir"]
+    return check_type("output.dir", block["dir"], str)

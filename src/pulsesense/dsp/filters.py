@@ -235,10 +235,3 @@ def filter_values(cascade: BiquadCascade, values: np.ndarray) -> np.ndarray:
     state = FilterState(cascade, values.shape[1])
     return state.process(values)
 
-
-def filter_values_zero_phase(cascade: BiquadCascade, values: np.ndarray) -> np.ndarray:
-    """Forward-backward pass (offline comparison mode; squares the magnitude
-    response and cancels phase). No edge padding is applied."""
-    fwd = filter_values(cascade, values)
-    back = filter_values(cascade, fwd[::-1])
-    return back[::-1].copy()

@@ -8,6 +8,7 @@ bit-identical segment matrices.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -18,16 +19,12 @@ from ..errors import (
     ConfigInvalidValue,
     EmptyStream,
     NonFiniteSample,
+    SchemaMismatch,
     WindowLongerThanSeries,
 )
 from ..ingest import AlignedRecording, CsiStream
-from .filters import (
-    FilterSpec,
-    design_bandpass,
-    filter_values,
-    filter_values_zero_phase,
-)
-from .savgol import savgol_kernel, smooth_values
+from .filters import BiquadCascade, FilterSpec, design_bandpass, filter_values
+from .savgol import SavGolKernel, savgol_kernel, smooth_values
 
 MODE_BANDS = {
     "heart": (0.8, 2.17),
@@ -121,6 +118,19 @@ def window_length(window_s: float, sample_rate_hz: float) -> int:
     return int(round(window_s * sample_rate_hz))
 
 
+def subcarrier_index(subcarriers: Optional[Sequence[int]], width: int):
+    """The index picking ``subcarriers`` from rows of ``width`` values: a slice
+    for None (all, no copy), else distinct in-range columns or SchemaMismatch."""
+    if subcarriers is None:
+        return slice(None)
+    if (not subcarriers or len(set(subcarriers)) != len(subcarriers)
+            or not all(0 <= i < width for i in subcarriers)):
+        raise SchemaMismatch(
+            f"pipeline.subcarriers {list(subcarriers)} must name distinct "
+            f"columns of a stream with {width} subcarriers (0..{width - 1})")
+    return np.asarray(subcarriers, dtype=np.intp)
+
+
 def segment(series: AmplitudeSeries, window_s: float,
             stride_packets: int = 1) -> List[np.ndarray]:
     """Overlapping raw windows starting at 0, stride, 2*stride, ..."""
@@ -172,7 +182,6 @@ class PipelineConfig:
     band: Optional[Tuple[float, float]] = None
     savgol_window: int = 15
     savgol_order: int = 3
-    zero_phase: bool = False
     subcarriers: Optional[Sequence[int]] = None
 
     _ALLOWED = ("mode", "window_s", "stride", "band", "savgol", "zero_phase",
@@ -200,8 +209,10 @@ class PipelineConfig:
                 "pipeline.savgol.window", sg.get("window", cfg.savgol_window), int)
             cfg.savgol_order = check_type(
                 "pipeline.savgol.order", sg.get("order", cfg.savgol_order), int)
-        cfg.zero_phase = check_type(
-            "pipeline.zero_phase", block.get("zero_phase", cfg.zero_phase), bool)
+        # removed: models saved with it store false, which still loads
+        if check_type("pipeline.zero_phase", block.get("zero_phase", False), bool):
+            raise ConfigInvalidValue(
+                "pipeline.zero_phase was removed; the filter is causal, set false or omit it")
         subcarriers = block.get("subcarriers")
         if subcarriers is not None:
             check_type("pipeline.subcarriers", subcarriers, list)
@@ -215,7 +226,6 @@ class PipelineConfig:
             "window_s": self.window_s,
             "stride": self.stride,
             "savgol": {"window": self.savgol_window, "order": self.savgol_order},
-            "zero_phase": self.zero_phase,
         }
         if self.band is not None:
             out["band"] = {"low_hz": self.band[0], "high_hz": self.band[1]}
@@ -225,6 +235,23 @@ class PipelineConfig:
 
     def effective_band(self) -> Tuple[float, float]:
         return self.band if self.band is not None else band_for_mode(self.mode)
+
+    def stages(self, sample_rate_hz: float) -> Tuple[BiquadCascade, SavGolKernel, int]:
+        """(band-pass cascade, smoothing kernel, window length in packets) at
+        ``sample_rate_hz``: the one place batch, streaming and infer take their
+        stage parameters from. Values that cannot run at this rate raise."""
+        low, high = self.effective_band()
+        cascade = design_bandpass(FilterSpec(low, high, BANDPASS_ORDER, sample_rate_hz))
+        kernel = savgol_kernel(self.savgol_window, self.savgol_order)
+        finite = math.isfinite(self.window_s * sample_rate_hz)
+        w = window_length(self.window_s, sample_rate_hz) if finite else 0
+        if w < 1:
+            raise ConfigInvalidValue(
+                f"pipeline.window_s must span at least one packet; "
+                f"{self.window_s} s at {sample_rate_hz} Hz does not")
+        if self.stride < 1:
+            raise ConfigInvalidValue("pipeline.stride must be a positive packet count")
+        return cascade, kernel, w
 
 
 def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
@@ -236,20 +263,14 @@ def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
 def run_pipeline_config(recording: AlignedRecording,
                         cfg: PipelineConfig) -> List[WindowSegment]:
     """Run all five stages over an aligned recording in the fixed order."""
+    fs = recording.stream.sample_rate_hz
+    cascade, kernel, w = cfg.stages(fs)
+    index = subcarrier_index(cfg.subcarriers, recording.stream.subcarrier_count)
     series = amplitude(recording.stream)
-    if cfg.subcarriers is not None:
-        series = AmplitudeSeries(series.values[:, list(cfg.subcarriers)],
-                                 series.sample_rate_hz)
-    series = remove_dc(series)
-    low, high = cfg.effective_band()
-    spec = FilterSpec(low, high, BANDPASS_ORDER, series.sample_rate_hz)
-    cascade = design_bandpass(spec)
-    band_pass = filter_values_zero_phase if cfg.zero_phase else filter_values
-    filtered = band_pass(cascade, series.values)
-    kernel = savgol_kernel(cfg.savgol_window, cfg.savgol_order)
-    series = AmplitudeSeries(smooth_values(kernel, filtered), series.sample_rate_hz)
+    series = remove_dc(AmplitudeSeries(series.values[:, index], fs))
+    filtered = filter_values(cascade, series.values)
+    series = AmplitudeSeries(smooth_values(kernel, filtered), fs)
     raw_windows = segment(series, cfg.window_s, cfg.stride)
-    w = window_length(cfg.window_s, series.sample_rate_hz)
     segments = []
     for i, win in enumerate(raw_windows):
         start = i * cfg.stride

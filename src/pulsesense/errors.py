@@ -69,11 +69,11 @@ class EmptyStream(PulseSenseError):
     pass
 
 
-class InvalidBand(PulseSenseError):
+class InvalidBand(ConfigError):
     pass
 
 
-class InvalidKernelSpec(PulseSenseError):
+class InvalidKernelSpec(ConfigError):
     pass
 
 
@@ -133,5 +133,5 @@ class EmptyInput(PulseSenseError):
     pass
 
 
-class InvalidScenario(PulseSenseError):
+class InvalidScenario(ConfigError):
     pass

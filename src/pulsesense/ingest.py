@@ -109,7 +109,7 @@ class LabelSeries:
         if self.timestamps.size > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise NonMonotonicTimestamp(f"{self.kind}: timestamps must be strictly increasing")
         lo, hi = _LABEL_RANGES[self.kind]
-        bad = np.flatnonzero((self.values < lo) | (self.values > hi))
+        bad = np.flatnonzero(~((self.values >= lo) & (self.values <= hi)))  # NaN too
         if self.kind == "apnea_flag":
             bad = np.flatnonzero((self.values != 0.0) & (self.values != 1.0))
         if bad.size:
@@ -291,8 +291,11 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
     try:
         fs = float(header["sample_rate_hz"])
         n_sub = int(header["subcarriers"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"bad header fields: {exc}") from None
+    if not (0 < fs < math.inf and n_sub >= 1):
+        raise SchemaMismatch(f"header sample_rate_hz {fs} must be positive and "
+                             f"finite, subcarriers {n_sub} at least 1")
 
     def numbers(line_no: int, key: str, items) -> np.ndarray:
         try:
@@ -399,6 +402,8 @@ def parse_labels(source: TextSource, kind: str) -> LabelSeries:
             v = float(fields[1])
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise MalformedLine(line_no, f"non-finite timestamp or value {line!r}")
         timestamps.append(t)
         values.append(v)
     return LabelSeries(kind, np.asarray(timestamps), np.asarray(values))

@@ -19,6 +19,7 @@ float32-representable values (always true for loaded or saved models).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import Optional, Tuple
@@ -63,7 +64,9 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
         raise ChecksumMismatch("CRC32 trailer does not match container contents")
     (json_len,) = struct.unpack_from("<I", data, 5)
     try:
-        doc = json.loads(data[9:9 + json_len].decode("utf-8"))
+        doc = json.loads(payload[9:9 + json_len].decode("utf-8"))
+        if not isinstance(doc, dict) or not isinstance(doc.get("extra", {}), dict):
+            raise SchemaMismatch("model block and its extra must be JSON objects")
         config = ModelConfig(
             input_dim=int(doc["input_dim"]),
             lstm1_units=int(doc["lstm1_units"]),
@@ -72,18 +75,21 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
             head=doc["head"],
             dropout_rate=float(doc["dropout_rate"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"bad model config block: {exc}") from None
+    shapes = expected_shapes(config)
     offset = 9 + json_len
+    expected = offset + 4 * sum(math.prod(shape) for shape in shapes)
+    if expected != len(payload):
+        raise ChecksumMismatch(
+            f"container holds {len(payload)} bytes before its CRC; its config "
+            f"implies {expected}")
     tensors = []
-    for shape in expected_shapes(config):
-        n = int(np.prod(shape))
+    for shape in shapes:
+        n = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
         tensors.append(arr.reshape(shape).astype(np.float64))
         offset += n * 4
-    if offset != len(payload):
-        raise ChecksumMismatch(
-            f"container holds {len(payload) - offset} unexpected trailing bytes")
     return ModelParams.from_tensors(config, tensors), doc.get("extra")
 
 

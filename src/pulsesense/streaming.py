@@ -8,26 +8,25 @@ packets through the batch stages on bounded buffers: one biquad cascade,
 the 2m+1 mirror-padded filtered rows that smooth_padded turns into the next
 smoothed row, and a ring of exactly W smoothed rows for standardize and
 forward. Memory is independent of stream length, and predictions are
-bit-identical to processing the same recording offline in causal mode.
+bit-identical to processing the same recording offline.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dsp.filters import FilterSpec, FilterState, design_bandpass
+from .dsp.filters import FilterState
 from .dsp.pipeline import (
-    BANDPASS_ORDER,
     PipelineConfig,
     check_finite_means,
     standardize,
-    window_length,
+    subcarrier_index,
 )
-from .dsp.savgol import savgol_kernel, smooth_padded
-from .errors import ConfigInvalidValue, SeriesTooShort, WindowLongerThanSeries
+from .dsp.savgol import smooth_padded
+from .errors import SeriesTooShort, WindowLongerThanSeries
 from .nn.model import ModelParams, forward
 
 
@@ -35,27 +34,21 @@ class StreamingPredictor:
     """Per-packet pipeline + model evaluation over one recording.
 
     ``column_means`` must hold the recording's per-subcarrier amplitude means
-    (after any subcarrier subsetting), exactly as sequential_column_mean
-    computes them.
+    (after any subcarrier subsetting), exactly as streaming_column_means
+    computes them for ``cfg.subcarriers``; that pass also checks the
+    selection against the stream's width.
     """
 
     def __init__(self, params: ModelParams, cfg: PipelineConfig,
                  sample_rate_hz: float, column_means: np.ndarray):
-        if cfg.zero_phase:
-            raise ConfigInvalidValue(
-                "streaming inference is causal; zero_phase must be false")
         self.params = params
-        self.cfg = cfg
         self.mu = np.asarray(column_means, dtype=np.float64)
-        n_channels = self.mu.shape[0]
-        low, high = cfg.effective_band()
-        cascade = design_bandpass(
-            FilterSpec(low, high, BANDPASS_ORDER, sample_rate_hz))
-        self.filter_state = FilterState(cascade, n_channels)
-        self.kernel = savgol_kernel(cfg.savgol_window, cfg.savgol_order)
+        cascade, self.kernel, self.w = cfg.stages(sample_rate_hz)
+        self.filter_state = FilterState(cascade, self.mu.shape[0])
         self.m = self.kernel.half_width
-        self.w = window_length(cfg.window_s, sample_rate_hz)
         self.stride = cfg.stride
+        self.index = (slice(None) if cfg.subcarriers is None
+                      else np.asarray(cfg.subcarriers, dtype=np.intp))
         # filtered rows around the next row to smooth, the newest W smoothed
         # rows, and the timestamps of the rows not yet smoothed
         self.filt = deque(maxlen=2 * self.m + 1)
@@ -77,7 +70,7 @@ class StreamingPredictor:
 
     def push(self, timestamp: float, packet: np.ndarray) -> List[Tuple[float, float]]:
         """Feed one packet; returns any (t_end, prediction) pairs now ready."""
-        row = _amplitude_row(packet, self.cfg.subcarriers) - self.mu
+        row = _amplitude_row(packet, self.index) - self.mu
         self.filt.append(self.filter_state.process(row))
         self.times.append(float(timestamp))
         if len(self.times) <= self.m:
@@ -103,19 +96,17 @@ class StreamingPredictor:
         return out
 
 
-def _amplitude_row(packet: np.ndarray,
-                   subcarriers: Optional[Sequence[int]]) -> np.ndarray:
+def _amplitude_row(packet: np.ndarray, index: Union[slice, np.ndarray]) -> np.ndarray:
     packet = np.asarray(packet)
-    row = np.hypot(packet.real, packet.imag)
-    if subcarriers is not None:
-        row = row[list(subcarriers)]
-    return row
+    return np.hypot(packet.real, packet.imag)[index]
 
 
 def streaming_column_means(packets: Iterable[np.ndarray],
-                           subcarriers: Optional[list] = None) -> Tuple[np.ndarray, int]:
+                           subcarriers: Optional[Sequence[int]] = None
+                           ) -> Tuple[np.ndarray, int]:
     """Pass-one accumulation: per-subcarrier amplitude means, packet count.
 
+    The first packet's width checks ``subcarriers`` (subcarrier_index).
     Accumulates in strict packet order, matching sequential_column_mean, and
     refuses non-finite means as remove_dc does. ``packets`` is iterated a
     second time only then, to name the first non-finite packet, so pass an
@@ -124,13 +115,13 @@ def streaming_column_means(packets: Iterable[np.ndarray],
     acc = None
     count = 0
     for packet in packets:
-        row = _amplitude_row(packet, subcarriers)
         if acc is None:
-            acc = np.zeros_like(row, dtype=np.float64)
-        acc += row
+            index = subcarrier_index(subcarriers, np.shape(packet)[0])
+            acc = np.zeros_like(_amplitude_row(packet, index), dtype=np.float64)
+        acc += _amplitude_row(packet, index)
         count += 1
-    if acc is None or count == 0:
+    if acc is None:
         raise SeriesTooShort("empty stream")
     mu = acc / count
-    check_finite_means(mu, (_amplitude_row(p, subcarriers) for p in packets))
+    check_finite_means(mu, (_amplitude_row(p, index) for p in packets))
     return mu, count

@@ -83,7 +83,7 @@ class Scenario:
             raise InvalidScenario("duration, rate, and subcarriers must be positive")
         for sched, (lo, hi), what in ((self.hr_bpm, HR_SCHEDULE_RANGE, "heart"),
                                       (self.br_brpm, BR_SCHEDULE_RANGE, "breathing")):
-            if any(v < lo or v > hi for v in sched.values):
+            if any(not lo <= v <= hi for v in sched.values):  # NaN too
                 raise InvalidScenario(
                     f"{what} schedule must stay within [{lo}, {hi}]")
         prev_end = -1.0

@@ -3,6 +3,7 @@
 import json
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -88,12 +89,10 @@ def test_infer_line_count_and_determinism(workdir, capsys):
     for target in (pred_a, pred_b):
         assert main(["infer", "--model", str(out / "model.psnn"),
                      "--stream", str(out / "stream.jsonl"),
-                     "--config", str(cfg_path),
-                     "--set", "pipeline.stride=1",
                      "--out", str(target)]) == 0
     lines = pred_a.read_text().strip().splitlines()
-    # stride 1: one line per window start, (1200 - 100) + 1
-    assert len(lines) == 1101
+    # the model's stride 10: one line per window start, (1200 - 100) / 10 + 1
+    assert len(lines) == 111
     t_end0, pred0 = lines[0].split(",")
     assert float(t_end0) == pytest.approx(99 / 20.0)
     float(pred0)  # parses
@@ -423,14 +422,181 @@ def test_bench_csv(workdir, capsys):
     assert len(lines[1].split(",")) == 8
 
 
-def test_zero_phase_infer_rejected(workdir, capsys):
+def test_zero_phase_true_exits_2(workdir, capsys):
+    """zero_phase was removed: false (stored by older models) still loads,
+    true is a config error, in a config and in a model's stored block."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
-    assert main(["process", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path)]) == 0
-    code = main(["infer", "--model", str(out / "model.psnn"),
-                 "--stream", str(out / "stream.jsonl"),
-                 "--config", str(cfg_path),
-                 "--set", "pipeline.zero_phase=true"])
-    assert code == 2
-    assert "ConfigInvalidValue" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path),
+                 "--set", "pipeline.zero_phase=true"]) == 2
+    assert "ConfigInvalidValue: pipeline.zero_phase" in capsys.readouterr().err
+    assert not (out / "segments.psseg").exists()
+    preds = tmp_path / "preds.csv"
+    block = {"mode": "heart", "window_s": 5.0, "stride": 10, "zero_phase": True}
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": block}))
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 2
+    assert "ConfigInvalidValue: pipeline.zero_phase" in capsys.readouterr().err
+    assert not preds.exists()
+
+
+def _model_bytes(input_dim, extra=None):
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    return save_model(init_params(ModelConfig(input_dim=input_dim), 0), extra=extra)
+
+
+def test_infer_reads_models_that_store_zero_phase_false(workdir):
+    """A model saved with the old "zero_phase": false key gives the same bytes
+    as one saved without it."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    block = {"mode": "heart", "window_s": 5.0, "stride": 10,
+             "savgol": {"window": 15, "order": 3}}
+    outputs = []
+    for extra_block in (block, dict(block, zero_phase=False)):
+        model = tmp_path / "m.psnn"
+        model.write_bytes(_model_bytes(3, {"pipeline": extra_block, "window_packets": 100}))
+        preds = tmp_path / "preds.csv"
+        assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                     "--out", str(preds)]) == 0
+        outputs.append(preds.read_bytes())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 111
+
+
+@pytest.mark.parametrize("overrides,error", [
+    (["pipeline.savgol.window=14"], "InvalidKernelSpec"),
+    (["pipeline.band.low_hz=1.0", "pipeline.band.high_hz=12.0"], "InvalidBand"),  # > Nyquist
+    (["pipeline.window_s=0.01"], "ConfigInvalidValue: pipeline.window_s"),  # 0 packets
+    (["pipeline.window_s=-5"], "ConfigInvalidValue: pipeline.window_s"),
+    (["pipeline.window_s=NaN"], "ConfigInvalidValue: pipeline.window_s"),
+], ids=["even-kernel", "band-above-nyquist", "empty-window", "negative-window", "nan-window"])
+def test_invalid_pipeline_value_exits_2(workdir, capsys, overrides, error):
+    """Values of the right type that the pipeline cannot run at the
+    recording's 20 Hz are config errors, found before any dump is written."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["process", "--config", str(cfg_path)] + sets) == 2
+    assert error in capsys.readouterr().err
+    assert not (out / "segments.psseg").exists()
+
+
+@pytest.mark.parametrize("subcarriers", ["[7]", "[-1]", "[0,0]", "[]", "[1180591620717411303424]"])
+def test_subcarrier_selection_checked_against_stream(workdir, capsys, subcarriers):
+    """process and infer refuse a selection that is not distinct columns of
+    the 3-subcarrier stream, before any dump or prediction is written."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path),
+                 "--set", f"pipeline.subcarriers={subcarriers}"]) == 3
+    assert "SchemaMismatch: pipeline.subcarriers" in capsys.readouterr().err
+    assert not (out / "segments.psseg").exists()
+    block = {"mode": "heart", "window_s": 5.0, "subcarriers": json.loads(subcarriers)}
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(max(1, len(block["subcarriers"])), {"pipeline": block}))
+    preds = tmp_path / "preds.csv"
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 3
+    assert "SchemaMismatch: pipeline.subcarriers" in capsys.readouterr().err
+    assert not preds.exists()
+
+
+def test_infer_refuses_stream_width_other_than_model(workdir, capsys):
+    """A stream whose selected width is not the model's input width is a data
+    error before pass one, not a shape error once a window fills."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(4))
+    preds = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 3
+    assert "SchemaMismatch: model takes 4 subcarriers" in capsys.readouterr().err
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("command,override,message", [
+    ("process", "ingest.path=0", "ingest.path must be a string"),
+    ("process", 'ingest.labels.kind="bogus"', "ingest.labels.kind must be one of"),
+    ("process", "ingest.labels.path=1", "ingest.labels.path must be a string"),
+    ("process", "output.dir=5", "output.dir must be a string"),
+    ("synth", 'synth.scenario.hr_bpm="abc"', "synth.scenario.hr_bpm must be a number"),
+    ("synth", "synth.scenario.hr_bpm=[[0,70],[5]]", "synth.scenario.hr_bpm must hold"),
+    ("synth", "synth.scenario.apnea_intervals=5", "synth.scenario.apnea_intervals must be a list"),
+    ("synth", 'synth.scenario.base="q"', "synth.scenario.base must be a number"),
+    ("synth", "synth.scenario.subcarriers=2.5", "synth.scenario.subcarriers must be an integer"),
+    ("synth", "synth.scenario.hr_bpm=500", "InvalidScenario: heart schedule"),
+    ("synth", "synth.scenario.hr_bpm=NaN", "InvalidScenario: heart schedule"),
+])
+def test_config_block_values_exit_2(workdir, capsys, command, override, message):
+    tmp_path, out, cfg_path = workdir
+    if command == "process":
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--set", override]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ['"abc"', "0", "-20"])
+def test_esp32_sample_rate_value_exits_2(workdir, capsys, rate):
+    tmp_path, out, cfg_path = workdir
+    capture = tmp_path / "capture.csv"
+    capture.write_text("".join(f"{i / 20.0},1,2,3,4\n" for i in range(200)))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["ingest"] = {"format": "esp32", "path": str(capture), "sample_rate_hz": json.loads(rate),
+                     "labels": {"path": str(tmp_path / "labels.csv"), "kind": "heart_rate_bpm"}}
+    esp_cfg = tmp_path / "esp.json"
+    esp_cfg.write_text(json.dumps(cfg))
+    assert main(["process", "--config", str(esp_cfg)]) == 2
+    assert "ConfigInvalidValue: ingest.sample_rate_hz must be" in capsys.readouterr().err
+
+
+def test_non_finite_label_exits_3(workdir, capsys):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    labels = (out / "labels_heart.csv").read_text().splitlines()
+    labels[4] = labels[4].split(",")[0] + ",nan"
+    (out / "labels_heart.csv").write_text("\n".join(labels) + "\n")
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert "MalformedLine: line 5: non-finite" in capsys.readouterr().err
+    assert not (out / "segments.psseg").exists()
+
+
+@pytest.mark.parametrize("rate", ["-5", "NaN"])
+def test_bad_header_rate_exits_3(workdir, capsys, rate):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    lines[0] = lines[0].replace('"sample_rate_hz": 20.0', f'"sample_rate_hz": {rate}')
+    (out / "stream.jsonl").write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert "SchemaMismatch: header sample_rate_hz" in capsys.readouterr().err
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(tmp_path / "preds.csv")]) == 3
+    assert "SchemaMismatch: header sample_rate_hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["short_tensors", "list_block"])
+def test_model_with_matching_crc_but_wrong_contents_exits_3(workdir, capsys, damage):
+    tmp_path, out, cfg_path = workdir
+    data = _model_bytes(3)
+    (json_len,) = struct.unpack_from("<I", data, 5)
+    if damage == "short_tensors":
+        payload = data[:-4 - 8]
+    else:
+        blob = b"[1, 2, 3]"
+        payload = data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + json_len:-4]
+    model = tmp_path / "m.psnn"
+    model.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    assert main(["infer", "--model", str(model), "--stream", str(tmp_path / "none.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert ("ChecksumMismatch" if damage == "short_tensors" else "SchemaMismatch") in err

@@ -1,9 +1,15 @@
 """Model container format: round trips, corruption detection, size bounds."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from pulsesense.errors import BadMagic, ChecksumMismatch
+from pulsesense.dsp import read_segment_dump, run_pipeline, write_segment_dump
+from pulsesense.errors import BadMagic, ChecksumMismatch, PulseSenseError
+from pulsesense.ingest import CsiStream, LabelSeries, align
 from pulsesense.nn import (
     ModelConfig,
     count_parameters,
@@ -69,6 +75,77 @@ class TestCorruption:
         data[30] ^= 0xFF
         with pytest.raises(ChecksumMismatch):
             load_model(bytes(data))
+
+
+def _sealed(payload: bytes) -> bytes:
+    """payload plus a matching CRC32 trailer, so load_model reads the body."""
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+HOSTILE_JSON = [None, True, -1, 0, 2 ** 70, 1e308, float("nan"), "x", [], {}, [1, 2]]
+
+
+def _damaged(rng, data: bytes) -> bytes:
+    """One seeded truncation, run of bit flips, or tail of extra bytes."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return data[:int(rng.integers(len(data)))]
+    if kind == 1:
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 5))):
+            buf[int(rng.integers(len(buf)))] ^= 1 << int(rng.integers(8))
+        return bytes(buf)
+    return data + bytes(rng.integers(0, 256, int(rng.integers(1, 9)), dtype=np.uint8))
+
+
+class TestFuzz:
+    """Seeded damage to the two binary readers: only PulseSenseError escapes."""
+
+    def test_load_model(self):
+        rng = np.random.default_rng(11)
+        data = save_model(small_params(), extra={"pipeline": {"mode": "heart"},
+                                                 "window_packets": 100})
+        (json_len,) = struct.unpack_from("<I", data, 5)
+        doc = json.loads(data[9:9 + json_len])
+        tensors = data[9 + json_len:-4]
+        for i in range(600):
+            if i % 2:
+                payload = _damaged(rng, data[:-4])
+            else:  # one JSON value replaced, dropped, or the block not an object
+                edited = dict(doc)
+                key = sorted(doc)[int(rng.integers(len(doc)))]
+                choice = int(rng.integers(len(HOSTILE_JSON) + 2))
+                if choice == len(HOSTILE_JSON):
+                    del edited[key]
+                elif choice == len(HOSTILE_JSON) + 1:
+                    edited = [edited]
+                else:
+                    edited[key] = HOSTILE_JSON[choice]
+                blob = json.dumps(edited).encode()
+                payload = data[:5] + struct.pack("<I", len(blob)) + blob + tensors
+            try:
+                load_model(_sealed(payload))
+            except PulseSenseError:
+                pass
+
+    def test_read_segment_dump(self):
+        rng = np.random.default_rng(12)
+        t = np.arange(60) / 20.0
+        stream = CsiStream(t, 1.0 + np.sin(np.outer(t, [1.0, 2.0])), 20.0)
+        labels = LabelSeries("heart_rate_bpm", t, np.full(60, 72.0))
+        data = write_segment_dump(run_pipeline(align(stream, labels), "heart", 1.0, 7))
+        for i in range(600):
+            if i % 2:
+                damaged = _damaged(rng, data)
+            else:  # one header field set to a seeded u32
+                fields = list(struct.unpack_from("<III", data, 6))
+                fields[int(rng.integers(3))] = int(rng.choice(
+                    [0, 1, 2 ** 32 - 1, int(rng.integers(2 ** 32))]))
+                damaged = data[:6] + struct.pack("<III", *fields) + data[18:]
+            try:
+                read_segment_dump(damaged)
+            except PulseSenseError:
+                pass
 
 
 class TestSize:

@@ -10,7 +10,7 @@ from pulsesense.dsp import (
     run_pipeline_config,
     sequential_column_mean,
 )
-from pulsesense.errors import ConfigInvalidValue, NonFiniteSample
+from pulsesense.errors import NonFiniteSample
 from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
 from pulsesense.streaming import StreamingPredictor, streaming_column_means
@@ -83,12 +83,6 @@ class TestBitEquality:
         mu_batch = sequential_column_mean(amplitude(rec.stream).values)
         assert count == rec.stream.frame_count
         assert np.array_equal(mu_stream, mu_batch)
-
-    def test_zero_phase_rejected(self):
-        cfg = PipelineConfig(mode="heart", window_s=5.0, zero_phase=True)
-        params = init_params(ModelConfig(input_dim=3), seed=0)
-        with pytest.raises(ConfigInvalidValue):
-            StreamingPredictor(params, cfg, 20.0, np.zeros(3))
 
 
 class TestBoundedMemory:
