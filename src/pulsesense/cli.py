@@ -40,6 +40,7 @@ from .ingest import (
     parse_canonical,
     parse_esp32_csv,
     parse_labels,
+    utf8_lines,
     write_canonical,
 )
 from .nn.model import init_params
@@ -194,8 +195,8 @@ def cmd_cv(args) -> int:
 
 def _iter_canonical_packets(path: str):
     """Yield (timestamp, complex row) pairs without materializing the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        _, _, frames = iter_canonical(fh)
+    with open(path, "rb") as fh:
+        _, _, frames = iter_canonical(utf8_lines(fh))
         for t, re, im in frames:
             yield t, complex_values(re, im)
 
@@ -217,8 +218,8 @@ def cmd_infer(args) -> int:
     extra = extra or {}
     pipeline_cfg = PipelineConfig.from_dict(extra.get("pipeline", {}))
 
-    with open(args.stream, "r", encoding="utf-8") as fh:
-        fs, n_sub, _ = iter_canonical(fh)
+    with open(args.stream, "rb") as fh:
+        fs, n_sub, _ = iter_canonical(utf8_lines(fh))
     _, _, w = pipeline_cfg.stages(fs)
     if "window_packets" in extra and extra["window_packets"] != w:
         raise SchemaMismatch(

@@ -89,6 +89,8 @@ def load_config(path: str, overrides: Optional[List[str]] = None) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigInvalidValue(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalidValue(f"config is not UTF-8: {exc.reason}") from None
     if not isinstance(cfg, dict):
         raise ConfigInvalidValue("config root must be an object")
     apply_overrides(cfg, overrides)

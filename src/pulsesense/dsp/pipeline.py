@@ -305,7 +305,11 @@ def write_segment_dump(segments: Sequence[WindowSegment]) -> bytes:
 
 
 def read_segment_dump(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of write_segment_dump: (count, W, S) values plus labels."""
+    """Inverse of write_segment_dump: (count, W, S) values plus labels.
+
+    A non-finite value or label is refused (NonFiniteSample), as the
+    pipeline refuses non-finite samples.
+    """
     from ..errors import BadMagic, MalformedLine
     if len(data) < 18:
         raise MalformedLine(
@@ -319,6 +323,14 @@ def read_segment_dump(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
     expected = 6 + 12 + count * (w * s + 1) * 4
     if len(data) != expected:
         raise MalformedLine(0, f"dump length {len(data)} != expected {expected}")
+    flat = np.frombuffer(data, dtype="<f4", offset=18)
+    # min and max are NaN if any value is and infinite if any is, and unlike
+    # an isfinite mask they need no dump-sized temporary
+    if not np.isfinite([flat.min(), flat.max()]).all():
+        i, k = divmod(int(np.argmin(np.isfinite(flat))), w * s + 1)
+        raise NonFiniteSample(
+            f"dump record {i} (counted from 0) holds a non-finite "
+            + ("label" if k == w * s else "value"))
     record = np.dtype([("values", "<f4", (w, s)), ("label", "<f4")])
     records = np.frombuffer(data, dtype=record, offset=18)
     return (records["values"].astype(np.float64),

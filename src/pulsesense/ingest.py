@@ -1,17 +1,14 @@
 """Parsing and alignment of CSI recordings and ground-truth label series.
 
-Two on-disk formats are read:
+Two on-disk recording formats are read:
 
 * ESP32 CSV: one frame per line, ``timestamp,<2S ints>`` where the integers
-  alternate imaginary,real per subcarrier (toolchain convention). An optional
-  header line is detected by a non-numeric first field and skipped. Fields
-  are read in numpy's number grammar, all data lines in one call.
+  alternate imaginary,real per subcarrier (toolchain convention).
 * Canonical JSONL: a header object followed by one frame object per line.
   This is the lossless interchange format written by the toolkit itself.
 
-Both formats require finite, strictly increasing timestamps.
-
-Label files are plain ``timestamp,value`` CSV.
+Both formats require finite, strictly increasing timestamps. Label files
+are ``timestamp,value`` CSV, read by the same CSV reader as ESP32 captures.
 """
 
 from __future__ import annotations
@@ -19,8 +16,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -135,11 +133,27 @@ class AlignedRecording:
             raise ValueError("alignment length must equal frame count")
 
 
+def _utf8_error(line_no: int, exc: UnicodeDecodeError) -> MalformedLine:
+    return MalformedLine(line_no, f"not UTF-8: {exc.reason}")
+
+
+def utf8_lines(lines: Iterable[bytes]) -> Iterator[str]:
+    """Decode each of ``lines``; an undecodable one is a MalformedLine."""
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(line_no, exc) from None
+
+
 def _iter_text_lines(source: TextSource) -> List[str]:
     """The text's lines, split at LF only (as io.StringIO would split them)."""
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(data.count(b"\n", 0, exc.start) + 1, exc) from None
     return data.split("\n")
 
 
@@ -156,55 +170,94 @@ def complex_values(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _read_numbers(lines: List[str]) -> np.ndarray:
-    """The ESP32 number converter: comma-separated fields, one row per line."""
+    """The number converter: comma-separated fields, one row per line."""
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
-def _bad_field(line_no: int, fields: List[str]) -> Optional[MalformedLine]:
-    """Name the first of ``fields`` that the converter rejects, if any."""
-    for col, field in enumerate(fields):
-        try:
-            if not field.strip():  # the converter would skip it as an empty line
-                raise ValueError
-            _read_numbers([field])
-        except ValueError:
-            what = "timestamp" if col == 0 else f"value in column {col + 1}"
-            return MalformedLine(line_no, f"non-numeric {what} {field!r}")
-    return None
-
-
-def _esp32_table(lines: List[str], line_nos: List[int]) -> np.ndarray:
-    """Convert the data lines in one call and check their timestamps.
-
-    Errors name the first bad line: if the bulk call fails, the lines are
-    converted one at a time to find it, and the timestamps before it are
-    checked first.
-    """
-    bad = None
+def _is_header(line: str) -> bool:
+    """Whether float() cannot read the first field (a header, on line 1)."""
     try:
-        table = _read_numbers(lines)
+        float(line.strip().partition(",")[0])
     except ValueError:
-        rows = []
-        for line_no, line in zip(line_nos, lines):
-            try:
-                rows.append(_read_numbers([line]))
-            except ValueError:
-                bad = (_bad_field(line_no, line.split(","))
-                       or MalformedLine(line_no, "unreadable values"))
-                break
-        table = np.concatenate(rows) if rows else np.empty((0, 1))
-    ts = table[:, 0]
-    wrong = ~np.isfinite(ts)
-    wrong[1:] |= ~(np.diff(ts) > 0)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        if not math.isfinite(ts[i]):
-            raise MalformedLine(line_nos[i], f"non-finite timestamp {float(ts[i])}")
-        raise NonMonotonicTimestamp(
-            f"line {line_nos[i]}: timestamp {float(ts[i])} not after {float(ts[i - 1])}")
-    if bad is not None:
-        raise bad
-    return table
+        return True
+    return False
+
+
+def _read_csv(source: TextSource,
+              width_error: Callable[[int, int], Optional[MalformedLine]],
+              finite: int) -> np.ndarray:
+    """The (N, fields) table of a CSV file in the grammar both CSV formats share.
+
+    Blank lines and a line-1 header are skipped. Every line has the first
+    line's field count, for which ``width_error(line_no, count)`` returns no
+    error. Fields are numbers in numpy's grammar, the first ``finite``
+    columns finite, and the timestamps in column 0 strictly increasing.
+
+    All lines are converted in one call and checked at once. Only if that
+    fails are they read again one at a time, to raise for the first bad line.
+    """
+    lines = _iter_text_lines(source)
+    body = list(filter(str.strip, lines[1:] if _is_header(lines[0]) else lines))
+    try:
+        table = _read_numbers(body) if body else None
+    except ValueError:
+        table = None
+    if (table is not None and width_error(0, table.shape[1]) is None
+            and np.isfinite(table[:, :finite]).all()
+            and (np.diff(table[:, 0]) > 0).all()):
+        return table
+    rows = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (line_no == 1 and _is_header(line)):
+            continue
+        fields = line.split(",")
+        _check_number(line_no, fields, 0)
+        error = width_error(line_no, len(fields))
+        if error is None and rows and len(fields) != rows[0].size:
+            error = InconsistentSubcarrierCount(
+                line_no, f"{len(fields)} fields where earlier lines have {rows[0].size}")
+        if error is not None:
+            raise error
+        try:
+            row = _read_numbers([line])[0]
+        except ValueError:
+            for col in range(1, len(fields)):
+                _check_number(line_no, fields, col)
+            raise MalformedLine(line_no, "unreadable values") from None
+        for col in range(finite):
+            if not math.isfinite(row[col]):
+                raise MalformedLine(line_no, f"non-finite {_column(col)} {row[col]}")
+        if rows and not row[0] > rows[-1][0]:
+            raise NonMonotonicTimestamp(
+                f"line {line_no}: timestamp {row[0]} not after {rows[-1][0]}")
+        rows.append(row)
+    if not rows:
+        raise MalformedLine(0, "no data lines")
+    return np.stack(rows)
+
+
+def _column(col: int) -> str:
+    return "timestamp" if col == 0 else f"value in column {col + 1}"
+
+
+def _check_number(line_no: int, fields: List[str], col: int) -> None:
+    """Raise MalformedLine unless ``fields[col]`` is a number."""
+    try:
+        if not fields[col].strip():  # the converter would skip it as an empty line
+            raise ValueError
+        _read_numbers([fields[col]])
+    except ValueError:
+        raise MalformedLine(line_no, f"non-numeric {_column(col)} {fields[col]!r}") from None
+
+
+def _esp32_width(line_no: int, count: int) -> Optional[MalformedLine]:
+    if count == 1:
+        return MalformedLine(line_no, "no subcarrier values")
+    if count % 2 == 0:
+        return InconsistentSubcarrierCount(
+            line_no, f"odd value count {count - 1} (expected 2 per subcarrier)")
+    return None
 
 
 def parse_esp32_csv(source: TextSource,
@@ -214,46 +267,8 @@ def parse_esp32_csv(source: TextSource,
     Each data line is ``timestamp`` followed by 2S integers alternating
     imaginary,real per subcarrier. Unless ``sample_rate_hz`` is supplied, the
     rate is estimated as (N-1)/(t_last - t_first).
-
-    One pass over the lines skips blanks and the optional header and checks
-    each line's field count; then every data line is converted at once.
-    Errors name the first bad line, as a line-by-line reader would.
     """
-    lines: List[str] = []
-    line_nos: List[int] = []
-    n_values = None
-    error = None
-    for line_no, raw in enumerate(_iter_text_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line_no == 1:
-            # optional header: a first field that float() cannot read (one
-            # it reads but the converter rejects is a bad line, not a header)
-            try:
-                float(line.partition(",")[0])
-            except ValueError:
-                continue
-        count = line.count(",")
-        if count == 0:
-            error = MalformedLine(line_no, "no subcarrier values")
-        elif count % 2 != 0:
-            error = InconsistentSubcarrierCount(
-                line_no, f"odd value count {count} (expected 2 per subcarrier)")
-        elif n_values is not None and count != n_values:
-            error = InconsistentSubcarrierCount(
-                line_no, f"{count // 2} subcarriers, expected {n_values // 2}")
-        if error is not None:
-            error = _bad_field(line_no, [line.partition(",")[0]]) or error
-            break
-        n_values = count
-        lines.append(line)
-        line_nos.append(line_no)
-    if not lines:
-        raise error or MalformedLine(0, "no data lines")
-    table = _esp32_table(lines, line_nos)  # raises for a bad line before ``error``
-    if error is not None:
-        raise error
+    table = _read_csv(source, _esp32_width, finite=1)
     ts = table[:, 0].copy()
     if sample_rate_hz is None:
         if len(ts) < 2:
@@ -288,14 +303,15 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
         raise MalformedLine(line_no, f"invalid header JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("schema") != CANONICAL_SCHEMA:
         raise SchemaMismatch(f"expected schema {CANONICAL_SCHEMA!r}")
-    try:
-        fs = float(header["sample_rate_hz"])
-        n_sub = int(header["subcarriers"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaMismatch(f"bad header fields: {exc}") from None
-    if not (0 < fs < math.inf and n_sub >= 1):
+    fs = header.get("sample_rate_hz")
+    n_sub = header.get("subcarriers")
+    if type(fs) not in (int, float) or type(n_sub) is not int:  # bool is no number
+        raise SchemaMismatch(f"header sample_rate_hz {fs!r} must be a JSON number "
+                             f"and subcarriers {n_sub!r} a JSON integer")
+    if not (0 < fs <= sys.float_info.max and n_sub >= 1):  # NaN, inf, huge ints too
         raise SchemaMismatch(f"header sample_rate_hz {fs} must be positive and "
                              f"finite, subcarriers {n_sub} at least 1")
+    fs = float(fs)
 
     def numbers(line_no: int, key: str, items) -> np.ndarray:
         try:
@@ -381,32 +397,14 @@ def write_canonical(stream: CsiStream) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def _label_width(line_no: int, count: int) -> Optional[MalformedLine]:
+    return None if count == 2 else MalformedLine(line_no, f"expected 2 fields, got {count}")
+
+
 def parse_labels(source: TextSource, kind: str) -> LabelSeries:
     """Parse a ``timestamp,value`` CSV into a validated LabelSeries."""
-    timestamps = []
-    values = []
-    for line_no, raw in enumerate(_iter_text_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise MalformedLine(line_no, f"expected 2 fields, got {len(fields)}")
-        try:
-            t = float(fields[0])
-        except ValueError:
-            if line_no == 1:
-                continue
-            raise MalformedLine(line_no, f"non-numeric timestamp {fields[0]!r}")
-        try:
-            v = float(fields[1])
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise MalformedLine(line_no, f"non-finite timestamp or value {line!r}")
-        timestamps.append(t)
-        values.append(v)
-    return LabelSeries(kind, np.asarray(timestamps), np.asarray(values))
+    table = _read_csv(source, _label_width, finite=2)
+    return LabelSeries(kind, table[:, 0].copy(), table[:, 1].copy())
 
 
 def align(stream: CsiStream, labels: LabelSeries) -> AlignedRecording:

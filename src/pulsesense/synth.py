@@ -44,7 +44,7 @@ class Schedule:
             raise InvalidScenario("schedule needs matching times and values")
         if self.times[0] != 0.0:
             raise InvalidScenario("schedule must start at t=0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if not all(b > a for a, b in zip(self.times, self.times[1:])):  # NaN too
             raise InvalidScenario("schedule breakpoints must increase")
 
     @classmethod
@@ -79,8 +79,11 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.sample_rate_hz <= 0 or self.subcarriers < 1:
-            raise InvalidScenario("duration, rate, and subcarriers must be positive")
+        # comparisons are written so that NaN fails them
+        if not (0 < self.duration_s < np.inf and 0 < self.sample_rate_hz < np.inf
+                and self.subcarriers >= 1):
+            raise InvalidScenario(
+                "duration and rate must be positive and finite, subcarriers positive")
         for sched, (lo, hi), what in ((self.hr_bpm, HR_SCHEDULE_RANGE, "heart"),
                                       (self.br_brpm, BR_SCHEDULE_RANGE, "breathing")):
             if any(not lo <= v <= hi for v in sched.values):  # NaN too
@@ -88,22 +91,27 @@ class Scenario:
                     f"{what} schedule must stay within [{lo}, {hi}]")
         prev_end = -1.0
         for start, end in self.apnea_intervals:
-            if start >= end or start < 0 or end > self.duration_s:
+            if not 0 <= start < end <= self.duration_s:
                 raise InvalidScenario(f"bad apnea interval ({start}, {end})")
-            if start <= prev_end:
+            if not start > prev_end:
                 raise InvalidScenario("apnea intervals must be disjoint and ordered")
             prev_end = end
+        for value in (self.base, self.breath_phase, self.cardiac_phase, self.channel_phase):
+            if value is not None:
+                self._per_subcarrier(value)
         alpha = self._per_subcarrier(self.breath_gain)
         beta = self._per_subcarrier(self.cardiac_gain)
         if np.any(beta > 0.3 * alpha):
             raise InvalidScenario("cardiac gain must not exceed 0.3x breath gain")
-        if self.noise_std < 0:
-            raise InvalidScenario("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise InvalidScenario("noise_std must be >= 0 and finite")
         if self.seed < 0:
             raise InvalidScenario("seed must be non-negative")
 
     def _per_subcarrier(self, value: ArrayLike) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise InvalidScenario("per-subcarrier values must be finite")
         if arr.ndim == 0:
             return np.full(self.subcarriers, float(arr))
         if arr.shape != (self.subcarriers,):

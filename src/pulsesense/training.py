@@ -60,6 +60,11 @@ class TrainingConfig:
     standardize_targets: bool = True
 
     def __post_init__(self):
+        if not 0.0 < self.learning_rate < math.inf:  # NaN too
+            raise ConfigInvalidValue(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 < self.lr_factor <= 1.0:
+            raise ConfigInvalidValue(f"lr_factor must be in (0, 1], got {self.lr_factor}")
         if self.early_stop_patience < 1 or self.lr_plateau_patience < 1:
             raise ConfigInvalidValue("patiences must be >= 1")
         if not 0.0 < self.val_fraction_of_train < 1.0:

@@ -600,3 +600,87 @@ def test_model_with_matching_crc_but_wrong_contents_exits_3(workdir, capsys, dam
     assert main(["infer", "--model", str(model), "--stream", str(tmp_path / "none.jsonl")]) == 3
     err = capsys.readouterr().err
     assert ("ChecksumMismatch" if damage == "short_tensors" else "SchemaMismatch") in err
+
+
+def test_config_not_utf8_exits_2(workdir, capsys):
+    tmp_path, out, cfg_path = workdir
+    cfg_path.write_bytes(cfg_path.read_bytes().replace(b'"cli-unit"', b'"cli-\xffunit"'))
+    assert main(["process", "--config", str(cfg_path)]) == 2
+    assert "ConfigInvalidValue: config is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["stream.jsonl", "labels_heart.csv"])
+def test_invalid_utf8_recording_exits_3(workdir, capsys, target):
+    """A byte that is not UTF-8 names its line, in batch and streamed reads."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    lines = (out / target).read_bytes().split(b"\n")
+    lines[6] = lines[6][:3] + b"\xff" + lines[6][3:]
+    (out / target).write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert "MalformedLine: line 7: not UTF-8" in capsys.readouterr().err
+    if target == "stream.jsonl":
+        model = tmp_path / "m.psnn"
+        model.write_bytes(_model_bytes(3))
+        preds = tmp_path / "preds.csv"
+        assert main(["infer", "--model", str(model), "--stream", str(out / target),
+                     "--out", str(preds)]) == 3
+        assert "MalformedLine: line 7: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sample_rate_hz", '"20"'), ("sample_rate_hz", "true"),
+    ("subcarriers", "1.9"), ("subcarriers", "true"),
+])
+def test_canonical_header_types_exit_3(workdir, capsys, field, value):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header[field] = json.loads(value)
+    lines[0] = json.dumps(header)
+    (out / "stream.jsonl").write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert "SchemaMismatch: header sample_rate_hz" in capsys.readouterr().err
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(tmp_path / "preds.csv")]) == 3
+    assert "SchemaMismatch: header sample_rate_hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_non_finite_segment_dump_exits_3(workdir, capsys, command):
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    dump = bytearray((out / "segments.psseg").read_bytes())
+    count, w, s = struct.unpack_from("<III", dump, 6)
+    struct.pack_into("<f", dump, 18 + 4 * (w * s + 1) * count - 4, float("nan"))
+    bad = tmp_path / "nan.psseg"
+    bad.write_bytes(bytes(dump))
+    capsys.readouterr()
+    if command == "eval":
+        model = tmp_path / "m.psnn"
+        model.write_bytes(_model_bytes(3))
+        argv = ["eval", "--model", str(model), "--data", str(bad)]
+    else:
+        argv = ["train", "--config", str(cfg_path), "--set", f"training.segments={bad}"]
+    assert main(argv) == 3
+    assert (f"NonFiniteSample: dump record {count - 1} (counted from 0) holds a "
+            "non-finite label") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,override,message", [
+    ("synth", "synth.scenario.duration_s=NaN", "InvalidScenario: duration and rate"),
+    ("synth", "synth.scenario.noise_std=NaN", "InvalidScenario: noise_std"),
+    ("train", "training.learning_rate=-1", "ConfigInvalidValue: learning_rate"),
+    ("train", "training.lr_factor=2", "ConfigInvalidValue: lr_factor"),
+])
+def test_non_finite_or_out_of_range_config_exits_2(workdir, capsys, command, override,
+                                                    message):
+    tmp_path, out, cfg_path = workdir
+    assert main([command, "--config", str(cfg_path), "--set", override]) == 2
+    assert message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Parsing, canonical round trips, and label alignment."""
 
+import io
 import json
 
 import numpy as np
@@ -14,13 +15,16 @@ from pulsesense.errors import (
     SchemaMismatch,
     ValueOutOfRange,
 )
+from pulsesense import ingest
 from pulsesense.ingest import (
     CsiStream,
     LabelSeries,
     align,
+    iter_canonical,
     parse_canonical,
     parse_esp32_csv,
     parse_labels,
+    utf8_lines,
     write_canonical,
 )
 
@@ -306,6 +310,113 @@ class TestLabels:
     def test_non_monotonic(self):
         with pytest.raises(NonMonotonicTimestamp):
             parse_labels(b"1.0,72\n0.5,73\n", "heart_rate_bpm")
+
+
+class TestLabelGrammar:
+    """Label files follow the ESP32 capture grammar."""
+
+    def test_header_blank_and_whitespace_lines_skipped(self):
+        series = parse_labels(b"time,bpm\n0.0,72\n\n \t\n1.0,73\r\n", "heart_rate_bpm")
+        assert series.timestamps.tolist() == [0.0, 1.0]
+        assert series.values.tolist() == [72.0, 73.0]
+
+    def test_equals_float_per_field(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n = int(rng.integers(1, 30))
+            t = np.cumsum(rng.uniform(1e-3, 2.0, n))
+            v = rng.uniform(30.0, 220.0, n)
+            lines = [f"{a!r},{b:.9g}" for a, b in zip(t.tolist(), v.tolist())]
+            series = parse_labels("\n".join(lines), "heart_rate_bpm")
+            assert series.timestamps.tolist() == [float(x.split(",")[0]) for x in lines]
+            assert series.values.tolist() == [float(x.split(",")[1]) for x in lines]
+
+    @pytest.mark.parametrize("token,column", [("1_0", 2), ("x", 2), ("", 2), ("1_0", 1)])
+    def test_non_number_names_line_and_column(self, token, column):
+        fields = ["1.0", "73"]
+        fields[column - 1] = token
+        text = "0.0,72\n" + ",".join(fields) + "\n2.0,74\n"
+        what = "timestamp" if column == 1 else "value in column 2"
+        with pytest.raises(MalformedLine, match=f"line 2: non-numeric {what}"):
+            parse_labels(text, "heart_rate_bpm")
+
+    def test_field_count_names_line(self):
+        with pytest.raises(MalformedLine, match="line 3: expected 2 fields, got 3"):
+            parse_labels(b"0.0,72\n1.0,73\n2.0,74,1\n", "heart_rate_bpm")
+
+    def test_non_increasing_timestamp_names_line(self):
+        with pytest.raises(NonMonotonicTimestamp, match="line 4: timestamp 1.0 not after 1.0"):
+            parse_labels(b"0.0,72\n1.0,73\n\n1.0,74\n", "heart_rate_bpm")
+
+    @pytest.mark.parametrize("line", ["nan,72", "3.0,inf", "3.0,-inf"])
+    def test_non_finite_names_line(self, line):
+        with pytest.raises(MalformedLine, match="line 3: non-finite"):
+            parse_labels(f"0.0,72\n1.0,73\n{line}\n", "heart_rate_bpm")
+
+    @pytest.mark.parametrize("text", [b"", b"\n\n", b"  \n", b"time,bpm\n"])
+    def test_no_data_lines(self, text):
+        with pytest.raises(MalformedLine, match="no data lines"):
+            parse_labels(text, "heart_rate_bpm")
+
+
+class TestBulkPath:
+    def test_blank_and_whitespace_lines_convert_in_one_call(self, monkeypatch):
+        calls = []
+        convert = ingest._read_numbers
+        monkeypatch.setattr(ingest, "_read_numbers",
+                            lambda lines: calls.append(len(lines)) or convert(lines))
+        text = "t,a,b\n0.0,1,2\n\n   \n0.5,3,4\n\t\n1.0,5,6\n \r\n"
+        stream = parse_esp32_csv(text)
+        assert calls == [3]
+        assert stream.values.tolist() == [[2 + 1j], [4 + 3j], [6 + 5j]]
+
+
+CANONICAL_HEADER = '{"schema":"pulse-sense/csi/v1","sample_rate_hz":80.0,"subcarriers":1}'
+
+
+class TestUtf8:
+    @pytest.mark.parametrize("reader,csv", [
+        (parse_esp32_csv, True),
+        (lambda data: parse_labels(data, "heart_rate_bpm"), True),
+        (parse_canonical, False),
+        (lambda data: list(iter_canonical(utf8_lines(io.BytesIO(data)))[2]), False),
+    ], ids=["esp32", "labels", "canonical", "streamed"])
+    def test_invalid_byte_names_its_line(self, reader, csv):
+        if csv:
+            lines = [b"0.0,72", b"1.0,73", b"2.0,74", b"3.0,75"]
+        else:
+            lines = [CANONICAL_HEADER.encode()] + [
+                json.dumps({"t": k, "re": [1.0], "im": [2.0]}).encode() for k in range(3)]
+        lines[2] = lines[2][:4] + b"\xff" + lines[2][4:]
+        with pytest.raises(MalformedLine, match="line 3: not UTF-8") as err:
+            reader(b"\n".join(lines) + b"\n")
+        assert err.value.line_no == 3
+
+
+class TestCanonicalHeader:
+    @pytest.mark.parametrize("field,value", [
+        ("sample_rate_hz", '"80"'), ("sample_rate_hz", "true"), ("sample_rate_hz", "null"),
+        ("subcarriers", "1.9"), ("subcarriers", "1.0"), ("subcarriers", "true"),
+        ("subcarriers", '"1"'),
+    ])
+    def test_header_types(self, field, value):
+        header = json.loads(CANONICAL_HEADER)
+        header[field] = json.loads(value)
+        text = json.dumps(header) + '\n{"t":0.0,"re":[1.0],"im":[2.0]}\n'
+        with pytest.raises(SchemaMismatch, match="must be a JSON number"):
+            parse_canonical(text)
+        with pytest.raises(SchemaMismatch, match="must be a JSON number"):
+            iter_canonical(text.split("\n"))
+
+    def test_huge_integer_rate_refused(self):
+        text = CANONICAL_HEADER.replace("80.0", "1" + "0" * 400) + "\n"
+        with pytest.raises(SchemaMismatch, match="positive and finite"):
+            parse_canonical(text)
+
+    def test_integer_rate_accepted(self):
+        stream = parse_canonical(CANONICAL_HEADER.replace("80.0", "80")
+                                 + '\n{"t":0.0,"re":[1.0],"im":[2.0]}\n')
+        assert stream.sample_rate_hz == 80.0
 
 
 class TestAlign:

@@ -330,6 +330,8 @@ class TestSegmentDumpOracle:
     @pytest.mark.parametrize("count,w,s", [(1, 1, 1), (1, 6, 3), (4, 5, 1),
                                            (7, 1, 9), (30, 40, 4)])
     def test_equals_per_record_reader_bitwise(self, count, w, s):
+        """Non-finite records are refused, naming the first; with them made
+        finite, the rest reads back bit for bit."""
         rng = np.random.default_rng(count * 1000 + w * 10 + s)
         values = rng.standard_normal((count, w, s)) * 10.0 ** rng.integers(-30, 30)
         flat = values.reshape(-1)
@@ -337,9 +339,19 @@ class TestSegmentDumpOracle:
         flat[rng.integers(0, flat.size, len(specials))] = specials
         labels = rng.uniform(-200.0, 200.0, count)
         labels[0] = -0.0
-        segments = [WindowSegment(values[i], float(labels[i]), i, 1.0)
-                    for i in range(count)]
-        data = write_segment_dump(segments)
+
+        def dump():
+            return write_segment_dump([WindowSegment(values[i], float(labels[i]), i, 1.0)
+                                       for i in range(count)])
+
+        data = dump()
+        ref_values, ref_labels = reference_read_segment_dump(data)
+        bad = np.flatnonzero(~np.isfinite(ref_values).all(axis=(1, 2)) | ~np.isfinite(ref_labels))
+        if bad.size:
+            with pytest.raises(NonFiniteSample, match=f"record {bad[0]} "):
+                read_segment_dump(data)
+            flat[~np.isfinite(flat)] = 1.0
+            data = dump()
         got_values, got_labels = read_segment_dump(data)
         want_values, want_labels = reference_read_segment_dump(data)
         assert got_values.dtype == want_values.dtype == np.float64

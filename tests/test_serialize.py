@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pulsesense.dsp import read_segment_dump, run_pipeline, write_segment_dump
-from pulsesense.errors import BadMagic, ChecksumMismatch, PulseSenseError
+from pulsesense.errors import BadMagic, ChecksumMismatch, NonFiniteSample, PulseSenseError
 from pulsesense.ingest import CsiStream, LabelSeries, align
 from pulsesense.nn import (
     ModelConfig,
@@ -77,6 +77,30 @@ class TestCorruption:
             load_model(bytes(data))
 
 
+def _small_dump() -> bytes:
+    t = np.arange(60) / 20.0
+    stream = CsiStream(t, 1.0 + np.sin(np.outer(t, [1.0, 2.0])), 20.0)
+    labels = LabelSeries("heart_rate_bpm", t, np.full(60, 72.0))
+    return write_segment_dump(run_pipeline(align(stream, labels), "heart", 1.0, 7))
+
+
+class TestDumpValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["value", "label"])
+    def test_non_finite_record_refused(self, bad, field):
+        data = bytearray(_small_dump())
+        count, w, s = struct.unpack_from("<III", data, 6)
+        record = 4 * (w * s + 1)
+        offset = 18 + 2 * record + (4 * w * s if field == "label" else 4 * (w * s // 2))
+        struct.pack_into("<f", data, offset, bad)
+        with pytest.raises(NonFiniteSample, match=f"record 2 .*non-finite {field}"):
+            read_segment_dump(bytes(data))
+
+    def test_finite_dump_reads_back(self):
+        values, labels = read_segment_dump(_small_dump())
+        assert np.isfinite(values).all() and np.all(labels == 72.0)
+
+
 def _sealed(payload: bytes) -> bytes:
     """payload plus a matching CRC32 trailer, so load_model reads the body."""
     return payload + struct.pack("<I", zlib.crc32(payload))
@@ -130,10 +154,7 @@ class TestFuzz:
 
     def test_read_segment_dump(self):
         rng = np.random.default_rng(12)
-        t = np.arange(60) / 20.0
-        stream = CsiStream(t, 1.0 + np.sin(np.outer(t, [1.0, 2.0])), 20.0)
-        labels = LabelSeries("heart_rate_bpm", t, np.full(60, 72.0))
-        data = write_segment_dump(run_pipeline(align(stream, labels), "heart", 1.0, 7))
+        data = _small_dump()
         for i in range(600):
             if i % 2:
                 damaged = _damaged(rng, data)

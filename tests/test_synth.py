@@ -123,6 +123,23 @@ class TestValidation:
         with pytest.raises(InvalidScenario):
             basic_scenario(apnea_intervals=((50.0, 70.0),))
 
+    @pytest.mark.parametrize("overrides", [
+        {"duration_s": float("nan")}, {"duration_s": float("inf")},
+        {"sample_rate_hz": float("nan")}, {"noise_std": float("nan")},
+        {"noise_std": float("inf")}, {"apnea_intervals": ((float("nan"), 20.0),)},
+        {"apnea_intervals": ((10.0, float("nan")),)},
+        {"base": float("nan")}, {"breath_gain": [0.1, float("nan")]},
+        {"channel_phase": [0.0, float("inf")]},
+    ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_non_finite_values_refused(self, overrides):
+        """Every numeric check fails for NaN rather than passing it."""
+        with pytest.raises(InvalidScenario):
+            basic_scenario(**overrides)
+
+    def test_nan_breakpoint_refused(self):
+        with pytest.raises(InvalidScenario, match="breakpoints must increase"):
+            Schedule((0.0, float("nan")), (70.0, 80.0))
+
 
 class TestSuite:
     def test_contains_alternate_breathing_20s_10s(self):

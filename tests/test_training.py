@@ -74,6 +74,20 @@ class TestSplit:
             split_segments(4, TrainingConfig())
 
 
+@pytest.mark.parametrize("overrides", [
+    {"learning_rate": float("nan")}, {"learning_rate": 0.0}, {"learning_rate": -1.0},
+    {"learning_rate": float("inf")}, {"lr_factor": 0.0}, {"lr_factor": 2.0},
+    {"lr_factor": float("nan")}, {"lr_factor": -0.5},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_learning_rate_and_factor_ranges(overrides):
+    with pytest.raises(ConfigInvalidValue):
+        TrainingConfig(**overrides)
+
+
+def test_lr_factor_one_accepted():
+    assert TrainingConfig(lr_factor=1.0).lr_factor == 1.0
+
+
 class TestControlSemantics:
     def test_frozen_val_loss_schedule(self):
         """Frozen validation loss: LR halves at epochs 6 and 11, training
