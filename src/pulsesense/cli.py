@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +30,6 @@ from .dsp.pipeline import (
 )
 from .errors import (
     ConfigError,
-    ConfigInvalidValue,
     DataError,
     PulseSenseError,
     SchemaMismatch,
@@ -43,7 +44,7 @@ from .ingest import (
     utf8_lines,
     write_canonical,
 )
-from .nn.model import init_params
+from .nn.model import ModelConfig, init_params
 from .nn.serialize import load_model, save_model
 from .streaming import StreamingPredictor, streaming_column_means
 from .synth import generate
@@ -65,27 +66,23 @@ def _write(path: str, data) -> None:
 
 
 def _out_dir(cfg: dict) -> str:
-    out = cfgmod.validate_output(cfgmod.require_block(cfg, "output"))
+    out = cfgmod.read_block("output", cfgmod.require_block(cfg, "output"),
+                            cfgmod.OutputConfig).dir
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _load_stream(cfg_ingest: dict):
-    with open(cfg_ingest["path"], "rb") as fh:
-        data = fh.read()
-    if cfg_ingest.get("format", "canonical") == "esp32":
-        return parse_esp32_csv(data, cfg_ingest.get("sample_rate_hz"))
-    return parse_canonical(data)
-
-
 def _load_recording(cfg: dict):
-    ingest = cfgmod.validate_ingest(cfgmod.require_block(cfg, "ingest"))
-    stream = _load_stream(ingest)
-    labels_cfg = ingest.get("labels")
-    if labels_cfg is None:
-        raise ConfigInvalidValue("ingest.labels is required for this command")
-    with open(labels_cfg["path"], "rb") as fh:
-        labels = parse_labels(fh.read(), labels_cfg["kind"])
+    ingest = cfgmod.read_block("ingest", cfgmod.require_block(cfg, "ingest"),
+                               cfgmod.IngestConfig)
+    with open(ingest.path, "rb") as fh:
+        data = fh.read()
+    if ingest.format == "esp32":
+        stream = parse_esp32_csv(data, ingest.sample_rate_hz)
+    else:
+        stream = parse_canonical(data)
+    with open(ingest.labels.path, "rb") as fh:
+        labels = parse_labels(fh.read(), ingest.labels.kind)
     return align(stream, labels)
 
 
@@ -130,8 +127,9 @@ def _training_inputs(cfg: dict):
     the CLI's own key, names a segment dump to read instead of running
     ingest and the pipeline."""
     block = cfg.get("training", {})
-    segments_path = block.pop("segments", None) if isinstance(block, dict) else None
-    training_cfg = TrainingConfig.from_dict(block)
+    segments_path = (cfgmod.check_type("training.segments", block.pop("segments", ""), str)
+                     if isinstance(block, dict) else "")
+    training_cfg = cfgmod.read_block("training", block, TrainingConfig)
     if segments_path:
         with open(segments_path, "rb") as fh:
             x, y = read_segment_dump(fh.read())
@@ -140,8 +138,8 @@ def _training_inputs(cfg: dict):
         segments, pipeline_cfg, _ = _process_segments(cfg)
         x, y = segments_to_arrays(segments)
     head = "binary" if pipeline_cfg.mode == "apnea" else "regression"
-    model_cfg = cfgmod.model_config_from_dict(
-        cfg.get("model", {}), input_dim=x.shape[2], head=head)
+    model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
+                                  input_dim=x.shape[2], head=head)
     return training_cfg, model_cfg, pipeline_cfg, x, y
 
 
@@ -165,12 +163,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextmanager
+def _stored_in(model_path: str):
+    """Config errors in the blocks a model file stores are data errors:
+    the commands that read them take no config."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise SchemaMismatch(
+            f"model {model_path} stores {type(exc).__name__}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     with open(args.model, "rb") as fh:
-        params, _ = load_model(fh.read())
+        params, extra = load_model(fh.read())
+    threshold = args.threshold
+    if threshold is None:
+        with _stored_in(args.model):
+            stored = PipelineConfig.from_dict((extra or {}).get("pipeline", {}))
+        threshold = MODE_THRESHOLDS.get(stored.mode, 1.5)
     with open(args.data, "rb") as fh:
         x, y = read_segment_dump(fh.read())
-    report = evaluate(params, (x, y), threshold=args.threshold,
+    report = evaluate(params, (x, y), threshold=threshold,
                       decision_threshold=args.decision_threshold)
     text = report.to_json() + "\n"
     if args.out:
@@ -216,14 +230,15 @@ def cmd_infer(args) -> int:
     with open(args.model, "rb") as fh:
         params, extra = load_model(fh.read())
     extra = extra or {}
-    pipeline_cfg = PipelineConfig.from_dict(extra.get("pipeline", {}))
-
     with open(args.stream, "rb") as fh:
         fs, n_sub, _ = iter_canonical(utf8_lines(fh))
-    _, _, w = pipeline_cfg.stages(fs)
-    if "window_packets" in extra and extra["window_packets"] != w:
+    with _stored_in(args.model):
+        pipeline_cfg = PipelineConfig.from_dict(extra.get("pipeline", {}))
+        _, _, w = pipeline_cfg.stages(fs)
+        trained_w = cfgmod.check_type("window_packets", extra.get("window_packets", w), int)
+    if trained_w != w:
         raise SchemaMismatch(
-            f"model was trained on {extra['window_packets']}-packet windows; "
+            f"model was trained on {trained_w}-packet windows; "
             f"{pipeline_cfg.window_s} s at the stream's {fs} Hz is {w} packets")
     width = np.arange(n_sub)[subcarrier_index(pipeline_cfg.subcarriers, n_sub)].size
     if width != params.config.input_dim:
@@ -254,7 +269,6 @@ def cmd_bench(args) -> int:
             params, _ = load_model(fh.read())
         name = os.path.basename(args.model)
     else:
-        from .nn.model import ModelConfig
         params = init_params(ModelConfig(input_dim=args.input_dim), seed=0)
         name = "fresh"
     report = bench_inference(params, args.seq_len, args.batch,
@@ -265,6 +279,22 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _in_range(kind: type, low: float, high: float = math.inf):
+    """An argparse type: a finite ``kind`` value in [low, high]. Anything
+    else makes argparse exit 2 with a message naming the flag."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high or value == math.inf:
+            what = "an integer" if kind is int else "a finite number"
+            bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {what} {bounds}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,13 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_cmd("process", cmd_process, "run the DSP pipeline, dump segments")
     add_config_cmd("train", cmd_train, "train a model on processed segments")
     cv = add_config_cmd("cv", cmd_cv, "k-fold cross-validation")
-    cv.add_argument("--k", type=int, default=10)
+    cv.add_argument("--k", type=_in_range(int, 2), default=10)
 
     ev = sub.add_parser("eval", help="evaluate a model on a segment dump")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--threshold", type=float, default=1.5)
-    ev.add_argument("--decision-threshold", type=float, default=0.5)
+    ev.add_argument("--threshold", type=_in_range(float, 0.0),
+                    help="regression tolerance; default: the stored mode's "
+                         "(1.5 bpm heart, 0.75 brpm breath)")
+    ev.add_argument("--decision-threshold", type=_in_range(float, 0.0, 1.0), default=0.5)
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_eval)
 
@@ -303,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("bench", help="inference throughput report")
     be.add_argument("--model")
-    be.add_argument("--input-dim", type=int, default=64,
+    be.add_argument("--input-dim", type=_in_range(int, 1), default=64,
                     help="used when no --model is given")
-    be.add_argument("--seq-len", type=int, required=True)
-    be.add_argument("--batch", type=int, default=64)
-    be.add_argument("--n-preds", type=int, default=2048)
+    be.add_argument("--seq-len", type=_in_range(int, 1), required=True)
+    be.add_argument("--batch", type=_in_range(int, 1), default=64)
+    be.add_argument("--n-preds", type=_in_range(int, 1), default=2048)
     be.add_argument("--out")
     be.set_defaults(fn=cmd_bench)
     return parser

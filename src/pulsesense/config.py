@@ -1,32 +1,59 @@
 """Run-configuration loading and validation.
 
 One JSON document drives the config-based subcommands. Unknown keys are
-rejected everywhere; each block is validated by the module that owns it.
-``--set path.key=value`` overrides are applied before validation.
+rejected everywhere. A block whose keys are its dataclass's fields is read
+by ``read_block``; the pipeline and synth blocks, whose JSON shape differs
+from their fields, map their own keys. ``--set path.key=value`` overrides
+are applied before validation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, get_type_hints
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import List, Optional, get_args, get_type_hints
 
 from .errors import ConfigInvalidValue, ConfigUnknownKey
 from .ingest import LABEL_KINDS
-from .nn.model import ModelConfig
 from .synth import Scenario, Schedule, scenario_by_name
 
 TOP_LEVEL_KEYS = ("ingest", "pipeline", "model", "training", "synth", "output")
 
-INGEST_KEYS = ("format", "path", "sample_rate_hz", "labels")
-INGEST_LABEL_KEYS = ("path", "kind")
-MODEL_KEYS = ("input_dim", "lstm1_units", "lstm2_units", "dense_units",
-              "head", "dropout_rate")
 SYNTH_KEYS = ("scenario",)
-OUTPUT_KEYS = ("dir",)
 SCENARIO_KEYS = ("name", "duration_s", "sample_rate_hz", "subcarriers",
                  "hr_bpm", "br_brpm", "apnea_intervals", "base",
                  "breath_gain", "cardiac_gain", "noise_std", "seed")
+
+
+@dataclass(frozen=True)
+class LabelsConfig:
+    path: str
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in LABEL_KINDS:
+            raise ValueError(f"kind must be one of {LABEL_KINDS}, got {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class IngestConfig:
+    path: str
+    labels: LabelsConfig
+    format: str = "canonical"
+    sample_rate_hz: Optional[float] = None  # esp32 only; None estimates it
+
+    def __post_init__(self):
+        if self.format not in ("esp32", "canonical"):
+            raise ValueError(f"format must be esp32|canonical, got {self.format!r}")
+        rate = self.sample_rate_hz
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValueError(f"sample_rate_hz must be positive and finite, got {rate!r}")
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    dir: str
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
@@ -54,11 +81,36 @@ def check_type(name: str, value, kind: type):
     return value
 
 
-def check_field_types(block_name: str, block: dict, cls) -> None:
-    """check_type each key of ``block`` against the dataclass field it sets."""
+def _read_value(name: str, value, hint):
+    if type(None) in get_args(hint):  # Optional[X]: X or null
+        return None if value is None else _read_value(name, value, get_args(hint)[0])
+    if is_dataclass(hint):
+        return read_block(name, value, hint)
+    return check_type(name, value, hint)
+
+
+def read_block(name: str, block, cls, **given):
+    """The dataclass ``cls`` read from the JSON object ``block``.
+
+    Each key must be a field of ``cls`` and its value of the field's type
+    (``check_type``); an Optional field also takes null, and a
+    dataclass-typed field is read recursively. ``given`` supplies values the
+    block may override. A missing required field, or a ValueError from
+    ``cls`` itself (whose message starts with the field it names), is a
+    ConfigInvalidValue naming the block.
+    """
     hints = get_type_hints(cls)
+    reject_unknown(name, block, hints)
+    kwargs = dict(given)
     for key, value in block.items():
-        check_type(f"{block_name}.{key}", value, hints[key])
+        kwargs[key] = _read_value(f"{name}.{key}", value, hints[key])
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise ConfigInvalidValue(f"{name}.{f.name} is required")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigInvalidValue(f"{name}.{exc}") from None
 
 
 def _parse_override_value(text: str):
@@ -104,46 +156,6 @@ def require_block(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
-def validate_ingest(block: dict) -> dict:
-    reject_unknown("ingest", block, INGEST_KEYS)
-    fmt = block.get("format", "canonical")
-    if fmt not in ("esp32", "canonical"):
-        raise ConfigInvalidValue(f"ingest.format must be esp32|canonical, got {fmt!r}")
-    if "path" not in block:
-        raise ConfigInvalidValue("ingest.path is required")
-    check_type("ingest.path", block["path"], str)
-    rate = block.get("sample_rate_hz")
-    if rate is not None and not 0 < check_type("ingest.sample_rate_hz", rate, float) < math.inf:
-        raise ConfigInvalidValue(f"ingest.sample_rate_hz must be positive and finite, got {rate!r}")
-    labels = block.get("labels")
-    if labels is not None:
-        reject_unknown("ingest.labels", labels, INGEST_LABEL_KEYS)
-        if "path" not in labels or "kind" not in labels:
-            raise ConfigInvalidValue("ingest.labels needs path and kind")
-        check_type("ingest.labels.path", labels["path"], str)
-        if labels["kind"] not in LABEL_KINDS:
-            raise ConfigInvalidValue(
-                f"ingest.labels.kind must be one of {LABEL_KINDS}, got {labels['kind']!r}")
-    return block
-
-
-def model_config_from_dict(block: dict, input_dim: Optional[int] = None,
-                           head: Optional[str] = None) -> ModelConfig:
-    reject_unknown("model", block, MODEL_KEYS)
-    check_field_types("model", block, ModelConfig)
-    kwargs = dict(block)
-    if "input_dim" not in kwargs:
-        if input_dim is None:
-            raise ConfigInvalidValue("model.input_dim is required here")
-        kwargs["input_dim"] = input_dim
-    if head is not None and "head" not in kwargs:
-        kwargs["head"] = head
-    try:
-        return ModelConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigInvalidValue(str(exc)) from None
-
-
 def _pairs(name: str, value) -> tuple:
     """A JSON list of [number, number] pairs, as a tuple of float pairs."""
     pairs = check_type(name, value, list)
@@ -186,10 +198,3 @@ def scenario_from_config(block: dict) -> Scenario:
         return Scenario(**kwargs)
     except TypeError as exc:
         raise ConfigInvalidValue(str(exc)) from None
-
-
-def validate_output(block: dict) -> str:
-    reject_unknown("output", block, OUTPUT_KEYS)
-    if "dir" not in block:
-        raise ConfigInvalidValue("output.dir is required")
-    return check_type("output.dir", block["dir"], str)

@@ -37,7 +37,7 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.input_dim, self.lstm1_units, self.lstm2_units,
                self.dense_units) < 1:
-            raise ValueError("all unit counts must be >= 1")
+            raise ValueError("input_dim and the unit counts must be >= 1")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
         if not 0.0 <= self.dropout_rate < 1.0:

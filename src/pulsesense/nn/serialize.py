@@ -18,6 +18,7 @@ float32-representable values (always true for loaded or saved models).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -26,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import BadMagic, ChecksumMismatch, SchemaMismatch
+from ..errors import BadMagic, ChecksumMismatch, ConfigError, SchemaMismatch
 from .model import ModelConfig, ModelParams, expected_shapes
 
 MAGIC = b"PSNN1"
@@ -34,15 +35,7 @@ MAGIC = b"PSNN1"
 
 def save_model(params: ModelParams, extra: Optional[dict] = None) -> bytes:
     """Serialize params (and optional extra metadata, e.g. pipeline settings)."""
-    cfg = params.config
-    doc = {
-        "input_dim": cfg.input_dim,
-        "lstm1_units": cfg.lstm1_units,
-        "lstm2_units": cfg.lstm2_units,
-        "dense_units": cfg.dense_units,
-        "head": cfg.head,
-        "dropout_rate": cfg.dropout_rate,
-    }
+    doc = dataclasses.asdict(params.config)
     if extra:
         doc["extra"] = extra
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -63,19 +56,18 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
     if struct.unpack("<I", trailer)[0] != zlib.crc32(payload):
         raise ChecksumMismatch("CRC32 trailer does not match container contents")
     (json_len,) = struct.unpack_from("<I", data, 5)
+    from ..config import read_block  # local import avoids a cycle
     try:
         doc = json.loads(payload[9:9 + json_len].decode("utf-8"))
         if not isinstance(doc, dict) or not isinstance(doc.get("extra", {}), dict):
             raise SchemaMismatch("model block and its extra must be JSON objects")
-        config = ModelConfig(
-            input_dim=int(doc["input_dim"]),
-            lstm1_units=int(doc["lstm1_units"]),
-            lstm2_units=int(doc["lstm2_units"]),
-            dense_units=int(doc["dense_units"]),
-            head=doc["head"],
-            dropout_rate=float(doc["dropout_rate"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        extra = doc.pop("extra", None)
+        # save_model writes every field: a missing one is damage, not a default
+        missing = [f.name for f in dataclasses.fields(ModelConfig) if f.name not in doc]
+        if missing:
+            raise SchemaMismatch(f"model block lacks {missing}")
+        config = read_block("model", doc, ModelConfig)
+    except (ConfigError, ValueError) as exc:
         raise SchemaMismatch(f"bad model config block: {exc}") from None
     shapes = expected_shapes(config)
     offset = 9 + json_len
@@ -90,7 +82,7 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
         tensors.append(arr.reshape(shape).astype(np.float64))
         offset += n * 4
-    return ModelParams.from_tensors(config, tensors), doc.get("extra")
+    return ModelParams.from_tensors(config, tensors), extra
 
 
 def quantize_params(params: ModelParams) -> ModelParams:

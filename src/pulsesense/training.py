@@ -17,7 +17,7 @@ predictions come out in label units and no side-car state is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,13 +75,6 @@ class TrainingConfig:
             raise ConfigInvalidValue("batch_size and max_epochs must be >= 1")
         if self.seed < 0:
             raise ConfigInvalidValue("seed must be non-negative")
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "TrainingConfig":
-        from .config import check_field_types, reject_unknown
-        reject_unknown("training", block, [f.name for f in fields(cls)])
-        check_field_types("training", block, cls)
-        return cls(**block)
 
 
 @dataclass

@@ -424,7 +424,8 @@ def test_bench_csv(workdir, capsys):
 
 def test_zero_phase_true_exits_2(workdir, capsys):
     """zero_phase was removed: false (stored by older models) still loads,
-    true is a config error, in a config and in a model's stored block."""
+    true is a config error in a config and makes a model file unusable
+    (exit 3), since infer takes no config."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
@@ -437,8 +438,33 @@ def test_zero_phase_true_exits_2(workdir, capsys):
     model = tmp_path / "m.psnn"
     model.write_bytes(_model_bytes(3, {"pipeline": block}))
     assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
-                 "--out", str(preds)]) == 2
+                 "--out", str(preds)]) == 3
     assert "ConfigInvalidValue: pipeline.zero_phase" in capsys.readouterr().err
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("extra,error", [
+    ({"pipeline": {"mode": 5}}, "ConfigInvalidValue: pipeline.mode must be a string"),
+    ({"pipeline": {"bogus": 1}}, "ConfigUnknownKey: pipeline.bogus"),
+    ({"pipeline": {"savgol": {"window": 14}}}, "InvalidKernelSpec"),
+    ({"pipeline": {"stride": 0}}, "ConfigInvalidValue: pipeline.stride"),
+    ({"pipeline": []}, "ConfigInvalidValue: pipeline must be an object"),
+    ({"window_packets": "100"}, "ConfigInvalidValue: window_packets must be an integer"),
+    ({"window_packets": 100.0}, "ConfigInvalidValue: window_packets must be an integer"),
+], ids=["mode-type", "unknown-key", "even-kernel", "zero-stride", "not-object",
+        "window-string", "window-float"])
+def test_bad_stored_pipeline_exits_3(workdir, capsys, extra, error):
+    """infer takes no config, so a stored block it cannot run is a data error
+    naming the model file, found before any prediction is written."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, extra))
+    preds = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 3
+    assert f"SchemaMismatch: model {model} stores {error}" in capsys.readouterr().err
     assert not preds.exists()
 
 
@@ -684,3 +710,60 @@ def test_non_finite_or_out_of_range_config_exits_2(workdir, capsys, command, ove
     tmp_path, out, cfg_path = workdir
     assert main([command, "--config", str(cfg_path), "--set", override]) == 2
     assert message in capsys.readouterr().err
+
+
+def _argv_exit_code(argv, capsys):
+    """main's exit code where argparse refuses a flag (it raises SystemExit),
+    and what it printed on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-3", "1", "2.5"])
+def test_cv_k_below_two_exits_2(workdir, capsys, k):
+    tmp_path, out, cfg_path = workdir
+    code, err = _argv_exit_code(["cv", "--config", str(cfg_path), "--k", k], capsys)
+    assert code == 2 and "--k: must be an integer >= 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "inf"),
+    ("--decision-threshold", "nan"), ("--decision-threshold", "1.5"),
+    ("--decision-threshold", "-0.1"),
+])
+def test_eval_threshold_out_of_range_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "report.json"
+    code, err = _argv_exit_code(["eval", "--model", "m.psnn", "--data", "d.psseg",
+                                 flag, value, "--out", str(out)], capsys)
+    assert code == 2 and f"{flag}: must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,key", [("breath", "frac_within_0_75_brpm"),
+                                      ("heart", "frac_within_1_5_bpm"),
+                                      (None, "frac_within_1_5_bpm")])
+def test_eval_default_threshold_is_the_stored_mode(workdir, capsys, mode, key):
+    """eval scores a model at its mode's threshold, as train and cv do;
+    a model with no stored pipeline uses the default (heart) one."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, mode and {"pipeline": {"mode": mode}}))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(out / "segments.psseg")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["threshold"] == (0.75 if mode == "breath" else 1.5) and key in doc
+
+
+@pytest.mark.parametrize("flag", ["--seq-len", "--batch", "--input-dim", "--n-preds"])
+def test_bench_flag_below_one_exits_2(tmp_path, capsys, flag):
+    argv = {"--seq-len": "16", "--batch": "8", "--input-dim": "4", "--n-preds": "32"}
+    argv[flag] = "0"
+    out = tmp_path / "bench.csv"
+    code, err = _argv_exit_code(
+        ["bench", "--out", str(out)] + [a for kv in argv.items() for a in kv], capsys)
+    assert code == 2 and f"{flag}: must be an integer >= 1, got '0'" in err
+    assert not out.exists()

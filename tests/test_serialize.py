@@ -1,5 +1,6 @@
 """Model container format: round trips, corruption detection, size bounds."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from pulsesense.dsp import read_segment_dump, run_pipeline, write_segment_dump
-from pulsesense.errors import BadMagic, ChecksumMismatch, NonFiniteSample, PulseSenseError
+from pulsesense.errors import (
+    BadMagic,
+    ChecksumMismatch,
+    NonFiniteSample,
+    PulseSenseError,
+    SchemaMismatch,
+)
 from pulsesense.ingest import CsiStream, LabelSeries, align
 from pulsesense.nn import (
     ModelConfig,
@@ -57,6 +64,16 @@ class TestRoundTrip:
             loaded, _ = load_model(save_model(params))
             for a, b in zip(params.tensors(), loaded.tensors()):
                 assert np.array_equal(a, b)
+
+
+    def test_golden_container_bytes(self):
+        """The container layout, JSON block included, is frozen: a full-size
+        model with a stored pipeline hashes to the same bytes as ever."""
+        data = save_model(init_params(ModelConfig(input_dim=64), 7),
+                          extra={"pipeline": {"mode": "heart"}, "window_packets": 400})
+        assert len(data) == 184135
+        assert hashlib.sha256(data).hexdigest() == (
+            "fc8f8fa270e4b84d4a589b95704bef08ff24832124ac62a18d2a74d24c2fb6f5")
 
 
 class TestCorruption:
@@ -109,6 +126,38 @@ def _sealed(payload: bytes) -> bytes:
 HOSTILE_JSON = [None, True, -1, 0, 2 ** 70, 1e308, float("nan"), "x", [], {}, [1, 2]]
 
 
+def _with_block(data: bytes, doc) -> bytes:
+    """The container ``data`` with its JSON block replaced by ``doc``."""
+    (json_len,) = struct.unpack_from("<I", data, 5)
+    blob = json.dumps(doc).encode()
+    return data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + json_len:-4]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("input_dim", 3.9), ("input_dim", "3"), ("input_dim", True),
+    ("lstm1_units", 4.7), ("dropout_rate", "0.2"), ("head", None),
+])
+def test_config_values_of_the_wrong_type_are_refused(key, value):
+    """The stored config is read as a config block is, never converted:
+    3.9 is not read as 3, nor "0.2" as 0.2."""
+    data = save_model(small_params())
+    (json_len,) = struct.unpack_from("<I", data, 5)
+    doc = dict(json.loads(data[9:9 + json_len]), **{key: value})
+    with pytest.raises(SchemaMismatch, match=f"model.{key} must be "):
+        load_model(_sealed(_with_block(data, doc)))
+
+
+def test_config_missing_a_field_is_refused():
+    """save_model writes every field, so a missing one is damage, not a
+    default."""
+    data = save_model(small_params())
+    (json_len,) = struct.unpack_from("<I", data, 5)
+    doc = json.loads(data[9:9 + json_len])
+    del doc["dropout_rate"]
+    with pytest.raises(SchemaMismatch, match="dropout_rate"):
+        load_model(_sealed(_with_block(data, doc)))
+
+
 def _damaged(rng, data: bytes) -> bytes:
     """One seeded truncation, run of bit flips, or tail of extra bytes."""
     kind = rng.integers(3)
@@ -131,7 +180,6 @@ class TestFuzz:
                                                  "window_packets": 100})
         (json_len,) = struct.unpack_from("<I", data, 5)
         doc = json.loads(data[9:9 + json_len])
-        tensors = data[9 + json_len:-4]
         for i in range(600):
             if i % 2:
                 payload = _damaged(rng, data[:-4])
@@ -145,12 +193,14 @@ class TestFuzz:
                     edited = [edited]
                 else:
                     edited[key] = HOSTILE_JSON[choice]
-                blob = json.dumps(edited).encode()
-                payload = data[:5] + struct.pack("<I", len(blob)) + blob + tensors
+                payload = _with_block(data, edited)
             try:
-                load_model(_sealed(payload))
+                params, extra = load_model(_sealed(payload))
             except PulseSenseError:
-                pass
+                continue
+            # what loads is what the block says: saved again, it gives the
+            # same bytes (an empty extra is saved as none)
+            assert save_model(params, extra) == _sealed(payload) or extra == {}
 
     def test_read_segment_dump(self):
         rng = np.random.default_rng(12)

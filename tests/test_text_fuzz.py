@@ -18,6 +18,7 @@ from pulsesense.ingest import (
     utf8_lines,
     write_canonical,
 )
+from pulsesense.nn import ModelConfig
 from pulsesense.training import TrainingConfig
 
 
@@ -115,12 +116,14 @@ VALID_CONFIG = {
 def _validators(cfg):
     """Each block's validator, as the commands run them after load_config."""
     return [
-        lambda: cfgmod.validate_ingest(cfgmod.require_block(cfg, "ingest")),
+        lambda: cfgmod.read_block("ingest", cfgmod.require_block(cfg, "ingest"),
+                                  cfgmod.IngestConfig),
         lambda: cfgmod.scenario_from_config(cfgmod.require_block(cfg, "synth")),
         lambda: PipelineConfig.from_dict(cfg.get("pipeline", {})).stages(20.0),
-        lambda: cfgmod.model_config_from_dict(cfg.get("model", {}), input_dim=3),
-        lambda: TrainingConfig.from_dict(cfg.get("training", {})),
-        lambda: cfgmod.validate_output(cfgmod.require_block(cfg, "output")),
+        lambda: cfgmod.read_block("model", cfg.get("model", {}), ModelConfig, input_dim=3),
+        lambda: cfgmod.read_block("training", cfg.get("training", {}), TrainingConfig),
+        lambda: cfgmod.read_block("output", cfgmod.require_block(cfg, "output"),
+                                  cfgmod.OutputConfig),
     ]
 
 
