@@ -21,7 +21,9 @@ import numpy as np
 from . import config as cfgmod
 from .bench import CSV_HEADER, bench_inference
 from .dsp.pipeline import (
+    MODES,
     PipelineConfig,
+    mode_spec,
     read_segment_dump,
     run_pipeline_config,
     segments_to_arrays,
@@ -56,9 +58,6 @@ from .training import (
     train,
 )
 
-MODE_THRESHOLDS = {"heart": 1.5, "breath": 0.75}
-
-
 def _write(path: str, data) -> None:
     mode = "wb" if isinstance(data, bytes) else "w"
     with open(path, mode) as fh:
@@ -72,7 +71,8 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _load_recording(cfg: dict):
+def _load_recording(cfg: dict, mode: str):
+    """The configured recording aligned to its labels, read as ``mode``'s kind."""
     ingest = cfgmod.read_block("ingest", cfgmod.require_block(cfg, "ingest"),
                                cfgmod.IngestConfig)
     with open(ingest.path, "rb") as fh:
@@ -81,8 +81,8 @@ def _load_recording(cfg: dict):
         stream = parse_esp32_csv(data, ingest.sample_rate_hz)
     else:
         stream = parse_canonical(data)
-    with open(ingest.labels.path, "rb") as fh:
-        labels = parse_labels(fh.read(), ingest.labels.kind)
+    with open(ingest.labels, "rb") as fh:
+        labels = parse_labels(fh.read(), mode_spec(mode).label_kind)
     return align(stream, labels)
 
 
@@ -92,8 +92,8 @@ def cmd_synth(args) -> int:
     out = _out_dir(cfg)
     rec = generate(scenario)
     _write(os.path.join(out, "stream.jsonl"), write_canonical(rec.stream))
-    for name, series in (("heart", rec.heart), ("breath", rec.breath),
-                         ("apnea", rec.apnea)):
+    for name in MODES:
+        series = rec.labels_for_mode(name)
         lines = [f"{float(t)!r},{float(v)!r}"
                  for t, v in zip(series.timestamps, series.values)]
         _write(os.path.join(out, f"labels_{name}.csv"), "\n".join(lines) + "\n")
@@ -104,7 +104,7 @@ def cmd_synth(args) -> int:
 
 def _process_segments(cfg: dict):
     pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
-    recording = _load_recording(cfg)
+    recording = _load_recording(cfg, pipeline_cfg.mode)
     segments = run_pipeline_config(recording, pipeline_cfg)
     return segments, pipeline_cfg, recording
 
@@ -137,9 +137,9 @@ def _training_inputs(cfg: dict):
     else:
         segments, pipeline_cfg, _ = _process_segments(cfg)
         x, y = segments_to_arrays(segments)
-    head = "binary" if pipeline_cfg.mode == "apnea" else "regression"
     model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
-                                  input_dim=x.shape[2], head=head)
+                                  input_dim=x.shape[2],
+                                  head=mode_spec(pipeline_cfg.mode).head)
     return training_cfg, model_cfg, pipeline_cfg, x, y
 
 
@@ -150,8 +150,8 @@ def cmd_train(args) -> int:
     idx = split_segments(x.shape[0], training_cfg)
     params, history = train((x[idx.train], y[idx.train]), model_cfg, training_cfg,
                             val_segments=(x[idx.val], y[idx.val]))
-    threshold = MODE_THRESHOLDS.get(pipeline_cfg.mode, 1.5)
-    report = evaluate(params, (x[idx.test], y[idx.test]), threshold=threshold)
+    report = evaluate(params, (x[idx.test], y[idx.test]),
+                      threshold=mode_spec(pipeline_cfg.mode).threshold)
 
     _write(os.path.join(out, "model.psnn"),
            save_model(params, extra={"pipeline": pipeline_cfg.to_dict(),
@@ -181,7 +181,11 @@ def cmd_eval(args) -> int:
     if threshold is None:
         with _stored_in(args.model):
             stored = PipelineConfig.from_dict((extra or {}).get("pipeline", {}))
-        threshold = MODE_THRESHOLDS.get(stored.mode, 1.5)
+        threshold = mode_spec(stored.mode).threshold
+        if threshold is None and params.config.head == "regression":
+            raise SchemaMismatch(
+                f"model {args.model} has a regression head but stores mode "
+                f"{stored.mode!r}, which has no threshold; pass --threshold")
     with open(args.data, "rb") as fh:
         x, y = read_segment_dump(fh.read())
     report = evaluate(params, (x, y), threshold=threshold,
@@ -198,9 +202,8 @@ def cmd_cv(args) -> int:
     cfg = cfgmod.load_config(args.config, args.set)
     out = _out_dir(cfg)
     training_cfg, model_cfg, pipeline_cfg, x, y = _training_inputs(cfg)
-    threshold = MODE_THRESHOLDS.get(pipeline_cfg.mode, 1.5)
     reports, aggregate = kfold_cv((x, y), model_cfg, training_cfg, k=args.k,
-                                  threshold=threshold)
+                                  threshold=mode_spec(pipeline_cfg.mode).threshold)
     doc = aggregate.to_json_dict()
     _write(os.path.join(out, "cv.json"), json.dumps(doc, indent=2) + "\n")
     print(f"{args.k}-fold CV done; aggregate in {out}/cv.json")
@@ -321,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--threshold", type=_in_range(float, 0.0),
-                    help="regression tolerance; default: the stored mode's "
-                         "(1.5 bpm heart, 0.75 brpm breath)")
+                    help="regression tolerance; default: the stored mode's")
     ev.add_argument("--decision-threshold", type=_in_range(float, 0.0, 1.0), default=0.5)
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_eval)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import List, Optional, get_args, get_type_hints
 
 from .errors import ConfigInvalidValue, ConfigUnknownKey
-from .ingest import LABEL_KINDS
 from .synth import Scenario, Schedule, scenario_by_name
 
 TOP_LEVEL_KEYS = ("ingest", "pipeline", "model", "training", "synth", "output")
@@ -27,19 +26,9 @@ SCENARIO_KEYS = ("name", "duration_s", "sample_rate_hz", "subcarriers",
 
 
 @dataclass(frozen=True)
-class LabelsConfig:
-    path: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in LABEL_KINDS:
-            raise ValueError(f"kind must be one of {LABEL_KINDS}, got {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class IngestConfig:
     path: str
-    labels: LabelsConfig
+    labels: str  # the label file; pipeline.mode sets its kind
     format: str = "canonical"
     sample_rate_hz: Optional[float] = None  # esp32 only; None estimates it
 
@@ -84,24 +73,22 @@ def check_type(name: str, value, kind: type):
 def _read_value(name: str, value, hint):
     if type(None) in get_args(hint):  # Optional[X]: X or null
         return None if value is None else _read_value(name, value, get_args(hint)[0])
-    if is_dataclass(hint):
-        return read_block(name, value, hint)
     return check_type(name, value, hint)
 
 
-def read_block(name: str, block, cls, **given):
+def read_block(name: str, block, cls, **fixed):
     """The dataclass ``cls`` read from the JSON object ``block``.
 
     Each key must be a field of ``cls`` and its value of the field's type
-    (``check_type``); an Optional field also takes null, and a
-    dataclass-typed field is read recursively. ``given`` supplies values the
-    block may override. A missing required field, or a ValueError from
+    (``check_type``); an Optional field also takes null. ``fixed``
+    supplies values the block may not set: a key naming one is a
+    ConfigUnknownKey. A missing required field, or a ValueError from
     ``cls`` itself (whose message starts with the field it names), is a
     ConfigInvalidValue naming the block.
     """
     hints = get_type_hints(cls)
-    reject_unknown(name, block, hints)
-    kwargs = dict(given)
+    reject_unknown(name, block, hints.keys() - fixed.keys())
+    kwargs = dict(fixed)
     for key, value in block.items():
         kwargs[key] = _read_value(f"{name}.{key}", value, hints[key])
     for f in fields(cls):

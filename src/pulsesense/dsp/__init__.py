@@ -6,11 +6,12 @@ from .filters import (
     frequency_response,
 )
 from .pipeline import (
+    MODES,
     AmplitudeSeries,
     PipelineConfig,
     WindowSegment,
     amplitude,
-    band_for_mode,
+    mode_spec,
     read_segment_dump,
     remove_dc,
     run_pipeline,
@@ -25,9 +26,9 @@ from .pipeline import (
 from .savgol import mirror_pad, savgol_kernel, smooth_padded, smooth_values
 
 __all__ = [
-    "AmplitudeSeries", "FilterSpec", "FilterState", "PipelineConfig",
-    "WindowSegment", "amplitude", "band_for_mode", "design_bandpass",
-    "filter_values", "frequency_response", "mirror_pad", "read_segment_dump",
+    "MODES", "AmplitudeSeries", "FilterSpec", "FilterState", "PipelineConfig",
+    "WindowSegment", "amplitude", "design_bandpass", "filter_values",
+    "frequency_response", "mirror_pad", "mode_spec", "read_segment_dump",
     "remove_dc", "run_pipeline", "run_pipeline_config", "savgol_kernel",
     "segment", "segments_to_arrays", "sequential_column_mean", "smooth_padded",
     "smooth_values", "standardize", "window_length", "write_segment_dump",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,23 @@ from ..ingest import AlignedRecording, CsiStream
 from .filters import BiquadCascade, FilterSpec, design_bandpass, filter_values
 from .savgol import SavGolKernel, savgol_kernel, smooth_values
 
-MODE_BANDS = {
-    "heart": (0.8, 2.17),
-    "breath": (0.1, 0.5),
-    "apnea": (0.0, 0.5),  # zero low edge: low-pass over the breathing band
+
+class Mode(NamedTuple):
+    """What a task fixes: its default band, the label kind it learns from,
+    its model head, and the regression tolerance it is scored at (in label
+    units; None for the binary head, which a decision threshold scores)."""
+
+    band: Tuple[float, float]
+    label_kind: str
+    head: str
+    threshold: Optional[float]
+
+
+MODES = {
+    "heart": Mode((0.8, 2.17), "heart_rate_bpm", "regression", 1.5),
+    "breath": Mode((0.1, 0.5), "breathing_rate_brpm", "regression", 0.75),
+    # zero low edge: low-pass over the breathing band
+    "apnea": Mode((0.0, 0.5), "apnea_flag", "binary", None),
 }
 
 BANDPASS_ORDER = 3
@@ -106,12 +119,13 @@ def remove_dc(series: AmplitudeSeries) -> AmplitudeSeries:
     return AmplitudeSeries(series.values - mu, series.sample_rate_hz)
 
 
-def band_for_mode(mode: str) -> Tuple[float, float]:
+def mode_spec(mode: str) -> Mode:
+    """The ``MODES`` entry of ``mode``; any other name is a config error."""
     try:
-        return MODE_BANDS[mode]
+        return MODES[mode]
     except KeyError:
         raise ConfigInvalidValue(
-            f"mode must be one of {sorted(MODE_BANDS)}, got {mode!r}") from None
+            f"mode must be one of {sorted(MODES)}, got {mode!r}") from None
 
 
 def window_length(window_s: float, sample_rate_hz: float) -> int:
@@ -165,11 +179,12 @@ def standardize(window: np.ndarray) -> np.ndarray:
 
 
 def window_label(aligned: np.ndarray, start: int, w: int, mode: str) -> float:
-    """Rate labels average over the window; apnea uses the 50% majority rule."""
-    chunk = aligned[start:start + w]
-    if mode == "apnea":
-        return 1.0 if float(np.mean(chunk)) >= 0.5 else 0.0
-    return float(np.mean(chunk))
+    """Rate labels average over the window; a binary mode's label is the
+    50% majority of its flags."""
+    mean = float(np.mean(aligned[start:start + w]))
+    if mode_spec(mode).head == "binary":
+        return 1.0 if mean >= 0.5 else 0.0
+    return mean
 
 
 @dataclass
@@ -193,7 +208,7 @@ class PipelineConfig:
         reject_unknown("pipeline", block, cls._ALLOWED)
         cfg = cls()
         cfg.mode = check_type("pipeline.mode", block.get("mode", cfg.mode), str)
-        band_for_mode(cfg.mode)
+        mode_spec(cfg.mode)
         cfg.window_s = float(check_type(
             "pipeline.window_s", block.get("window_s", cfg.window_s), float))
         cfg.stride = check_type("pipeline.stride", block.get("stride", cfg.stride), int)
@@ -234,7 +249,7 @@ class PipelineConfig:
         return out
 
     def effective_band(self) -> Tuple[float, float]:
-        return self.band if self.band is not None else band_for_mode(self.mode)
+        return self.band if self.band is not None else mode_spec(self.mode).band
 
     def stages(self, sample_rate_hz: float) -> Tuple[BiquadCascade, SavGolKernel, int]:
         """(band-pass cascade, smoothing kernel, window length in packets) at

@@ -41,13 +41,6 @@ class MetricsReport:
                       "frac_within_threshold", "accuracy", "sensitivity",
                       "specificity", "kappa")
 
-    def _frac_key(self) -> str:
-        if self.threshold == 1.5:
-            return "frac_within_1_5_bpm"
-        if self.threshold == 0.75:
-            return "frac_within_0_75_brpm"
-        return "frac_within_threshold"
-
     def to_json_dict(self) -> dict:
         out = {"n": self.n}
         if self.mae is not None:
@@ -55,7 +48,7 @@ class MetricsReport:
             out["mape_percent"] = self.mape_percent
             out["mape_complement"] = self.mape_complement
             out["threshold"] = self.threshold
-            out[self._frac_key()] = self.frac_within_threshold
+            out["frac_within_threshold"] = self.frac_within_threshold
         if self.accuracy is not None:
             out.update(accuracy=self.accuracy, sensitivity=self.sensitivity,
                        specificity=self.specificity, kappa=self.kappa,

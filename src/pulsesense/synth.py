@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .dsp.pipeline import mode_spec
 from .errors import InvalidScenario
 from .ingest import CsiStream, LabelSeries
 
@@ -129,8 +130,8 @@ class SynthRecording:
     apnea: LabelSeries
 
     def labels_for_mode(self, mode: str) -> LabelSeries:
-        return {"heart": self.heart, "breath": self.breath,
-                "apnea": self.apnea}[mode]
+        kind = mode_spec(mode).label_kind
+        return next(s for s in (self.heart, self.breath, self.apnea) if s.kind == kind)
 
 
 def _gate(t: np.ndarray, intervals) -> np.ndarray:

@@ -41,8 +41,6 @@ from .nn import (
     mse_loss,
 )
 
-SPLIT_MODES = ("window_level", "recording_level")
-
 Arrays = Tuple[np.ndarray, np.ndarray]  # (x, y): (N, W, S) windows, N labels
 
 
@@ -56,7 +54,6 @@ class TrainingConfig:
     lr_factor: float = 0.5
     val_fraction_of_train: float = 0.2
     seed: int = 0
-    split: str = "window_level"
     standardize_targets: bool = True
 
     def __post_init__(self):
@@ -69,8 +66,6 @@ class TrainingConfig:
             raise ConfigInvalidValue("patiences must be >= 1")
         if not 0.0 < self.val_fraction_of_train < 1.0:
             raise ConfigInvalidValue("val_fraction_of_train must be in (0, 1)")
-        if self.split not in SPLIT_MODES:
-            raise ConfigInvalidValue(f"split must be one of {SPLIT_MODES}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigInvalidValue("batch_size and max_epochs must be >= 1")
         if self.seed < 0:
@@ -112,25 +107,23 @@ def _float_arrays(data: Arrays) -> Arrays:
 
 def split_segments(n: int, config: TrainingConfig,
                    recording_ids: Optional[Sequence] = None) -> SplitIndices:
-    """Seeded shuffle of ``n`` segment indices, then a 64/16/20 cut.
+    """Seeded shuffle of whole recordings, then a 64/16/20 cut of the
+    ``n`` segment indices on recording boundaries, so no recording
+    straddles two splits.
 
-    In recording_level mode whole recordings are shuffled and the cuts land
-    on recording boundaries, so no recording straddles two splits.
+    ``recording_ids`` holds one id per segment; without it every segment is
+    its own recording, and the cut falls on a shuffle of the segments.
     """
     if n < 5:
         raise TooFewSegments(f"need at least 5 segments, got {n}")
+    if recording_ids is None:
+        recording_ids = range(n)
+    elif len(recording_ids) != n:
+        raise ConfigInvalidValue(
+            f"need one recording id per segment: {len(recording_ids)} ids, {n} segments")
     rng = np.random.default_rng(config.seed)
     n_train = _round_half_up(0.64 * n)
     n_val = _round_half_up(0.16 * n)
-
-    if config.split == "window_level":
-        perm = rng.permutation(n)
-        return SplitIndices(perm[:n_train], perm[n_train:n_train + n_val],
-                            perm[n_train + n_val:])
-
-    if recording_ids is None or len(recording_ids) != n:
-        raise ConfigInvalidValue(
-            "recording_level split needs one recording id per segment")
     rec_ids = list(dict.fromkeys(recording_ids))  # first-appearance order
     order = rng.permutation(len(rec_ids))
     by_rec = {rid: [] for rid in rec_ids}
@@ -288,7 +281,7 @@ def predict(params: ModelParams, segments: Arrays, chunk: int = 64) -> np.ndarra
 
 
 def evaluate(params: ModelParams, segments: Arrays, *,
-             threshold: float = 1.5,
+             threshold: Optional[float] = 1.5,
              decision_threshold: float = 0.5) -> MetricsReport:
     """Predict then score with the metric set matching the head type."""
     x, y = _float_arrays(segments)
@@ -329,7 +322,7 @@ def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateReport:
 
 def repeat_runs(segments: Arrays, model_config: ModelConfig,
                 config: TrainingConfig, n: int = 3, *,
-                threshold: float = 1.5,
+                threshold: Optional[float] = 1.5,
                 recording_ids: Optional[Sequence] = None) -> AggregateReport:
     """n independent seeded runs (seed, seed+1, ...) with fresh shuffles."""
     x, y = _float_arrays(segments)
@@ -346,8 +339,10 @@ def repeat_runs(segments: Arrays, model_config: ModelConfig,
 
 def kfold_cv(segments: Arrays, model_config: ModelConfig,
              config: TrainingConfig, k: int = 10, *,
-             threshold: float = 1.5) -> Tuple[List[MetricsReport], AggregateReport]:
+             threshold: Optional[float] = 1.5) -> Tuple[List[MetricsReport], AggregateReport]:
     """Seeded shuffle, k contiguous folds, each fold once as the test set."""
+    if k < 2:
+        raise ConfigInvalidValue(f"k-fold CV needs k >= 2 folds, got {k}")
     x, y = _float_arrays(segments)
     n = x.shape[0]
     if n < k:

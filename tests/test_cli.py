@@ -31,8 +31,7 @@ def workdir(tmp_path):
         "ingest": {
             "format": "canonical",
             "path": str(out / "stream.jsonl"),
-            "labels": {"path": str(out / "labels_heart.csv"),
-                       "kind": "heart_rate_bpm"},
+            "labels": str(out / "labels_heart.csv"),
         },
         "pipeline": {"mode": "heart", "window_s": 5.0, "stride": 10},
         "model": {"lstm1_units": 6, "lstm2_units": 4, "dense_units": 4,
@@ -124,6 +123,10 @@ def test_cv_command(workdir):
     assert len(doc["runs"]) == 5
     assert sum(r["n"] for r in doc["runs"]) == 111
     assert "mae" in doc["means"] and "mae" in doc["stds"]
+    # the runs and their means name each metric alike
+    assert set(doc["means"]) == set(doc["stds"]) == {
+        "mae", "mape_percent", "mape_complement", "frac_within_threshold"}
+    assert all(set(doc["means"]) <= set(run) for run in doc["runs"])
 
 
 def test_esp32_ingest_path(workdir):
@@ -144,7 +147,7 @@ def test_esp32_ingest_path(workdir):
         "format": "esp32",
         "path": str(capture),
         "sample_rate_hz": 20.0,
-        "labels": {"path": str(labels), "kind": "heart_rate_bpm"},
+        "labels": str(labels),
     }
     cfg["pipeline"] = {"mode": "heart", "window_s": 5.0, "stride": 20}
     esp_cfg = tmp_path / "esp.json"
@@ -167,7 +170,7 @@ def test_esp32_non_finite_timestamp_exits_3(workdir, capsys):
     labels.write_text("0.0,72\n5.0,72\n10.0,72\n")
     cfg = json.loads(cfg_path.read_text())
     cfg["ingest"] = {"format": "esp32", "path": str(capture),
-                     "labels": {"path": str(labels), "kind": "heart_rate_bpm"}}
+                     "labels": str(labels)}
     esp_cfg = tmp_path / "esp.json"
     esp_cfg.write_text(json.dumps(cfg))
     assert main(["process", "--config", str(esp_cfg)]) == 3
@@ -548,9 +551,13 @@ def test_infer_refuses_stream_width_other_than_model(workdir, capsys):
 
 @pytest.mark.parametrize("command,override,message", [
     ("process", "ingest.path=0", "ingest.path must be a string"),
-    ("process", 'ingest.labels.kind="bogus"', "ingest.labels.kind must be one of"),
-    ("process", "ingest.labels.path=1", "ingest.labels.path must be a string"),
+    ("process", 'ingest.labels={"path": "l.csv", "kind": "heart_rate_bpm"}',
+     "ingest.labels must be a string"),
+    ("process", "ingest.labels=1", "ingest.labels must be a string"),
     ("process", "output.dir=5", "output.dir must be a string"),
+    # the head comes from pipeline.mode and the input width from the data
+    ("train", "model.head=binary", "ConfigUnknownKey: model.head"),
+    ("train", "model.input_dim=2", "ConfigUnknownKey: model.input_dim"),
     ("synth", 'synth.scenario.hr_bpm="abc"', "synth.scenario.hr_bpm must be a number"),
     ("synth", "synth.scenario.hr_bpm=[[0,70],[5]]", "synth.scenario.hr_bpm must hold"),
     ("synth", "synth.scenario.apnea_intervals=5", "synth.scenario.apnea_intervals must be a list"),
@@ -561,11 +568,12 @@ def test_infer_refuses_stream_width_other_than_model(workdir, capsys):
 ])
 def test_config_block_values_exit_2(workdir, capsys, command, override, message):
     tmp_path, out, cfg_path = workdir
-    if command == "process":
+    if command != "synth":
         assert main(["synth", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     assert main([command, "--config", str(cfg_path), "--set", override]) == 2
     assert message in capsys.readouterr().err
+    assert not (out / "model.psnn").exists()
 
 
 @pytest.mark.parametrize("rate", ['"abc"', "0", "-20"])
@@ -575,7 +583,7 @@ def test_esp32_sample_rate_value_exits_2(workdir, capsys, rate):
     capture.write_text("".join(f"{i / 20.0},1,2,3,4\n" for i in range(200)))
     cfg = json.loads(cfg_path.read_text())
     cfg["ingest"] = {"format": "esp32", "path": str(capture), "sample_rate_hz": json.loads(rate),
-                     "labels": {"path": str(tmp_path / "labels.csv"), "kind": "heart_rate_bpm"}}
+                     "labels": str(tmp_path / "labels.csv")}
     esp_cfg = tmp_path / "esp.json"
     esp_cfg.write_text(json.dumps(cfg))
     assert main(["process", "--config", str(esp_cfg)]) == 2
@@ -746,7 +754,9 @@ def test_eval_threshold_out_of_range_exits_2(tmp_path, capsys, flag, value):
                                       (None, "frac_within_1_5_bpm")])
 def test_eval_default_threshold_is_the_stored_mode(workdir, capsys, mode, key):
     """eval scores a model at its mode's threshold, as train and cv do;
-    a model with no stored pipeline uses the default (heart) one."""
+    a model with no stored pipeline uses the default (heart) one. The
+    fraction is written as frac_within_threshold, never under a per-unit
+    ``key``."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["process", "--config", str(cfg_path)]) == 0
@@ -755,7 +765,53 @@ def test_eval_default_threshold_is_the_stored_mode(workdir, capsys, mode, key):
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--data", str(out / "segments.psseg")]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["threshold"] == (0.75 if mode == "breath" else 1.5) and key in doc
+    assert doc["threshold"] == (0.75 if mode == "breath" else 1.5)
+    assert "frac_within_threshold" in doc and key not in doc
+
+
+def test_eval_threshold_flag_names_no_unit(workdir, capsys):
+    """--threshold 1.5 on a breath model is scored at 1.5 under the one key
+    every report uses, not a heart-rate key."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": {"mode": "breath"}}))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(out / "segments.psseg"),
+                 "--threshold", "1.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["threshold"] == 1.5 and "frac_within_threshold" in doc
+    assert not [key for key in doc if "bpm" in key]
+
+
+def test_eval_regression_model_of_a_binary_mode_needs_a_threshold(workdir, capsys):
+    """A regression model that stores the apnea mode has no default
+    threshold: eval asks for --threshold instead of guessing one."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": {"mode": "apnea"}}))
+    argv = ["eval", "--model", str(model), "--data", str(out / "segments.psseg")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "SchemaMismatch" in err and "pass --threshold" in err
+    assert main(argv + ["--threshold", "1.5"]) == 0
+
+
+@pytest.mark.parametrize("mode,kind", [("breath", "breathing_rate_brpm"),
+                                       ("apnea", "apnea_flag")])
+def test_mode_reads_its_own_label_kind(workdir, capsys, mode, kind):
+    """pipeline.mode sets the label kind: the heart label file read as
+    another mode's labels is out of range before any training."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--set", f"pipeline.mode={mode}"]) == 3
+    assert f"ValueOutOfRange: {kind}: value" in capsys.readouterr().err
+    assert not (out / "model.psnn").exists()
 
 
 @pytest.mark.parametrize("flag", ["--seq-len", "--batch", "--input-dim", "--n-preds"])

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from pulsesense.config import IngestConfig, LabelsConfig, check_type, read_block
+from pulsesense.config import IngestConfig, check_type, read_block
 from pulsesense.dsp import PipelineConfig
 from pulsesense.errors import ConfigInvalidValue, ConfigUnknownKey
 from pulsesense.nn import ModelConfig
@@ -49,29 +49,27 @@ def test_pipeline_round_trip_and_int_for_float():
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
 
-INGEST = {"path": "rec.jsonl", "labels": {"path": "hr.csv", "kind": "heart_rate_bpm"}}
+INGEST = {"path": "rec.jsonl", "labels": "hr.csv"}
 
 
-def test_read_block_reads_nested_and_optional_fields():
+def test_read_block_reads_optional_fields():
     cfg = read_block("ingest", dict(INGEST, sample_rate_hz=None), IngestConfig)
-    assert cfg == IngestConfig("rec.jsonl", LabelsConfig("hr.csv", "heart_rate_bpm"))
+    assert cfg == IngestConfig("rec.jsonl", "hr.csv")
     assert read_block("ingest", dict(INGEST, sample_rate_hz=80), IngestConfig).sample_rate_hz == 80
 
 
 @pytest.mark.parametrize("block,error,message", [
     ({"labels": INGEST["labels"]}, ConfigInvalidValue, "ingest.path is required"),
     ({"path": "rec.jsonl"}, ConfigInvalidValue, "ingest.labels is required"),
-    (dict(INGEST, labels={"path": "hr.csv"}), ConfigInvalidValue,
-     "ingest.labels.kind is required"),
+    # the object form that also named the label kind, which pipeline.mode now sets
+    (dict(INGEST, labels={"path": "hr.csv", "kind": "heart_rate_bpm"}), ConfigInvalidValue,
+     "ingest.labels must be a string"),
     (dict(INGEST, pth="x"), ConfigUnknownKey, "ingest.pth"),
-    (dict(INGEST, labels={"path": "hr.csv", "kind": "heart_rate_bpm", "x": 1}),
-     ConfigUnknownKey, "ingest.labels.x"),
-    (dict(INGEST, labels={"path": "hr.csv", "kind": "pulse"}), ConfigInvalidValue,
-     "ingest.labels.kind must be one of"),
-    (dict(INGEST, labels={"path": "hr.csv", "kind": 3}), ConfigInvalidValue,
-     "ingest.labels.kind must be a string"),
-    (dict(INGEST, labels="hr.csv"), ConfigInvalidValue, "ingest.labels must be an object"),
-    (dict(INGEST, labels=None), ConfigInvalidValue, "ingest.labels must be an object"),
+    (dict(INGEST, kind="heart_rate_bpm"), ConfigUnknownKey, "ingest.kind"),
+    (dict(INGEST, labels=3), ConfigInvalidValue, "ingest.labels must be a string"),
+    (dict(INGEST, labels=["hr.csv"]), ConfigInvalidValue, "ingest.labels must be a string"),
+    (dict(INGEST, labels=True), ConfigInvalidValue, "ingest.labels must be a string"),
+    (dict(INGEST, labels=None), ConfigInvalidValue, "ingest.labels must be a string"),
     (dict(INGEST, path=None), ConfigInvalidValue, "ingest.path must be a string"),
     (dict(INGEST, format=None), ConfigInvalidValue, "ingest.format must be a string"),
     (dict(INGEST, sample_rate_hz="80"), ConfigInvalidValue,
@@ -81,17 +79,20 @@ def test_read_block_reads_nested_and_optional_fields():
     ([INGEST], ConfigInvalidValue, "ingest must be an object"),
 ])
 def test_read_block_names_the_key(block, error, message):
-    """A missing or unknown key names its block; null is taken only by an
-    Optional field; an error in a nested block names the nested key."""
+    """A missing or unknown key names its block, and null is taken only by
+    an Optional field."""
     with pytest.raises(error, match=re.escape(message)):
         read_block("ingest", block, IngestConfig)
 
 
-def test_read_block_given_values_are_defaults_the_block_overrides():
+def test_read_block_fixed_values_cannot_be_set():
+    """Values the caller fixes (the CLI's input width and mode head) are
+    not keys of the block: setting one is an unknown key."""
     assert read_block("model", {}, ModelConfig, input_dim=3, head="binary") == \
         ModelConfig(input_dim=3, head="binary")
-    assert read_block("model", {"head": "regression"}, ModelConfig, input_dim=3,
-                      head="binary").head == "regression"
+    for key, value in (("head", "regression"), ("input_dim", 2)):
+        with pytest.raises(ConfigUnknownKey, match=re.escape(f"model.{key}")):
+            read_block("model", {key: value}, ModelConfig, input_dim=3, head="binary")
     with pytest.raises(ConfigInvalidValue, match=re.escape("model.input_dim is required")):
         read_block("model", {}, ModelConfig)
     with pytest.raises(ConfigInvalidValue, match=re.escape("model.dropout_rate must be in")):

@@ -139,12 +139,14 @@ class TestSerialization:
     def test_json_keys_regression(self):
         rep = regression_metrics([100.0], [99.0], threshold=1.5)
         doc = rep.to_json_dict()
-        assert doc["frac_within_1_5_bpm"] == 1.0
+        assert doc["threshold"] == 1.5 and doc["frac_within_threshold"] == 1.0
         assert "mae" in doc and "mape_percent" in doc and "mape_complement" in doc
 
     def test_json_keys_breathing_threshold(self):
-        rep = regression_metrics([15.0], [14.9], threshold=0.75)
-        assert "frac_within_0_75_brpm" in rep.to_json_dict()
+        """The key names no unit: the threshold next to it says which."""
+        doc = regression_metrics([15.0], [14.9], threshold=0.75).to_json_dict()
+        assert doc["threshold"] == 0.75 and doc["frac_within_threshold"] == 1.0
+        assert not [key for key in doc if "bpm" in key]
 
     def test_csv_row_matches_header(self):
         rep = classification_metrics([0.9, 0.1], [1, 0])

@@ -269,12 +269,12 @@ class TestRunPipeline:
 
 class TestPipelineConfig:
     def test_explicit_band_overrides_mode_default(self):
-        from pulsesense.dsp import PipelineConfig, band_for_mode
+        from pulsesense.dsp import MODES, PipelineConfig
         cfg = PipelineConfig.from_dict(
             {"mode": "heart", "band": {"low_hz": 0.5, "high_hz": 3.0}})
         assert cfg.effective_band() == (0.5, 3.0)
         cfg = PipelineConfig.from_dict({"mode": "breath"})
-        assert cfg.effective_band() == band_for_mode("breath")
+        assert cfg.effective_band() == MODES["breath"].band
 
 
 class TestSegmentDump:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pulsesense.dsp import (
+    MODES,
     PipelineConfig,
     amplitude,
     remove_dc,
@@ -57,8 +58,7 @@ class TestBitEquality:
         labels = rec.labels_for_mode(mode)
         recording = align(rec.stream, labels)
         cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride)
-        head = "binary" if mode == "apnea" else "regression"
-        params = init_params(ModelConfig(input_dim=3, head=head), seed=1)
+        params = init_params(ModelConfig(input_dim=3, head=MODES[mode].head), seed=1)
         batch = batch_predictions(params, recording, cfg, fs)
         stream = stream_predictions(params, rec, cfg, fs)
         assert len(batch) == len(stream) and len(batch) > 0
@@ -133,10 +133,9 @@ class TestSweep:
         cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
                              savgol_window=sg_window, savgol_order=sg_order,
                              subcarriers=subs)
-        head = "binary" if mode == "apnea" else "regression"
         params = init_params(ModelConfig(input_dim=4 if subs is None else len(subs),
                                          lstm1_units=4, lstm2_units=3, dense_units=2,
-                                         head=head), seed=3)
+                                         head=MODES[mode].head), seed=3)
 
         segments = run_pipeline_config(
             AlignedRecording(stream, labels, np.zeros(t_len)), cfg)

@@ -102,7 +102,7 @@ VALID_CONFIG = {
                            "br_brpm": 15.0, "apnea_intervals": [[10, 20]],
                            "noise_std": 0.05, "seed": 9}},
     "ingest": {"format": "esp32", "path": "capture.csv", "sample_rate_hz": 80.0,
-               "labels": {"path": "labels.csv", "kind": "heart_rate_bpm"}},
+               "labels": "labels.csv"},
     "pipeline": {"mode": "heart", "window_s": 5.0, "stride": 10,
                  "band": {"low_hz": 0.8, "high_hz": 2.0},
                  "savgol": {"window": 15, "order": 3}, "subcarriers": [0, 2]},
@@ -120,7 +120,8 @@ def _validators(cfg):
                                   cfgmod.IngestConfig),
         lambda: cfgmod.scenario_from_config(cfgmod.require_block(cfg, "synth")),
         lambda: PipelineConfig.from_dict(cfg.get("pipeline", {})).stages(20.0),
-        lambda: cfgmod.read_block("model", cfg.get("model", {}), ModelConfig, input_dim=3),
+        lambda: cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
+                                  input_dim=3, head="regression"),
         lambda: cfgmod.read_block("training", cfg.get("training", {}), TrainingConfig),
         lambda: cfgmod.read_block("output", cfgmod.require_block(cfg, "output"),
                                   cfgmod.OutputConfig),

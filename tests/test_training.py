@@ -53,8 +53,21 @@ class TestSplit:
         b = split_segments(50, TrainingConfig(seed=2))
         assert not np.array_equal(a.train, b.train)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_recording_per_segment_is_a_window_shuffle(self, seed):
+        """Without recording ids every segment is its own recording, and the
+        split is a seeded permutation of the segments cut 64/16/20."""
+        for n in range(5, 400):
+            idx = split_segments(n, TrainingConfig(seed=seed))
+            perm = np.random.default_rng(seed).permutation(n)
+            n_train, n_val = int(0.64 * n + 0.5), int(0.16 * n + 0.5)
+            for got, want in ((idx.train, perm[:n_train]),
+                              (idx.val, perm[n_train:n_train + n_val]),
+                              (idx.test, perm[n_train + n_val:])):
+                assert np.array_equal(got, want)
+
     def test_recording_level_no_straddling(self):
-        cfg = TrainingConfig(seed=4, split="recording_level")
+        cfg = TrainingConfig(seed=4)
         rec_ids = [i // 10 for i in range(100)]  # 10 recordings x 10 windows
         idx = split_segments(100, cfg, recording_ids=rec_ids)
         for rid in range(10):
@@ -66,8 +79,10 @@ class TestSplit:
         assert np.array_equal(union, np.arange(100))
 
     def test_recording_level_needs_ids(self):
-        with pytest.raises(ConfigInvalidValue):
-            split_segments(10, TrainingConfig(split="recording_level"))
+        """Recording ids, when given, number one per segment."""
+        for ids in ([0] * 9, [0] * 11):
+            with pytest.raises(ConfigInvalidValue, match="one recording id per segment"):
+                split_segments(10, TrainingConfig(), recording_ids=ids)
 
     def test_too_few(self):
         with pytest.raises(TooFewSegments):
@@ -226,6 +241,12 @@ class TestRepeatRuns:
 
 
 class TestKFold:
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_refused(self, k):
+        x, y = np.zeros((6, 10, 2)), np.full(6, 70.0)
+        with pytest.raises(ConfigInvalidValue, match=f"needs k >= 2 folds, got {k}"):
+            kfold_cv((x, y), TINY_MODEL, TrainingConfig(), k=k)
+
     def test_every_segment_tested_exactly_once(self):
         x, y = tiny_dataset(55, seed=2)
         cfg = TrainingConfig(seed=4, batch_size=8, max_epochs=1)
