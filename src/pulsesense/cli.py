@@ -9,6 +9,7 @@ write only into the configured output directory. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -102,17 +103,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _process_segments(cfg: dict):
-    pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
-    recording = _load_recording(cfg, pipeline_cfg.mode)
-    segments = run_pipeline_config(recording, pipeline_cfg)
-    return segments, pipeline_cfg, recording
+def _process_segments(cfg: dict, pipeline_cfg: PipelineConfig):
+    return run_pipeline_config(_load_recording(cfg, pipeline_cfg.mode), pipeline_cfg)
 
 
 def cmd_process(args) -> int:
     cfg = cfgmod.load_config(args.config, args.set)
     out = _out_dir(cfg)
-    segments, pipeline_cfg, _ = _process_segments(cfg)
+    pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
+    segments = _process_segments(cfg, pipeline_cfg)
     _write(os.path.join(out, "segments.psseg"), write_segment_dump(segments))
     w, s = segments[0].values.shape
     summary = {"count": len(segments), "window_packets": w, "subcarriers": s,
@@ -125,21 +124,21 @@ def cmd_process(args) -> int:
 def _training_inputs(cfg: dict):
     """Configs and the (x, y) pair for train and cv. ``training.segments``,
     the CLI's own key, names a segment dump to read instead of running
-    ingest and the pipeline."""
+    ingest and the pipeline. Every block is read before any data is: the
+    model's ``input_dim``, which the data sets, is filled in last."""
     block = cfg.get("training", {})
     segments_path = (cfgmod.check_type("training.segments", block.pop("segments", ""), str)
                      if isinstance(block, dict) else "")
     training_cfg = cfgmod.read_block("training", block, TrainingConfig)
+    pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
+    model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
+                                  input_dim=1, head=mode_spec(pipeline_cfg.mode).head)
     if segments_path:
         with open(segments_path, "rb") as fh:
             x, y = read_segment_dump(fh.read())
-        pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
     else:
-        segments, pipeline_cfg, _ = _process_segments(cfg)
-        x, y = segments_to_arrays(segments)
-    model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
-                                  input_dim=x.shape[2],
-                                  head=mode_spec(pipeline_cfg.mode).head)
+        x, y = segments_to_arrays(_process_segments(cfg, pipeline_cfg))
+    model_cfg = dataclasses.replace(model_cfg, input_dim=x.shape[2])
     return training_cfg, model_cfg, pipeline_cfg, x, y
 
 
@@ -174,18 +173,30 @@ def _stored_in(model_path: str):
             f"model {model_path} stores {type(exc).__name__}: {exc}") from None
 
 
+def _check_head(model_path: str, params, extra: dict, stored: PipelineConfig) -> None:
+    """A model whose stored mode takes another head than its own would print
+    one task's outputs as another's."""
+    head = mode_spec(stored.mode).head
+    if "pipeline" in extra and head != params.config.head:
+        raise SchemaMismatch(
+            f"model {model_path} has a {params.config.head} head but stores mode "
+            f"{stored.mode!r}, whose head is {head}")
+
+
 def cmd_eval(args) -> int:
     with open(args.model, "rb") as fh:
         params, extra = load_model(fh.read())
+    extra = extra or {}
     threshold = args.threshold
     if threshold is None:
         with _stored_in(args.model):
-            stored = PipelineConfig.from_dict((extra or {}).get("pipeline", {}))
+            stored = PipelineConfig.from_dict(extra.get("pipeline", {}))
         threshold = mode_spec(stored.mode).threshold
         if threshold is None and params.config.head == "regression":
             raise SchemaMismatch(
                 f"model {args.model} has a regression head but stores mode "
                 f"{stored.mode!r}, which has no threshold; pass --threshold")
+        _check_head(args.model, params, extra, stored)
     with open(args.data, "rb") as fh:
         x, y = read_segment_dump(fh.read())
     report = evaluate(params, (x, y), threshold=threshold,
@@ -239,6 +250,7 @@ def cmd_infer(args) -> int:
         pipeline_cfg = PipelineConfig.from_dict(extra.get("pipeline", {}))
         _, _, w = pipeline_cfg.stages(fs)
         trained_w = cfgmod.check_type("window_packets", extra.get("window_packets", w), int)
+    _check_head(args.model, params, extra, pipeline_cfg)
     if trained_w != w:
         raise SchemaMismatch(
             f"model was trained on {trained_w}-packet windows; "

@@ -8,9 +8,28 @@ Training math is float64 throughout. Dropout is inverted (masks scaled by
 1/(1-p)), applied to the first LSTM's output sequence and to the second
 LSTM's final hidden state, and disabled at inference.
 
-The sigmoid is computed as 0.5 * (1 + tanh(z / 2)), so each timestep applies
-one ufunc chain to the whole packed gate row (no per-sign masks) and no z
-overflows, since tanh saturates where exp would not.
+The sigmoid is 0.5 * (1 + tanh(z / 2)), so no z overflows: tanh saturates
+where exp would not. The LSTM kernels fold the halving into the weights:
+each call halves the i, f and o rows of W, U and b, so one tanh over the
+whole packed gate row yields tanh(g) and tanh(z / 2) together, and a
+per-column scale and offset (0.5 and 0.5 on i, f, o; 1.0 and -0.0 on g)
+finish the sigmoids. Halving is exact, since 0.5 is a power of two and
+every product and sum of halved terms is the half of the unhalved one,
+unless a halved term is subnormal. Halving then adding 0.5 equals adding
+1 then halving, so the results are bit for bit those of the textbook form.
+
+The kernels compute in the serialized i|f|g|o column order and make the
+BLAS calls of a plain batch-major implementation, on the same shapes and
+row orders. OpenBLAS rounds the columns on a tile's ragged edge (when 4H
+is not a multiple of 8) differently from the rest, and where those edges
+fall depends on the call's shape and thread count; so reordering gate
+columns, or splitting the input projection per window, changes last bits
+for odd unit counts. The gates therefore stay batch-major, (B, T, 4H),
+with the input projection one GEMM over all B*T rows. Each timestep reads
+its strided gate row once into a contiguous work row and writes the
+activated row back once. The cell and hidden states are time-major,
+(T, B, H), so every other access of a step is contiguous; the cache's
+``h`` is a (B, T, H) view of that storage.
 """
 
 from __future__ import annotations
@@ -139,12 +158,30 @@ def _sigmoid(z, out=None):
     return out
 
 
+def _halve_sigmoid_rows(a, units):
+    """W, U or b with the sigmoid rows i, f and o halved."""
+    out = a * 0.5
+    out[2 * units:3 * units] = a[2 * units:3 * units]
+    return out
+
+
+def _gate_affine(units):
+    """Per-column (scale, offset) that turn tanh of a halved gate row into
+    the sigmoid on i, f and o, 0.5 * t + 0.5, and leave the candidate's tanh
+    as it is: times 1.0, plus -0.0."""
+    scale = np.full(4 * units, 0.5)
+    offset = np.full(4 * units, 0.5)
+    scale[2 * units:3 * units] = 1.0
+    offset[2 * units:3 * units] = -0.0
+    return scale, offset
+
+
 @dataclass
 class _LayerCache:
-    x: np.ndarray        # (B, T, D) layer input sequence
+    x: np.ndarray        # (B, T, D) layer input sequence, as the caller passed it
     gates: np.ndarray    # (B, T, 4H) post-activation, order i|f|g|o
-    c: np.ndarray        # (B, T, H)
-    h: np.ndarray        # (B, T, H)
+    c: np.ndarray        # (T, B, H)
+    h: np.ndarray        # (B, T, H) view of time-major (T, B, H) storage
 
 
 @dataclass
@@ -166,55 +203,65 @@ def _lstm_forward(w, u, b, x) -> _LayerCache:
     batch, t_len, _ = x.shape
     units = u.shape[1]
     # input projection plus bias for all timesteps, written into the gates
-    gates = np.matmul(x.reshape(batch * t_len, -1), w.T,
+    gates = np.matmul(x.reshape(batch * t_len, -1), _halve_sigmoid_rows(w, units).T,
                       out=np.empty((batch * t_len, 4 * units)))
-    gates += b
+    gates += _halve_sigmoid_rows(b, units)
     gates = gates.reshape(batch, t_len, 4 * units)
-    c_seq = np.empty((batch, t_len, units))
-    h_seq = np.empty((batch, t_len, units))
-    u_t = u.T
-    rec = np.empty((batch, 4 * units))
+    c_seq = np.empty((t_len, batch, units))
+    h_seq = np.empty((t_len, batch, units))
+    u_t = _halve_sigmoid_rows(u, units).T
+    scale, offset = _gate_affine(units)
+    z = np.empty((batch, 4 * units))
+    i, f, g, o = (z[:, :units], z[:, units:2 * units], z[:, 2 * units:3 * units],
+                  z[:, 3 * units:])
+    ig = np.empty((batch, units))
     h = c = np.zeros((batch, units))
     for t in range(t_len):
-        z = gates[:, t, :]
-        np.matmul(h, u_t, out=rec)
-        z += rec
-        g_pre = z[:, 2 * units:3 * units]
-        np.tanh(g_pre, out=rec[:, :units])
-        _sigmoid(z, out=z)
-        g_pre[...] = rec[:, :units]
-        i, f, g, o = (z[:, :units], z[:, units:2 * units], g_pre,
-                      z[:, 3 * units:])
-        c_new, h_new = c_seq[:, t, :], h_seq[:, t, :]
+        np.matmul(h, u_t, out=z)
+        z += gates[:, t, :]
+        # tanh(g) and tanh(z / 2) of the halved sigmoid rows in one pass
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        gates[:, t, :] = z
+        c_new, h_new = c_seq[t], h_seq[t]
         np.multiply(f, c, out=c_new)
-        c_new += i * g
+        np.multiply(i, g, out=ig)
+        c_new += ig
         np.tanh(c_new, out=h_new)
         h_new *= o
         h, c = h_new, c_new
-    return _LayerCache(x, gates, c_seq, h_seq)
+    return _LayerCache(x, gates, c_seq, h_seq.transpose(1, 0, 2))
 
 
-def _lstm_backward(w, u, cache: _LayerCache, dh_seq):
-    """Exact BPTT over the full sequence. Returns (dW, dU, db, dx_seq)."""
-    x, gates, c_seq, h_seq = cache.x, cache.gates, cache.c, cache.h
-    batch, t_len, units = h_seq.shape
+def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
+    """Exact BPTT over the full sequence. ``dh_top`` is the upstream gradient
+    of every output, (B, T, H), or of the last output only, (B, H). Returns
+    (dW, dU, db, dx_seq); dx_seq is computed only when the input kernel ``w``
+    is given."""
+    x, gates, c_seq = cache.x, cache.gates, cache.c
+    t_len, batch, units = c_seq.shape
     dz_seq = np.empty((batch, t_len, 4 * units))
-    dh_carry = np.zeros((batch, units))
-    dc_next = np.zeros((batch, units))
-    c0 = np.zeros((batch, units))
+    # this step's gate row and dz, each read from or written to the
+    # batch-major arrays in one pass
+    s = np.empty((batch, 4 * units))
+    dz = np.empty((batch, 4 * units))
+    i, f, g, o = (s[:, :units], s[:, units:2 * units], s[:, 2 * units:3 * units],
+                  s[:, 3 * units:])
+    zero = np.zeros((batch, units))
+    dh_carry = dc_next = zero
     for t in range(t_len - 1, -1, -1):
-        s = gates[:, t, :]
-        i = s[:, :units]
-        f = s[:, units:2 * units]
-        g = s[:, 2 * units:3 * units]
-        o = s[:, 3 * units:]
-        c_prev = c_seq[:, t - 1, :] if t > 0 else c0
-        tc = np.tanh(c_seq[:, t, :])
-        dh = dh_seq[:, t, :] + dh_carry
+        s[...] = gates[:, t, :]
+        c_prev = c_seq[t - 1] if t > 0 else zero
+        tc = np.tanh(c_seq[t])
+        if dh_top.ndim == 3:
+            top = dh_top[:, t, :]
+        else:
+            top = dh_top if t == t_len - 1 else zero
+        dh = top + dh_carry
         dc = dh * o * (1.0 - tc * tc) + dc_next
         # sigmoid derivative s * (1 - s) for the packed row, then each slice
         # times its upstream factor; the candidate slice is tanh, not sigmoid
-        dz = dz_seq[:, t, :]
         np.multiply(s, 1.0 - s, out=dz)
         dz[:, :units] *= dc * g
         dz[:, units:2 * units] *= dc * c_prev
@@ -222,13 +269,14 @@ def _lstm_backward(w, u, cache: _LayerCache, dh_seq):
         dz[:, 3 * units:] *= dh * tc
         dh_carry = dz @ u
         dc_next = dc * f
+        dz_seq[:, t, :] = dz
     flat_dz = dz_seq.reshape(batch * t_len, 4 * units)
     dw = flat_dz.T @ x.reshape(batch * t_len, -1)
     h_prev = np.concatenate(
-        [np.zeros((batch, 1, units)), h_seq[:, :-1, :]], axis=1)
+        [np.zeros((batch, 1, units)), cache.h[:, :-1, :]], axis=1)
     du = flat_dz.T @ h_prev.reshape(batch * t_len, units)
     db = flat_dz.sum(axis=0)
-    dx = (flat_dz @ w).reshape(x.shape)
+    dx = None if w is None else (flat_dz @ w).reshape(x.shape)
     return dw, du, db, dx
 
 
@@ -311,13 +359,10 @@ def backward_batch(params: ModelParams, cache: ForwardCache,
     if cache.mask2 is not None:
         dh2_last = dh2_last * cache.mask2
 
-    batch, t_len, h2_units = cache.layer2.h.shape
-    dh2_seq = np.zeros((batch, t_len, h2_units))
-    dh2_seq[:, -1, :] = dh2_last
-    dw2, du2, db2, dx2 = _lstm_backward(params.w2, params.u2, cache.layer2, dh2_seq)
-
+    dw2, du2, db2, dx2 = _lstm_backward(params.u2, cache.layer2, dh2_last,
+                                        w=params.w2)
     dh1_seq = dx2 if cache.mask1 is None else dx2 * cache.mask1
-    dw1, du1, db1, _ = _lstm_backward(params.w1, params.u1, cache.layer1, dh1_seq)
+    dw1, du1, db1, _ = _lstm_backward(params.u1, cache.layer1, dh1_seq)
 
     return ModelParams.from_tensors(cfg, [dw1, du1, db1, dw2, du2, db2,
                                           ddense_w, ddense_b, dhead_w, dhead_b])

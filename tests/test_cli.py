@@ -471,9 +471,10 @@ def test_bad_stored_pipeline_exits_3(workdir, capsys, extra, error):
     assert not preds.exists()
 
 
-def _model_bytes(input_dim, extra=None):
+def _model_bytes(input_dim, extra=None, head="regression"):
     from pulsesense.nn import ModelConfig, init_params, save_model
-    return save_model(init_params(ModelConfig(input_dim=input_dim), 0), extra=extra)
+    return save_model(init_params(ModelConfig(input_dim=input_dim, head=head), 0),
+                      extra=extra)
 
 
 def test_infer_reads_models_that_store_zero_phase_false(workdir):
@@ -799,6 +800,41 @@ def test_eval_regression_model_of_a_binary_mode_needs_a_threshold(workdir, capsy
     err = capsys.readouterr().err
     assert "SchemaMismatch" in err and "pass --threshold" in err
     assert main(argv + ["--threshold", "1.5"]) == 0
+
+
+@pytest.mark.parametrize("head,mode", [("binary", "heart"), ("binary", "breath"),
+                                       ("regression", "apnea")])
+def test_head_other_than_the_stored_mode_exits_3(workdir, capsys, head, mode):
+    """A model whose head is not its stored mode's would print one task's
+    outputs as another's: infer refuses it before any prediction, and so
+    does eval when it scores at the stored mode's threshold."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": {"mode": mode}}, head=head))
+    preds = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 3
+    mode_head = "regression" if head == "binary" else "binary"
+    assert (f"SchemaMismatch: model {model} has a {head} head but stores mode "
+            f"{mode!r}, whose head is {mode_head}") in capsys.readouterr().err
+    assert not preds.exists()
+    if head == "binary":
+        assert main(["eval", "--model", str(model),
+                     "--data", str(out / "segments.psseg")]) == 3
+        assert f"has a binary head but stores mode {mode!r}" in capsys.readouterr().err
+
+
+def test_model_block_read_before_ingest(workdir, capsys):
+    """A bad model key is a config error even when the recording it would
+    have trained on does not exist."""
+    tmp_path, out, cfg_path = workdir
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--set", "model.head=binary",
+                 "--set", f"ingest.path={tmp_path / 'missing.jsonl'}"]) == 2
+    assert "ConfigUnknownKey: model.head" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode,kind", [("breath", "breathing_rate_brpm"),

@@ -1,6 +1,7 @@
 """Network forward/backward correctness: finite-difference gradients,
-dropout semantics, parameter accounting, and the fused gate kernels against
-a per-gate reference."""
+dropout semantics, parameter accounting, the fused gate kernels against a
+per-gate reference, and the time-major kernels bit for bit against the
+batch-major ones they replaced."""
 
 import numpy as np
 import pytest
@@ -236,6 +237,145 @@ class TestGateKernels:
         np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.layer1.h, ref_h1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.layer2.h, ref_h2, rtol=0, atol=1e-12)
+
+
+def batch_major_lstm_forward(w, u, b, x):
+    """The batch-major kernel in serialized i|f|g|o order that the time-major
+    one replaced, frozen as the bit-for-bit reference. Returns (gates, c, h),
+    each (B, T, .)."""
+    batch, t_len, _ = x.shape
+    units = u.shape[1]
+    gates = np.matmul(x.reshape(batch * t_len, -1), w.T,
+                      out=np.empty((batch * t_len, 4 * units)))
+    gates += b
+    gates = gates.reshape(batch, t_len, 4 * units)
+    c_seq = np.empty((batch, t_len, units))
+    h_seq = np.empty((batch, t_len, units))
+    u_t = u.T
+    rec = np.empty((batch, 4 * units))
+    h = c = np.zeros((batch, units))
+    for t in range(t_len):
+        z = gates[:, t, :]
+        np.matmul(h, u_t, out=rec)
+        z += rec
+        g_pre = z[:, 2 * units:3 * units]
+        np.tanh(g_pre, out=rec[:, :units])
+        _sigmoid(z, out=z)
+        g_pre[...] = rec[:, :units]
+        i, f, g, o = (z[:, :units], z[:, units:2 * units], g_pre,
+                      z[:, 3 * units:])
+        c_new, h_new = c_seq[:, t, :], h_seq[:, t, :]
+        np.multiply(f, c, out=c_new)
+        c_new += i * g
+        np.tanh(c_new, out=h_new)
+        h_new *= o
+        h, c = h_new, c_new
+    return gates, c_seq, h_seq
+
+
+def batch_major_lstm_backward(w, u, x, gates, c_seq, h_seq, dh_seq):
+    """BPTT of the frozen batch-major kernel; returns (dW, dU, db, dx)."""
+    batch, t_len, units = h_seq.shape
+    dz_seq = np.empty((batch, t_len, 4 * units))
+    dh_carry = np.zeros((batch, units))
+    dc_next = np.zeros((batch, units))
+    c0 = np.zeros((batch, units))
+    for t in range(t_len - 1, -1, -1):
+        s = gates[:, t, :]
+        i = s[:, :units]
+        f = s[:, units:2 * units]
+        g = s[:, 2 * units:3 * units]
+        o = s[:, 3 * units:]
+        c_prev = c_seq[:, t - 1, :] if t > 0 else c0
+        tc = np.tanh(c_seq[:, t, :])
+        dh = dh_seq[:, t, :] + dh_carry
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dz = dz_seq[:, t, :]
+        np.multiply(s, 1.0 - s, out=dz)
+        dz[:, :units] *= dc * g
+        dz[:, units:2 * units] *= dc * c_prev
+        np.multiply(dc * i, 1.0 - g * g, out=dz[:, 2 * units:3 * units])
+        dz[:, 3 * units:] *= dh * tc
+        dh_carry = dz @ u
+        dc_next = dc * f
+    flat_dz = dz_seq.reshape(batch * t_len, 4 * units)
+    dw = flat_dz.T @ x.reshape(batch * t_len, -1)
+    h_prev = np.concatenate(
+        [np.zeros((batch, 1, units)), h_seq[:, :-1, :]], axis=1)
+    du = flat_dz.T @ h_prev.reshape(batch * t_len, units)
+    db = flat_dz.sum(axis=0)
+    dx = (flat_dz @ w).reshape(x.shape)
+    return dw, du, db, dx
+
+
+def batch_major_stack(params, x, rng_seed, dpred):
+    """forward_batch then backward_batch on the frozen kernels, with the same
+    dropout draws; returns (predictions, h1, h2, gradient tensors)."""
+    p = params.config.dropout_rate
+    rng = np.random.default_rng(rng_seed) if p > 0 else None
+    g1, c1, h1 = batch_major_lstm_forward(params.w1, params.u1, params.b1, x)
+    mask1 = None if rng is None else (rng.random(h1.shape) >= p) / (1.0 - p)
+    x2 = h1 if mask1 is None else h1 * mask1
+    g2, c2, h2 = batch_major_lstm_forward(params.w2, params.u2, params.b2, x2)
+    mask2 = None if rng is None else (rng.random(h2[:, -1, :].shape) >= p) / (1.0 - p)
+    last = h2[:, -1, :] if mask2 is None else h2[:, -1, :] * mask2
+    dense_pre = last @ params.dense_w.T + params.dense_b
+    dense_act = np.maximum(dense_pre, 0.0)
+    pred = (dense_act @ params.head_w.T + params.head_b)[:, 0]
+    dhead = dpred
+    if params.config.head == "binary":
+        pred = _sigmoid(pred)
+        dhead = dpred * pred * (1.0 - pred)
+    ddense_pre = (dhead[:, None] @ params.head_w) * (dense_pre > 0.0)
+    dlast = ddense_pre @ params.dense_w
+    if mask2 is not None:
+        dlast = dlast * mask2
+    dh2_seq = np.zeros(h2.shape)
+    dh2_seq[:, -1, :] = dlast
+    dw2, du2, db2, dx2 = batch_major_lstm_backward(params.w2, params.u2, x2, g2, c2,
+                                                   h2, dh2_seq)
+    dh1_seq = dx2 if mask1 is None else dx2 * mask1
+    dw1, du1, db1, _ = batch_major_lstm_backward(params.w1, params.u1, x, g1, c1,
+                                                 h1, dh1_seq)
+    grads = [dw1, du1, db1, dw2, du2, db2, ddense_pre.T @ last, ddense_pre.sum(axis=0),
+             dhead[None, :] @ dense_act, np.array([dhead.sum()])]
+    return pred, h1, h2, grads
+
+
+PAPER_STACK = dict(input_dim=64)
+# odd unit counts put gate columns on the ragged edge of BLAS tiles, where
+# a reordered or split GEMM rounds differently
+ODD_STACKS = [dict(input_dim=234, lstm1_units=13, lstm2_units=9, dense_units=3),
+              dict(input_dim=64, lstm1_units=63, lstm2_units=31, dense_units=5)]
+
+
+class TestTimeMajorKernels:
+    """The kernels with time-major cell and hidden states and halved sigmoid
+    rows compute what the batch-major ones did, bit for bit: halving is
+    exact, and every BLAS call keeps its shape, row order and column order."""
+
+    @pytest.mark.parametrize("head", ["regression", "binary"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("stack,t_len,batch",
+                             [(PAPER_STACK, 400, b) for b in (1, 3, 64)]
+                             + [(stack, 50, 17) for stack in ODD_STACKS],
+                             ids=["paper-B1", "paper-B3", "paper-B64", "odd-wide",
+                                  "odd-63"])
+    def test_bit_identical_to_batch_major(self, stack, t_len, batch, head, dropout):
+        cfg = ModelConfig(head=head, dropout_rate=dropout, **stack)
+        params = init_params(cfg, 12)
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, t_len, cfg.input_dim))
+        dpred = rng.standard_normal(batch)
+        seed = [batch, 7]
+        preds, cache = forward_batch(params, x, training=dropout > 0, rng_seed=seed)
+        grads = backward_batch(params, cache, dpred)
+        ref_preds, ref_h1, ref_h2, ref_grads = batch_major_stack(params, x, seed, dpred)
+        assert np.array_equal(preds, ref_preds)
+        assert np.array_equal(cache.layer1.h, ref_h1)
+        assert np.array_equal(cache.layer2.h, ref_h2)
+        for got, want in zip(grads.tensors(), ref_grads):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestDropout:
