@@ -110,7 +110,7 @@ def _process_segments(cfg: dict, pipeline_cfg: PipelineConfig):
 def cmd_process(args) -> int:
     cfg = cfgmod.load_config(args.config, args.set)
     out = _out_dir(cfg)
-    pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
+    pipeline_cfg = cfgmod.read_pipeline(cfg.get("pipeline", {}))
     segments = _process_segments(cfg, pipeline_cfg)
     _write(os.path.join(out, "segments.psseg"), write_segment_dump(segments))
     w, s = segments[0].values.shape
@@ -130,7 +130,7 @@ def _training_inputs(cfg: dict):
     segments_path = (cfgmod.check_type("training.segments", block.pop("segments", ""), str)
                      if isinstance(block, dict) else "")
     training_cfg = cfgmod.read_block("training", block, TrainingConfig)
-    pipeline_cfg = PipelineConfig.from_dict(cfg.get("pipeline", {}))
+    pipeline_cfg = cfgmod.read_pipeline(cfg.get("pipeline", {}))
     model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
                                   input_dim=1, head=mode_spec(pipeline_cfg.mode).head)
     if segments_path:
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     threshold = args.threshold
     if threshold is None:
         with _stored_in(args.model):
-            stored = PipelineConfig.from_dict(extra.get("pipeline", {}))
+            stored = cfgmod.read_pipeline(extra.get("pipeline", {}))
         threshold = mode_spec(stored.mode).threshold
         if threshold is None and params.config.head == "regression":
             raise SchemaMismatch(
@@ -247,7 +247,7 @@ def cmd_infer(args) -> int:
     with open(args.stream, "rb") as fh:
         fs, n_sub, _ = iter_canonical(utf8_lines(fh))
     with _stored_in(args.model):
-        pipeline_cfg = PipelineConfig.from_dict(extra.get("pipeline", {}))
+        pipeline_cfg = cfgmod.read_pipeline(extra.get("pipeline", {}))
         _, _, w = pipeline_cfg.stages(fs)
         trained_w = cfgmod.check_type("window_packets", extra.get("window_packets", w), int)
     _check_head(args.model, params, extra, pipeline_cfg)

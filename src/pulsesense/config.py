@@ -1,28 +1,24 @@
 """Run-configuration loading and validation.
 
 One JSON document drives the config-based subcommands. Unknown keys are
-rejected everywhere. A block whose keys are its dataclass's fields is read
-by ``read_block``; the pipeline and synth blocks, whose JSON shape differs
-from their fields, map their own keys. ``--set path.key=value`` overrides
-are applied before validation.
+rejected everywhere. Each block's keys are its dataclass's fields, read by
+``read_block``; only an inline synth scenario maps its schedules, pairs and
+per-subcarrier values itself. ``--set path.key=value`` overrides are
+applied before validation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
-from typing import List, Optional, get_args, get_type_hints
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import List, Optional, get_args, get_origin, get_type_hints
 
+from .dsp.pipeline import PipelineConfig
 from .errors import ConfigInvalidValue, ConfigUnknownKey
 from .synth import Scenario, Schedule, scenario_by_name
 
 TOP_LEVEL_KEYS = ("ingest", "pipeline", "model", "training", "synth", "output")
-
-SYNTH_KEYS = ("scenario",)
-SCENARIO_KEYS = ("name", "duration_s", "sample_rate_hz", "subcarriers",
-                 "hr_bpm", "br_brpm", "apnea_intervals", "base",
-                 "breath_gain", "cardiac_gain", "noise_std", "seed")
 
 
 @dataclass(frozen=True)
@@ -38,6 +34,9 @@ class IngestConfig:
         rate = self.sample_rate_hz
         if rate is not None and not 0 < rate < math.inf:
             raise ValueError(f"sample_rate_hz must be positive and finite, got {rate!r}")
+        if rate is not None and self.format != "esp32":
+            raise ValueError("sample_rate_hz applies only to format esp32; "
+                             "a canonical recording's header states its rate")
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,11 @@ def check_type(name: str, value, kind: type):
 def _read_value(name: str, value, hint):
     if type(None) in get_args(hint):  # Optional[X]: X or null
         return None if value is None else _read_value(name, value, get_args(hint)[0])
+    if is_dataclass(hint):
+        return read_block(name, value, hint)
+    if get_origin(hint) is list:
+        return [_read_value(f"{name}[]", item, get_args(hint)[0])
+                for item in check_type(name, value, list)]
     return check_type(name, value, hint)
 
 
@@ -80,7 +84,8 @@ def read_block(name: str, block, cls, **fixed):
     """The dataclass ``cls`` read from the JSON object ``block``.
 
     Each key must be a field of ``cls`` and its value of the field's type
-    (``check_type``); an Optional field also takes null. ``fixed``
+    (``check_type``); an Optional field also takes null, a dataclass field
+    is read as a nested block and a list field item by item. ``fixed``
     supplies values the block may not set: a key naming one is a
     ConfigUnknownKey. A missing required field, or a ValueError from
     ``cls`` itself (whose message starts with the field it names), is a
@@ -98,6 +103,17 @@ def read_block(name: str, block, cls, **fixed):
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigInvalidValue(f"{name}.{exc}") from None
+
+
+def read_pipeline(block) -> PipelineConfig:
+    """The pipeline block. Models saved before ``zero_phase`` was removed
+    store it as false, which still loads; true is refused."""
+    if isinstance(block, dict) and "zero_phase" in block:
+        block = dict(block)
+        if check_type("pipeline.zero_phase", block.pop("zero_phase"), bool):
+            raise ConfigInvalidValue(
+                "pipeline.zero_phase was removed; the filter is causal, set false or omit it")
+    return read_block("pipeline", block, PipelineConfig)
 
 
 def _parse_override_value(text: str):
@@ -161,15 +177,15 @@ def _schedule_from_config(name: str, value) -> Schedule:
 
 
 def scenario_from_config(block: dict) -> Scenario:
-    reject_unknown("synth", block, SYNTH_KEYS)
+    reject_unknown("synth", block, ("scenario",))
     spec = block.get("scenario")
     if spec is None:
         raise ConfigInvalidValue("synth.scenario is required")
     if isinstance(spec, str):
         return scenario_by_name(spec)
-    reject_unknown("synth.scenario", spec, SCENARIO_KEYS)
-    kwargs = dict(spec)
     hints = get_type_hints(Scenario)
+    reject_unknown("synth.scenario", spec, hints)
+    kwargs = dict(spec)
     for key, value in spec.items():
         name = f"synth.scenario.{key}"
         if key in ("hr_bpm", "br_brpm"):

@@ -8,7 +8,9 @@ from .filters import (
 from .pipeline import (
     MODES,
     AmplitudeSeries,
+    Band,
     PipelineConfig,
+    Savgol,
     WindowSegment,
     amplitude,
     mode_spec,
@@ -26,10 +28,11 @@ from .pipeline import (
 from .savgol import mirror_pad, savgol_kernel, smooth_padded, smooth_values
 
 __all__ = [
-    "MODES", "AmplitudeSeries", "FilterSpec", "FilterState", "PipelineConfig",
-    "WindowSegment", "amplitude", "design_bandpass", "filter_values",
-    "frequency_response", "mirror_pad", "mode_spec", "read_segment_dump",
-    "remove_dc", "run_pipeline", "run_pipeline_config", "savgol_kernel",
-    "segment", "segments_to_arrays", "sequential_column_mean", "smooth_padded",
-    "smooth_values", "standardize", "window_length", "write_segment_dump",
+    "MODES", "AmplitudeSeries", "Band", "FilterSpec", "FilterState",
+    "PipelineConfig", "Savgol", "WindowSegment", "amplitude", "design_bandpass",
+    "filter_values", "frequency_response", "mirror_pad", "mode_spec",
+    "read_segment_dump", "remove_dc", "run_pipeline", "run_pipeline_config",
+    "savgol_kernel", "segment", "segments_to_arrays", "sequential_column_mean",
+    "smooth_padded", "smooth_values", "standardize", "window_length",
+    "write_segment_dump",
 ]

@@ -27,6 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..config import read_block
 from ..errors import BadMagic, ChecksumMismatch, ConfigError, SchemaMismatch
 from .model import ModelConfig, ModelParams, expected_shapes
 
@@ -56,7 +57,6 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
     if struct.unpack("<I", trailer)[0] != zlib.crc32(payload):
         raise ChecksumMismatch("CRC32 trailer does not match container contents")
     (json_len,) = struct.unpack_from("<I", data, 5)
-    from ..config import read_block  # local import avoids a cycle
     try:
         doc = json.loads(payload[9:9 + json_len].decode("utf-8"))
         if not isinstance(doc, dict) or not isinstance(doc.get("extra", {}), dict):

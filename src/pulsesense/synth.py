@@ -18,7 +18,7 @@ stream bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class Scenario:
     base: ArrayLike = 10.0
     breath_gain: ArrayLike = 0.1
     cardiac_gain: ArrayLike = 0.025
-    breath_phase: Optional[ArrayLike] = None
-    cardiac_phase: Optional[ArrayLike] = None
-    channel_phase: Optional[ArrayLike] = None
     noise_std: float = 0.05
     seed: int = 0
 
@@ -97,9 +94,7 @@ class Scenario:
             if not start > prev_end:
                 raise InvalidScenario("apnea intervals must be disjoint and ordered")
             prev_end = end
-        for value in (self.base, self.breath_phase, self.cardiac_phase, self.channel_phase):
-            if value is not None:
-                self._per_subcarrier(value)
+        self._per_subcarrier(self.base)
         alpha = self._per_subcarrier(self.breath_gain)
         beta = self._per_subcarrier(self.cardiac_gain)
         if np.any(beta > 0.3 * alpha):
@@ -155,12 +150,9 @@ def generate(scenario: Scenario) -> SynthRecording:
     beta = sc._per_subcarrier(sc.cardiac_gain)
 
     phase_rng = np.random.default_rng([sc.seed, 101])
-    phi = (sc._per_subcarrier(sc.breath_phase) if sc.breath_phase is not None
-           else phase_rng.uniform(0, 2 * np.pi, sc.subcarriers))
-    psi = (sc._per_subcarrier(sc.cardiac_phase) if sc.cardiac_phase is not None
-           else phase_rng.uniform(0, 2 * np.pi, sc.subcarriers))
-    theta = (sc._per_subcarrier(sc.channel_phase) if sc.channel_phase is not None
-             else phase_rng.uniform(0, 2 * np.pi, sc.subcarriers))
+    phi = phase_rng.uniform(0, 2 * np.pi, sc.subcarriers)
+    psi = phase_rng.uniform(0, 2 * np.pi, sc.subcarriers)
+    theta = phase_rng.uniform(0, 2 * np.pi, sc.subcarriers)
 
     f_br = sc.br_brpm.value_at(t) / 60.0
     f_hr = sc.hr_bpm.value_at(t) / 60.0

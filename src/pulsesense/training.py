@@ -229,6 +229,7 @@ def train(segments: Arrays, model_config: ModelConfig,
             loss_sum += float(losses.sum())
             dpred = grads / sel.size
             grad_params = backward_batch(params, cache, dpred)
+            del preds, cache  # else they live on through the next forward_batch
             params, state = adam_step(state, params, grad_params)
         train_loss = loss_sum / n_train * loss_unit
 

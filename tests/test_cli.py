@@ -566,6 +566,9 @@ def test_infer_refuses_stream_width_other_than_model(workdir, capsys):
     ("synth", "synth.scenario.subcarriers=2.5", "synth.scenario.subcarriers must be an integer"),
     ("synth", "synth.scenario.hr_bpm=500", "InvalidScenario: heart schedule"),
     ("synth", "synth.scenario.hr_bpm=NaN", "InvalidScenario: heart schedule"),
+    # a canonical recording's header states its rate
+    ("process", "ingest.sample_rate_hz=100",
+     "ConfigInvalidValue: ingest.sample_rate_hz applies only to format esp32"),
 ])
 def test_config_block_values_exit_2(workdir, capsys, command, override, message):
     tmp_path, out, cfg_path = workdir

@@ -1,11 +1,12 @@
 """JSON type rules shared by the config blocks."""
 
+import json
 import re
 
 import pytest
 
-from pulsesense.config import IngestConfig, check_type, read_block
-from pulsesense.dsp import PipelineConfig
+from pulsesense.config import IngestConfig, check_type, read_block, read_pipeline
+from pulsesense.dsp import Band, PipelineConfig, Savgol
 from pulsesense.errors import ConfigInvalidValue, ConfigUnknownKey
 from pulsesense.nn import ModelConfig
 
@@ -37,16 +38,46 @@ def test_check_type_rules(value, kind, ok):
     ({"mode": ["heart"]}, "pipeline.mode"),
 ])
 def test_pipeline_nested_values_are_typed(block, key):
-    with pytest.raises(ConfigInvalidValue, match=re.escape(f"{key} must be ")):
-        PipelineConfig.from_dict(block)
+    """A nested value of the wrong type names its key, as a missing band
+    edge does."""
+    text = "is required" if key == "pipeline.band.high_hz" else "must be "
+    with pytest.raises(ConfigInvalidValue, match=re.escape(f"{key} {text}")):
+        read_pipeline(block)
+
+
+@pytest.mark.parametrize("block,error,message", [
+    ({"band": {"low_hz": 0.5, "high_hz": 3.0, "x": 1}}, ConfigUnknownKey, "pipeline.band.x"),
+    ({"savgol": {"window": 15, "ordr": 3}}, ConfigUnknownKey, "pipeline.savgol.ordr"),
+    ({"savgol": None}, ConfigInvalidValue, "pipeline.savgol must be an object"),
+    ({"band": [0.5, 3.0]}, ConfigInvalidValue, "pipeline.band must be an object"),
+    ({"mode": "walk"}, ConfigInvalidValue, "mode must be one of"),
+])
+def test_pipeline_nested_blocks_are_read_as_blocks(block, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        read_pipeline(block)
+
+
+def test_pipeline_null_reads_as_the_default():
+    """band: null is the mode's default band, subcarriers: null keeps all."""
+    assert read_pipeline({"band": None, "subcarriers": None}) == PipelineConfig()
 
 
 def test_pipeline_round_trip_and_int_for_float():
-    cfg = PipelineConfig.from_dict({"mode": "breath", "window_s": 20, "stride": 7,
-                                    "band": {"low_hz": 0, "high_hz": 0.5},
-                                    "subcarriers": [2, 0], "zero_phase": False})
-    assert cfg.window_s == 20.0 and cfg.band == (0.0, 0.5) and cfg.subcarriers == [2, 0]
-    assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    cfg = read_pipeline({"mode": "breath", "window_s": 20, "stride": 7,
+                         "band": {"low_hz": 0, "high_hz": 0.5},
+                         "subcarriers": [2, 0], "zero_phase": False})
+    assert cfg.window_s == 20.0 and cfg.band == Band(0.0, 0.5) and cfg.subcarriers == [2, 0]
+    assert read_pipeline(cfg.to_dict()) == cfg
+
+
+def test_pipeline_to_dict_key_order():
+    """summary.json writes the block in this order, nested keys included."""
+    cfg = PipelineConfig(mode="apnea", window_s=10.0, stride=7, savgol=Savgol(31, 2),
+                         band=Band(0.0, 0.5), subcarriers=[2, 0])
+    assert json.dumps(cfg.to_dict()) == (
+        '{"mode": "apnea", "window_s": 10.0, "stride": 7, '
+        '"savgol": {"window": 31, "order": 2}, '
+        '"band": {"low_hz": 0.0, "high_hz": 0.5}, "subcarriers": [2, 0]}')
 
 
 INGEST = {"path": "rec.jsonl", "labels": "hr.csv"}
@@ -55,7 +86,8 @@ INGEST = {"path": "rec.jsonl", "labels": "hr.csv"}
 def test_read_block_reads_optional_fields():
     cfg = read_block("ingest", dict(INGEST, sample_rate_hz=None), IngestConfig)
     assert cfg == IngestConfig("rec.jsonl", "hr.csv")
-    assert read_block("ingest", dict(INGEST, sample_rate_hz=80), IngestConfig).sample_rate_hz == 80
+    esp32 = dict(INGEST, format="esp32", sample_rate_hz=80)
+    assert read_block("ingest", esp32, IngestConfig).sample_rate_hz == 80
 
 
 @pytest.mark.parametrize("block,error,message", [
@@ -77,6 +109,8 @@ def test_read_block_reads_optional_fields():
     (dict(INGEST, sample_rate_hz=0), ConfigInvalidValue,
      "ingest.sample_rate_hz must be positive and finite"),
     ([INGEST], ConfigInvalidValue, "ingest must be an object"),
+    (dict(INGEST, sample_rate_hz=80), ConfigInvalidValue,
+     "ingest.sample_rate_hz applies only to format esp32"),
 ])
 def test_read_block_names_the_key(block, error, message):
     """A missing or unknown key names its block, and null is taken only by

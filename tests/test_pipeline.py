@@ -269,11 +269,11 @@ class TestRunPipeline:
 
 class TestPipelineConfig:
     def test_explicit_band_overrides_mode_default(self):
-        from pulsesense.dsp import MODES, PipelineConfig
-        cfg = PipelineConfig.from_dict(
-            {"mode": "heart", "band": {"low_hz": 0.5, "high_hz": 3.0}})
+        from pulsesense.config import read_pipeline
+        from pulsesense.dsp import MODES
+        cfg = read_pipeline({"mode": "heart", "band": {"low_hz": 0.5, "high_hz": 3.0}})
         assert cfg.effective_band() == (0.5, 3.0)
-        cfg = PipelineConfig.from_dict({"mode": "breath"})
+        cfg = read_pipeline({"mode": "breath"})
         assert cfg.effective_band() == MODES["breath"].band
 
 

@@ -6,6 +6,7 @@ import pytest
 from pulsesense.dsp import (
     MODES,
     PipelineConfig,
+    Savgol,
     amplitude,
     remove_dc,
     run_pipeline_config,
@@ -131,7 +132,7 @@ class TestSweep:
         stream = CsiStream(np.arange(t_len) / fs, values, fs)
         labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
         cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
-                             savgol_window=sg_window, savgol_order=sg_order,
+                             savgol=Savgol(sg_window, sg_order),
                              subcarriers=subs)
         params = init_params(ModelConfig(input_dim=4 if subs is None else len(subs),
                                          lstm1_units=4, lstm2_units=3, dense_units=2,

@@ -129,7 +129,6 @@ class TestValidation:
         {"noise_std": float("inf")}, {"apnea_intervals": ((float("nan"), 20.0),)},
         {"apnea_intervals": ((10.0, float("nan")),)},
         {"base": float("nan")}, {"breath_gain": [0.1, float("nan")]},
-        {"channel_phase": [0.0, float("inf")]},
     ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
     def test_non_finite_values_refused(self, overrides):
         """Every numeric check fails for NaN rather than passing it."""

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pulsesense import config as cfgmod
-from pulsesense.dsp import PipelineConfig
 from pulsesense.errors import PulseSenseError
 from pulsesense.ingest import (
     CsiStream,
@@ -119,7 +118,7 @@ def _validators(cfg):
         lambda: cfgmod.read_block("ingest", cfgmod.require_block(cfg, "ingest"),
                                   cfgmod.IngestConfig),
         lambda: cfgmod.scenario_from_config(cfgmod.require_block(cfg, "synth")),
-        lambda: PipelineConfig.from_dict(cfg.get("pipeline", {})).stages(20.0),
+        lambda: cfgmod.read_pipeline(cfg.get("pipeline", {})).stages(20.0),
         lambda: cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
                                   input_dim=3, head="regression"),
         lambda: cfgmod.read_block("training", cfg.get("training", {}), TrainingConfig),
