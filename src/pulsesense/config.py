@@ -59,13 +59,20 @@ def reject_unknown(block_name: str, block: dict, allowed) -> None:
 def check_type(name: str, value, kind: type):
     """Return the JSON ``value`` of a field of type ``kind``, or raise.
 
-    An int field takes no bool or float, a float field also takes an int,
-    and a bool field takes only a bool. This runs where JSON enters, not in
-    the config classes, whose library callers may pass numpy scalars.
+    An int field takes no bool or float, a float field also takes an int
+    that a float can hold, and a bool field takes only a bool. This runs
+    where JSON enters, not in the config classes, whose library callers may
+    pass numpy scalars.
     """
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ConfigInvalidValue(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigInvalidValue(
+                f"{name} must be a number, got an integer too large for a float") from None
     return value
 
 

@@ -9,6 +9,9 @@ high-order polynomial would be numerically useless).
 
 A zero low edge degrades the design to an order-N low-pass: a bandpass whose
 lower edge is 0 Hz *is* a low-pass (used for the apnea band).
+
+FilterState runs the sections as a pipeline with the same IEEE operations
+per sample as a section-by-section loop, so any block split gives its bytes.
 """
 
 from __future__ import annotations
@@ -196,36 +199,58 @@ class FilterState:
     One instance filters one multichannel signal incrementally; feeding the
     same samples in one block or packet by packet produces bit-identical
     output, which is what lets streaming inference match batch processing.
+
+    The K sections run as a pipeline: at step j section k filters sample
+    j - k, so one set of array operations on (K, S) rows advances every
+    section. Each sample meets the same IEEE operations in the same order as
+    in a section-by-section loop: out = b0 x + s1, s1 = (b1 x - a1 out) + s2,
+    s2 = (b2 x - a2 out) + -0.0 (adding -0.0 returns every double unchanged,
+    signed zeros included), and the overall gain last. The first and last
+    K - 1 steps of a block touch only the sections that hold a sample of it.
     """
 
     def __init__(self, cascade: BiquadCascade, n_channels: int):
         self.cascade = cascade
-        self.s1 = np.zeros((len(cascade.sections), n_channels))
-        self.s2 = np.zeros((len(cascade.sections), n_channels))
-        self._out = np.empty(n_channels)  # one section output
-        self._tmp = np.empty(n_channels)
+        k = len(cascade.sections)
+        coef = np.array([[s.b0, s.b1, s.b2, s.a1, s.a2] for s in cascade.sections]).T
+        coef = np.repeat(coef[:, :, None], n_channels, axis=2)  # (5, K, S): faster than (5, K, 1)
+        # pipe[0] is the next input row, pipe[k + 1] the newest output of section k
+        self._pipe = np.zeros((k + 1, n_channels))
+        # two copies of each section's (s1, s2, -0.0): a step reads one and
+        # writes the other; _phase says which copy the next block reads first
+        state = np.zeros((2, 3, k, n_channels))
+        state[:, 2] = -0.0
+        self._phase = 0
+        bx, ax = np.empty((3, k, n_channels)), np.empty((2, k, n_channels))
+        # per (lo, hi) and state copy: the arrays a step on sections lo:hi uses
+        self._views = {(lo, hi): [(
+            coef[:3, lo:hi], self._pipe[lo:hi], bx[:, lo:hi], bx[0, lo:hi], state[p, 0, lo:hi],
+            self._pipe[lo + 1:hi + 1], coef[3:, lo:hi], ax[:, lo:hi], bx[1:, lo:hi],
+            state[p, 1:, lo:hi], state[1 - p, :2, lo:hi]) for p in (0, 1)]
+            for lo in range(k) for hi in range(lo + 1, k + 1)}
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a (T, S) block (or a single (S,) packet), advancing state."""
         single = block.ndim == 1
         x = np.atleast_2d(np.asarray(block, dtype=np.float64))
-        y = x.copy()
-        mul = np.multiply
-        out, tmp = self._out, self._tmp
-        for i, sec in enumerate(self.cascade.sections):
-            b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
-            s1 = self.s1[i]
-            s2 = self.s2[i]
-            for xt in y:
-                # out = b0 x + s1;  s1 = b1 x - a1 out + s2;  s2 = b2 x - a2 out
-                mul(b0, xt, out=out)
-                out += s1
-                mul(b1, xt, out=s1)
-                s1 -= mul(a1, out, out=tmp)
-                s1 += s2
-                mul(b2, xt, out=s2)
-                s2 -= mul(a2, out, out=tmp)
-                xt[:] = out
+        y = np.empty(x.shape)  # C order even for an F-ordered x
+        t, k = x.shape[0], len(self._pipe) - 1
+        pipe, views, phase = self._pipe, self._views, self._phase
+        steady = views[0, k]
+        mul, add, sub = np.multiply, np.add, np.subtract
+        for j in range(t + k - 1 if t else 0):
+            if j < t:
+                pipe[0] = x[j]
+            v = steady if k - 1 <= j < t else views[max(0, j - t + 1), min(k, j + 1)]
+            b, xin, bx, bx0, s1, out, a, ax, bx12, s2z, s_next = v[(j + phase) & 1]
+            mul(b, xin, out=bx)  # b0 x, b1 x, b2 x
+            add(bx0, s1, out=out)
+            mul(a, out, out=ax)  # a1 out, a2 out
+            sub(bx12, ax, out=bx12)
+            add(bx12, s2z, out=s_next)
+            if j >= k - 1:
+                y[j - k + 1] = pipe[k]
+        self._phase ^= t & 1
         y *= self.cascade.overall_gain
         return y[0] if single else y
 

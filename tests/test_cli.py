@@ -501,7 +501,9 @@ def test_infer_reads_models_that_store_zero_phase_false(workdir):
     (["pipeline.window_s=0.01"], "ConfigInvalidValue: pipeline.window_s"),  # 0 packets
     (["pipeline.window_s=-5"], "ConfigInvalidValue: pipeline.window_s"),
     (["pipeline.window_s=NaN"], "ConfigInvalidValue: pipeline.window_s"),
-], ids=["even-kernel", "band-above-nyquist", "empty-window", "negative-window", "nan-window"])
+    (["pipeline.window_s=1" + "0" * 400], "ConfigInvalidValue: pipeline.window_s must be a number"),
+], ids=["even-kernel", "band-above-nyquist", "empty-window", "negative-window", "nan-window",
+        "int-too-large-window"])
 def test_invalid_pipeline_value_exits_2(workdir, capsys, overrides, error):
     """Values of the right type that the pipeline cannot run at the
     recording's 20 Hz are config errors, found before any dump is written."""

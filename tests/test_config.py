@@ -57,6 +57,19 @@ def test_pipeline_nested_blocks_are_read_as_blocks(block, error, message):
         read_pipeline(block)
 
 
+@pytest.mark.parametrize("block,key", [
+    ({"window_s": 10**400}, "pipeline.window_s"),
+    ({"window_s": -10**400}, "pipeline.window_s"),
+    ({"band": {"low_hz": 0, "high_hz": 10**309}}, "pipeline.band.high_hz"),
+])
+def test_pipeline_int_too_large_for_a_float_is_refused(block, key):
+    """A JSON integer that no float can hold is a config error naming its
+    key, not an OverflowError where the value is first used."""
+    with pytest.raises(ConfigInvalidValue,
+                       match=re.escape(f"{key} must be a number, got an integer too large")):
+        read_pipeline(block)
+
+
 def test_pipeline_null_reads_as_the_default():
     """band: null is the mode's default band, subcarriers: null keeps all."""
     assert read_pipeline({"band": None, "subcarriers": None}) == PipelineConfig()

@@ -163,3 +163,80 @@ class TestOracle:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((600, 3)) * 10.0 + rng.uniform(-5, 5, 3)
         assert filter_values(cascade, x).tobytes() == textbook_df2t(cascade, x).tobytes()
+
+
+# bandpass orders 1-8 give K = 1..8 sections; the odd low-pass orders end on
+# the first-order section (b2 = a2 = 0)
+CASCADE_SPECS = ([FilterSpec(0.8, 2.17, n, 80.0) for n in range(1, 9)]
+                 + [FilterSpec(0.0, 0.5, n, 80.0) for n in range(1, 9)])
+
+
+def _signed_zero_signal(rng, t, s):
+    """Random rows with exact +0.0 and -0.0 entries, a constant column and an
+    all -0.0 column."""
+    x = rng.standard_normal((t, s)) * 10.0
+    x[rng.random((t, s)) < 0.2] = 0.0
+    x[rng.random((t, s)) < 0.2] = -0.0
+    x[:, 1] = 3.25
+    x[:, 2] = -0.0
+    return x
+
+
+class TestPipelinedCascade:
+    @pytest.mark.parametrize("spec", CASCADE_SPECS,
+                             ids=[f"{'lp' if s.is_lowpass else 'bp'}{s.order}"
+                                  for s in CASCADE_SPECS])
+    def test_random_block_splits_equal_textbook_bytes(self, spec):
+        """Any split of one signal into blocks, single packets included, gives
+        the oracle's bytes. Blocks of 0, 1 and fewer than K rows end inside the
+        pipeline's ramp-in and ramp-out steps."""
+        cascade = design_bandpass(spec)
+        k = len(cascade.sections)
+        rng = np.random.default_rng(100 + spec.order + 10 * spec.is_lowpass)
+        x = _signed_zero_signal(rng, 60, 4)
+        expected = textbook_df2t(cascade, x).tobytes()
+        assert filter_values(cascade, x).tobytes() == expected
+        for _ in range(4):
+            state, parts, i = FilterState(cascade, 4), [], 0
+            while i < len(x):
+                n = int(rng.choice([0, 1, max(k - 1, 0), int(rng.integers(2, 2 * k + 4))]))
+                if n == 1 and rng.random() < 0.5:
+                    parts.append(state.process(x[i])[None])  # one (S,) packet
+                else:
+                    parts.append(state.process(x[i:i + n]))
+                i += n
+            assert np.concatenate(parts).tobytes() == expected
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_state_decayed_to_signed_zero_equals_textbook_bytes(self, order):
+        """An impulse response that underflows leaves -0.0 in the state, which
+        a following run of -0.0 input carries to the output; only then does
+        the sign of a zero state entry reach the bytes."""
+        cascade = design_bandpass(FilterSpec(0.0, 30.0, order, 80.0))
+        x = np.zeros((4000, 2))
+        x[0] = [1.0, -5e-324]
+        x[2000:, 0] = -0.0
+        out = filter_values(cascade, x)
+        assert np.any((out == 0.0) & np.signbit(out))
+        assert out.tobytes() == textbook_df2t(cascade, x).tobytes()
+
+    def test_empty_block_keeps_shape_and_state(self):
+        cascade = design_bandpass(HR_SPEC)
+        x = np.random.default_rng(4).standard_normal((20, 3))
+        state = FilterState(cascade, 3)
+        head = state.process(x[:7])
+        assert state.process(np.empty((0, 3))).shape == (0, 3)
+        rest = state.process(x[7:])
+        assert np.vstack([head, rest]).tobytes() == filter_values(cascade, x).tobytes()
+
+    def test_fortran_ordered_input_gives_c_ordered_output(self):
+        """A subcarrier subset reaches the filter F-ordered. The smoothing
+        keeps the layout it is given, and standardize's column sums add in a
+        layout-dependent order, so an F-ordered filter output would give batch
+        z-scores that differ in the last bit from the streaming ones, which
+        are stacked from C-ordered rows."""
+        cascade = design_bandpass(HR_SPEC)
+        x = np.random.default_rng(8).standard_normal((200, 5))
+        out = filter_values(cascade, np.asfortranarray(x))
+        assert out.flags.c_contiguous
+        assert out.tobytes() == filter_values(cascade, x).tobytes()
