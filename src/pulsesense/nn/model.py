@@ -30,6 +30,11 @@ its strided gate row once into a contiguous work row and writes the
 activated row back once. The cell and hidden states are time-major,
 (T, B, H), so every other access of a step is contiguous; the cache's
 ``h`` is a (B, T, H) view of that storage.
+
+Backward consumes its cache: BPTT writes each step's dz over the gate row
+it has just read and the shifted hidden states over the spent cell states,
+then drops ``gates`` and ``c``. A second backward on that cache raises
+CacheMismatch; ``x``, ``h``, the masks and the head values stay readable.
 """
 
 from __future__ import annotations
@@ -179,14 +184,16 @@ def _gate_affine(units):
 @dataclass
 class _LayerCache:
     x: np.ndarray        # (B, T, D) layer input sequence, as the caller passed it
-    gates: np.ndarray    # (B, T, 4H) post-activation, order i|f|g|o
-    c: np.ndarray        # (T, B, H)
+    gates: Optional[np.ndarray]  # (B, T, 4H) post-activation, order i|f|g|o
+    c: Optional[np.ndarray]      # (T, B, H); both None once backward has run
     h: np.ndarray        # (B, T, H) view of time-major (T, B, H) storage
 
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs; produced by the matching forward call."""
+    """Everything backward() needs; produced by the matching forward call.
+    Backward consumes it: the layers' ``gates`` and ``c`` become its work
+    storage and are then dropped; every other field stays readable."""
 
     config: ModelConfig
     layer1: _LayerCache
@@ -238,12 +245,13 @@ def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
     """Exact BPTT over the full sequence. ``dh_top`` is the upstream gradient
     of every output, (B, T, H), or of the last output only, (B, H). Returns
     (dW, dU, db, dx_seq); dx_seq is computed only when the input kernel ``w``
-    is given."""
+    is given. Consumes the layer cache: each step's dz goes over its gate row,
+    so the gates end as the (B, T, 4H) dz sequence, the spent cell states hold
+    the (B, T, H) previous hidden states, and both are then set to None."""
     x, gates, c_seq = cache.x, cache.gates, cache.c
     t_len, batch, units = c_seq.shape
-    dz_seq = np.empty((batch, t_len, 4 * units))
     # this step's gate row and dz, each read from or written to the
-    # batch-major arrays in one pass
+    # batch-major gates in one pass
     s = np.empty((batch, 4 * units))
     dz = np.empty((batch, 4 * units))
     i, f, g, o = (s[:, :units], s[:, units:2 * units], s[:, 2 * units:3 * units],
@@ -269,14 +277,16 @@ def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
         dz[:, 3 * units:] *= dh * tc
         dh_carry = dz @ u
         dc_next = dc * f
-        dz_seq[:, t, :] = dz
-    flat_dz = dz_seq.reshape(batch * t_len, 4 * units)
+        gates[:, t, :] = dz
+    flat_dz = gates.reshape(batch * t_len, 4 * units)
     dw = flat_dz.T @ x.reshape(batch * t_len, -1)
-    h_prev = np.concatenate(
-        [np.zeros((batch, 1, units)), cache.h[:, :-1, :]], axis=1)
+    h_prev = c_seq.reshape(batch, t_len, units)
+    h_prev[:, 0, :] = 0.0
+    h_prev[:, 1:, :] = cache.h[:, :-1, :]
     du = flat_dz.T @ h_prev.reshape(batch * t_len, units)
     db = flat_dz.sum(axis=0)
     dx = None if w is None else (flat_dz @ w).reshape(x.shape)
+    cache.gates = cache.c = None
     return dw, du, db, dx
 
 
@@ -289,6 +299,8 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
         raise ShapeMismatch(
             f"expected (B, T, {cfg.input_dim}) input, got {x.shape}")
     batch, t_len, _ = x.shape
+    if batch == 0 or t_len == 0:
+        raise ShapeMismatch(f"empty batch or time axis in input shape {x.shape}")
     p = cfg.dropout_rate
     use_dropout = training and p > 0.0
     rng = np.random.default_rng(rng_seed) if use_dropout else None
@@ -339,6 +351,8 @@ def backward_batch(params: ModelParams, cache: ForwardCache,
     if dpred.shape != cache.prediction.shape:
         raise CacheMismatch(
             f"upstream gradient shape {dpred.shape} != {cache.prediction.shape}")
+    if cache.layer1.gates is None or cache.layer2.gates is None:
+        raise CacheMismatch("cache was consumed by an earlier backward")
 
     if cfg.head == "binary":
         prob = cache.prediction
@@ -361,8 +375,9 @@ def backward_batch(params: ModelParams, cache: ForwardCache,
 
     dw2, du2, db2, dx2 = _lstm_backward(params.u2, cache.layer2, dh2_last,
                                         w=params.w2)
-    dh1_seq = dx2 if cache.mask1 is None else dx2 * cache.mask1
-    dw1, du1, db1, _ = _lstm_backward(params.u1, cache.layer1, dh1_seq)
+    if cache.mask1 is not None:
+        dx2 *= cache.mask1
+    dw1, du1, db1, _ = _lstm_backward(params.u1, cache.layer1, dx2)
 
     return ModelParams.from_tensors(cfg, [dw1, du1, db1, dw2, du2, db2,
                                           ddense_w, ddense_b, dhead_w, dhead_b])

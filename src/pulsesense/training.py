@@ -229,7 +229,11 @@ def train(segments: Arrays, model_config: ModelConfig,
             loss_sum += float(losses.sum())
             dpred = grads / sel.size
             grad_params = backward_batch(params, cache, dpred)
-            del preds, cache  # else they live on through the next forward_batch
+            # backward_batch has consumed the cache's gates and cell states;
+            # this frees the rest (the batch, the hidden states, layer 2's
+            # dropped input and the masks, about 60 MB at the paper stack,
+            # B=64) before the next forward_batch
+            del preds, cache
             params, state = adam_step(state, params, grad_params)
         train_loss = loss_sum / n_train * loss_unit
 

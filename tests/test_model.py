@@ -1,7 +1,9 @@
-"""Network forward/backward correctness: finite-difference gradients,
-dropout semantics, parameter accounting, the fused gate kernels against a
-per-gate reference, and the time-major kernels bit for bit against the
-batch-major ones they replaced."""
+"""Network forward/backward correctness: finite-difference gradients, the
+consumed-cache contract, dropout semantics, parameter accounting, the fused
+gate kernels against a per-gate reference, and the time-major kernels bit
+for bit against the batch-major ones they replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,17 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, np.zeros((10, 4)))
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (0, 5, 3)])
+    def test_empty_axis_refused(self, shape):
+        params = init_params(small_config(), 0)
+        with pytest.raises(ShapeMismatch, match="empty"):
+            forward_batch(params, np.zeros(shape))
+
+    def test_empty_window_refused(self):
+        params = init_params(small_config(), 0)
+        with pytest.raises(ShapeMismatch, match="empty"):
+            forward(params, np.zeros((0, 3)))
+
     def test_training_false_ignores_dropout_seed(self):
         params = init_params(small_config(dropout=0.5), 1)
         x = np.random.default_rng(4).standard_normal((10, 3))
@@ -148,6 +161,50 @@ class TestBackward:
         _, cache = forward(params_a, x)
         with pytest.raises(CacheMismatch):
             backward(params_b, cache, 1.0)
+
+    def test_consumed_cache_refused(self):
+        params = init_params(small_config(dropout=0.25), 2)
+        x = np.random.default_rng(2).standard_normal((2, 6, 3))
+        _, cache = forward_batch(params, x, training=True, rng_seed=4)
+        backward_batch(params, cache, np.ones(2))
+        with pytest.raises(CacheMismatch, match="consumed"):
+            backward_batch(params, cache, np.ones(2))
+        _, single = forward(params, x[0])
+        backward(params, single, 1.0)
+        with pytest.raises(CacheMismatch, match="consumed"):
+            backward(params, single, 1.0)
+
+    def test_backward_keeps_outputs_masks_and_input(self):
+        """Backward writes only the gates and cell states it consumes: the
+        hidden states, prediction, masks and the caller's input, which the
+        cache holds as layer 1's x, are byte-identical after it."""
+        params = init_params(small_config(dropout=0.25), 3)
+        x = np.random.default_rng(3).standard_normal((3, 8, 3))
+        x_before = x.copy()
+        _, cache = forward_batch(params, x, training=True, rng_seed=5)
+        assert cache.layer1.x is x
+        kept = [cache.layer1.h, cache.layer2.h, cache.prediction, cache.mask1,
+                cache.mask2]
+        before = [a.tobytes() for a in kept]
+        backward_batch(params, cache, np.ones(3))
+        assert [a.tobytes() for a in kept] == before
+        assert x.tobytes() == x_before.tobytes()
+
+    def test_backward_allocates_less_than_one_gate_tensor(self):
+        """BPTT builds dz and the previous hidden states in the spent cache,
+        so its traced peak stays below layer 1's (B, T, 4H) gate tensor."""
+        cfg = ModelConfig(input_dim=64, dropout_rate=0.2)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(0).standard_normal((8, 200, 64))
+        _, cache = forward_batch(params, x, training=True, rng_seed=1)
+        gate_bytes = cache.layer1.gates.nbytes
+        tracemalloc.start()
+        try:
+            backward_batch(params, cache, np.ones(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gate_bytes
 
     def test_batch_gradient_is_sum_of_singles(self):
         """backward_batch over B windows equals the sum of per-window runs."""
