@@ -173,32 +173,44 @@ def _stored_in(model_path: str):
             f"model {model_path} stores {type(exc).__name__}: {exc}") from None
 
 
-def _check_head(model_path: str, params, extra: dict, stored: PipelineConfig) -> None:
-    """A model whose stored mode takes another head than its own would print
-    one task's outputs as another's."""
+def _load_trained(model_path: str):
+    """A trained model: its params, the pipeline it stores (the default
+    block when it stores none) and its stored window length in packets
+    (None when absent). A head other than the stored mode's would print one
+    task's outputs as another's, so such a model is refused."""
+    with open(model_path, "rb") as fh:
+        params, extra = load_model(fh.read())
+    extra = extra or {}
+    with _stored_in(model_path):
+        stored = cfgmod.read_pipeline(extra.get("pipeline", {}))
+        trained_w = (cfgmod.check_type("window_packets", extra["window_packets"], int)
+                     if "window_packets" in extra else None)
     head = mode_spec(stored.mode).head
-    if "pipeline" in extra and head != params.config.head:
+    if head != params.config.head:
         raise SchemaMismatch(
             f"model {model_path} has a {params.config.head} head but stores mode "
             f"{stored.mode!r}, whose head is {head}")
+    return params, stored, trained_w
+
+
+def _check_fit(params, trained_w: Optional[int], w: int, width: int, source: str) -> None:
+    """A model takes windows of the length it was trained on (when it stores
+    one), each ``input_dim`` subcarriers wide; ``source`` gives ``w`` x ``width``."""
+    if trained_w is not None and w != trained_w:
+        raise SchemaMismatch(
+            f"model takes {trained_w}-packet windows; {source} gives {w}-packet windows")
+    if width != params.config.input_dim:
+        raise SchemaMismatch(
+            f"model takes {params.config.input_dim} subcarriers; {source} gives {width}")
 
 
 def cmd_eval(args) -> int:
-    with open(args.model, "rb") as fh:
-        params, extra = load_model(fh.read())
-    extra = extra or {}
-    threshold = args.threshold
-    if threshold is None:
-        with _stored_in(args.model):
-            stored = cfgmod.read_pipeline(extra.get("pipeline", {}))
-        threshold = mode_spec(stored.mode).threshold
-        if threshold is None and params.config.head == "regression":
-            raise SchemaMismatch(
-                f"model {args.model} has a regression head but stores mode "
-                f"{stored.mode!r}, which has no threshold; pass --threshold")
-        _check_head(args.model, params, extra, stored)
+    params, stored, trained_w = _load_trained(args.model)
     with open(args.data, "rb") as fh:
         x, y = read_segment_dump(fh.read())
+    _check_fit(params, trained_w, x.shape[1], x.shape[2], f"dump {args.data}")
+    threshold = (args.threshold if args.threshold is not None
+                 else mode_spec(stored.mode).threshold)
     report = evaluate(params, (x, y), threshold=threshold,
                       decision_threshold=args.decision_threshold)
     text = report.to_json() + "\n"
@@ -240,26 +252,13 @@ class _StreamRows:
 
 
 def cmd_infer(args) -> int:
-    # the pipeline and window length stored with the model are the contract
-    with open(args.model, "rb") as fh:
-        params, extra = load_model(fh.read())
-    extra = extra or {}
+    params, pipeline_cfg, trained_w = _load_trained(args.model)
     with open(args.stream, "rb") as fh:
         fs, n_sub, _ = iter_canonical(utf8_lines(fh))
     with _stored_in(args.model):
-        pipeline_cfg = cfgmod.read_pipeline(extra.get("pipeline", {}))
         _, _, w = pipeline_cfg.stages(fs)
-        trained_w = cfgmod.check_type("window_packets", extra.get("window_packets", w), int)
-    _check_head(args.model, params, extra, pipeline_cfg)
-    if trained_w != w:
-        raise SchemaMismatch(
-            f"model was trained on {trained_w}-packet windows; "
-            f"{pipeline_cfg.window_s} s at the stream's {fs} Hz is {w} packets")
     width = np.arange(n_sub)[subcarrier_index(pipeline_cfg.subcarriers, n_sub)].size
-    if width != params.config.input_dim:
-        raise SchemaMismatch(
-            f"model takes {params.config.input_dim} subcarriers; the stream's "
-            f"selection has {width} of its {n_sub}")
+    _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
 
     mu, _count = streaming_column_means(_StreamRows(args.stream),
                                         pipeline_cfg.subcarriers)

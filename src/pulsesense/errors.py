@@ -63,11 +63,11 @@ class NonFiniteSample(DataError):
     pass
 
 
-# --- DSP --------------------------------------------------------------------
-
-class EmptyStream(PulseSenseError):
+class EmptyStream(DataError):
     pass
 
+
+# --- DSP --------------------------------------------------------------------
 
 class InvalidBand(ConfigError):
     pass

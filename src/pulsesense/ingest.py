@@ -58,7 +58,6 @@ class CsiStream:
     timestamps: np.ndarray
     values: np.ndarray
     sample_rate_hz: float
-    source_meta: Optional[str] = None
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
@@ -85,8 +84,7 @@ class CsiStream:
     def slice_time(self, start_s: float, end_s: float) -> "CsiStream":
         """Frames with start_s <= t < end_s."""
         mask = (self.timestamps >= start_s) & (self.timestamps < end_s)
-        return CsiStream(self.timestamps[mask], self.values[mask],
-                         self.sample_rate_hz, self.source_meta)
+        return CsiStream(self.timestamps[mask], self.values[mask], self.sample_rate_hz)
 
 
 @dataclass

@@ -99,10 +99,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams.from_tensors(self.config, [t.copy() for t in self.tensors()])
 
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams.from_tensors(self.config,
-                                        [np.zeros_like(t) for t in self.tensors()])
-
 
 def expected_shapes(config: ModelConfig) -> List[Tuple[int, ...]]:
     d, h1, h2, nd = (config.input_dim, config.lstm1_units,

@@ -26,7 +26,7 @@ from .dsp.pipeline import (
     subcarrier_index,
 )
 from .dsp.savgol import smooth_padded
-from .errors import SeriesTooShort, WindowLongerThanSeries
+from .errors import EmptyStream, SeriesTooShort, WindowLongerThanSeries
 from .nn.model import ModelParams, forward
 
 
@@ -121,7 +121,7 @@ def streaming_column_means(packets: Iterable[np.ndarray],
         acc += _amplitude_row(packet, index)
         count += 1
     if acc is None:
-        raise SeriesTooShort("empty stream")
+        raise EmptyStream("empty stream")
     mu = acc / count
     check_finite_means(mu, (_amplitude_row(p, index) for p in packets))
     return mu, count

@@ -3,13 +3,15 @@
 The channel model is multiplicative amplitude modulation of a static
 per-subcarrier phasor: breathing and cardiac components ride on a
 
-    base_s * (1 + alpha_s sin(2 pi f_br(t) t + phi_s) * gate(t)
-                + beta_s sin(2 pi f_hr(t) t + psi_s))
+    base_s * (1 + alpha_s sin(2 pi c_br(t) + phi_s) * gate(t)
+                + beta_s sin(2 pi c_hr(t) + psi_s))
 
 magnitude, plus independent Gaussian noise on the real and imaginary parts.
-gate(t) is 0 inside apnea intervals (breathing ceases; the cardiac component
-persists). Since the processing chain uses only |CSI|, the static phase
-carries no information and is drawn once per subcarrier.
+c(t) counts the cycles of a rate schedule up to t (Schedule.cycles_at), so a
+rate step keeps the phase continuous. gate(t) is 0 inside apnea intervals
+(breathing ceases; the cardiac component persists). Since the processing
+chain uses only |CSI|, the static phase carries no information and is drawn
+once per subcarrier.
 
 Everything is seed-deterministic: the same Scenario regenerates the same
 stream bit for bit.
@@ -52,10 +54,25 @@ class Schedule:
     def constant(cls, value: float) -> "Schedule":
         return cls((0.0,), (float(value),))
 
+    def _piece(self, t: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
+        return np.clip(idx, 0, len(self.values) - 1)
+
     def value_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
-        return np.asarray(self.values)[np.clip(idx, 0, len(self.values) - 1)]
+        return np.asarray(self.values)[self._piece(t)]
+
+    def cycles_at(self, t) -> np.ndarray:
+        """Cycles elapsed by time t >= 0 of a rate in cycles per minute: the
+        integral of its frequency, so a breakpoint changes the rate and keeps
+        the phase. Piece k adds f_k (t - t_k) to the cycles of the pieces
+        before it; with one piece this is f_0 t exactly."""
+        t = np.asarray(t, dtype=np.float64)
+        starts = np.asarray(self.times)
+        f = np.asarray(self.values) / 60.0
+        before = np.concatenate(([0.0], np.cumsum(f[:-1] * np.diff(starts))))
+        k = self._piece(t)
+        return before[k] + f[k] * (t - starts[k])
 
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
@@ -154,12 +171,10 @@ def generate(scenario: Scenario) -> SynthRecording:
     psi = phase_rng.uniform(0, 2 * np.pi, sc.subcarriers)
     theta = phase_rng.uniform(0, 2 * np.pi, sc.subcarriers)
 
-    f_br = sc.br_brpm.value_at(t) / 60.0
-    f_hr = sc.hr_bpm.value_at(t) / 60.0
     gate = _gate(t, sc.apnea_intervals)
 
-    breath = np.sin(2 * np.pi * (f_br * t)[:, None] + phi[None, :])
-    cardiac = np.sin(2 * np.pi * (f_hr * t)[:, None] + psi[None, :])
+    breath = np.sin(2 * np.pi * sc.br_brpm.cycles_at(t)[:, None] + phi[None, :])
+    cardiac = np.sin(2 * np.pi * sc.hr_bpm.cycles_at(t)[:, None] + psi[None, :])
     magnitude = base[None, :] * (1.0
                                  + alpha[None, :] * breath * gate[:, None]
                                  + beta[None, :] * cardiac)
@@ -170,7 +185,7 @@ def generate(scenario: Scenario) -> SynthRecording:
         values = values + (noise_rng.normal(0.0, sc.noise_std, (n, sc.subcarriers))
                            + 1j * noise_rng.normal(0.0, sc.noise_std, (n, sc.subcarriers)))
 
-    stream = CsiStream(t, values, fs, source_meta=sc.name)
+    stream = CsiStream(t, values, fs)
 
     t_lab = np.arange(0.0, np.floor(t[-1]) + 1.0)
     hr_vals = sc.hr_bpm.value_at(t_lab)

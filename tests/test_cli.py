@@ -404,16 +404,56 @@ def test_infer_packets_equal_parse_canonical_bitwise(tmp_path):
 
 
 def test_runtime_error_exits_4(workdir, capsys):
-    """Model/data shape disagreement is a runtime error, not config or data."""
+    """A recording shorter than the smoothing window is a runtime error, not
+    config or data."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
-    assert main(["process", "--config", str(cfg_path)]) == 0
-    from pulsesense.nn import ModelConfig, init_params, save_model
-    wrong = tmp_path / "wrong.psnn"
-    wrong.write_bytes(save_model(init_params(ModelConfig(input_dim=7), 0)))
-    assert main(["eval", "--model", str(wrong),
-                 "--data", str(out / "segments.psseg")]) == 4
-    assert "ShapeMismatch" in capsys.readouterr().err
+    stream = out / "stream.jsonl"
+    stream.write_text("\n".join(stream.read_text().splitlines()[:4]) + "\n")  # 3 packets
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 4
+    assert "SeriesTooShort" in capsys.readouterr().err
+    assert not (out / "segments.psseg").exists()
+
+
+@pytest.mark.parametrize("extra,window_s,error", [
+    ({"window_packets": 100}, 4.0, "model takes 100-packet windows; dump {} gives 80-packet"),
+    (None, 5.0, "model takes 7 subcarriers; dump {} gives 3"),
+], ids=["window-length", "width"])
+def test_eval_refuses_dump_the_model_does_not_fit(workdir, capsys, extra, window_s, error):
+    """eval applies infer's fit rule to the dump: windows of the stored
+    length, input_dim subcarriers wide, or a data error before any report."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path),
+                 "--set", f"pipeline.window_s={window_s}"]) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3 if extra else 7, extra))
+    dump, report = out / "segments.psseg", tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(dump),
+                 "--out", str(report)]) == 3
+    assert f"SchemaMismatch: {error.format(dump)}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_empty_stream_exits_3(workdir, capsys):
+    """A canonical recording with a header and no packet is a data error in
+    process and in infer."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    stream = out / "stream.jsonl"
+    stream.write_text(stream.read_text().splitlines()[0] + "\n")
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    preds = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert not (out / "segments.psseg").exists()
+    assert main(["infer", "--model", str(model), "--stream", str(stream),
+                 "--out", str(preds)]) == 3
+    assert "EmptyStream: empty stream" in capsys.readouterr().err
+    assert not preds.exists()
 
 
 def test_bench_csv(workdir, capsys):
@@ -446,29 +486,37 @@ def test_zero_phase_true_exits_2(workdir, capsys):
     assert not preds.exists()
 
 
-@pytest.mark.parametrize("extra,error", [
-    ({"pipeline": {"mode": 5}}, "ConfigInvalidValue: pipeline.mode must be a string"),
-    ({"pipeline": {"bogus": 1}}, "ConfigUnknownKey: pipeline.bogus"),
-    ({"pipeline": {"savgol": {"window": 14}}}, "InvalidKernelSpec"),
-    ({"pipeline": {"stride": 0}}, "ConfigInvalidValue: pipeline.stride"),
-    ({"pipeline": []}, "ConfigInvalidValue: pipeline must be an object"),
-    ({"window_packets": "100"}, "ConfigInvalidValue: window_packets must be an integer"),
-    ({"window_packets": 100.0}, "ConfigInvalidValue: window_packets must be an integer"),
+@pytest.mark.parametrize("extra,error,commands", [
+    ({"pipeline": {"mode": 5}}, "ConfigInvalidValue: pipeline.mode must be a string",
+     ("infer", "eval")),
+    ({"pipeline": {"bogus": 1}}, "ConfigUnknownKey: pipeline.bogus", ("infer", "eval")),
+    # eval has no sample rate, so only infer's stages(fs) refuses these two
+    ({"pipeline": {"savgol": {"window": 14}}}, "InvalidKernelSpec", ("infer",)),
+    ({"pipeline": {"stride": 0}}, "ConfigInvalidValue: pipeline.stride", ("infer",)),
+    ({"pipeline": []}, "ConfigInvalidValue: pipeline must be an object", ("infer", "eval")),
+    ({"window_packets": "100"}, "ConfigInvalidValue: window_packets must be an integer",
+     ("infer", "eval")),
+    ({"window_packets": 100.0}, "ConfigInvalidValue: window_packets must be an integer",
+     ("infer", "eval")),
 ], ids=["mode-type", "unknown-key", "even-kernel", "zero-stride", "not-object",
         "window-string", "window-float"])
-def test_bad_stored_pipeline_exits_3(workdir, capsys, extra, error):
-    """infer takes no config, so a stored block it cannot run is a data error
-    naming the model file, found before any prediction is written."""
+def test_bad_stored_pipeline_exits_3(workdir, capsys, extra, error, commands):
+    """infer and eval take no config, so a stored block they cannot run is a
+    data error naming the model file, found before any output is written."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
     model = tmp_path / "m.psnn"
     model.write_bytes(_model_bytes(3, extra))
     preds = tmp_path / "preds.csv"
+    argvs = {"infer": ["--stream", str(out / "stream.jsonl")],
+             "eval": ["--data", str(out / "segments.psseg")]}
     capsys.readouterr()
-    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
-                 "--out", str(preds)]) == 3
-    assert f"SchemaMismatch: model {model} stores {error}" in capsys.readouterr().err
-    assert not preds.exists()
+    for command in commands:
+        assert main([command, "--model", str(model), "--out", str(preds)]
+                    + argvs[command]) == 3
+        assert f"SchemaMismatch: model {model} stores {error}" in capsys.readouterr().err
+        assert not preds.exists()
 
 
 def _model_bytes(input_dim, extra=None, head="regression"):
@@ -791,45 +839,29 @@ def test_eval_threshold_flag_names_no_unit(workdir, capsys):
     assert not [key for key in doc if "bpm" in key]
 
 
-def test_eval_regression_model_of_a_binary_mode_needs_a_threshold(workdir, capsys):
-    """A regression model that stores the apnea mode has no default
-    threshold: eval asks for --threshold instead of guessing one."""
-    tmp_path, out, cfg_path = workdir
-    assert main(["synth", "--config", str(cfg_path)]) == 0
-    assert main(["process", "--config", str(cfg_path)]) == 0
-    model = tmp_path / "m.psnn"
-    model.write_bytes(_model_bytes(3, {"pipeline": {"mode": "apnea"}}))
-    argv = ["eval", "--model", str(model), "--data", str(out / "segments.psseg")]
-    capsys.readouterr()
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "SchemaMismatch" in err and "pass --threshold" in err
-    assert main(argv + ["--threshold", "1.5"]) == 0
-
-
 @pytest.mark.parametrize("head,mode", [("binary", "heart"), ("binary", "breath"),
                                        ("regression", "apnea")])
 def test_head_other_than_the_stored_mode_exits_3(workdir, capsys, head, mode):
     """A model whose head is not its stored mode's would print one task's
-    outputs as another's: infer refuses it before any prediction, and so
-    does eval when it scores at the stored mode's threshold."""
+    outputs as another's: infer and eval refuse it before any output, and
+    eval does so whether or not it is given --threshold."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["process", "--config", str(cfg_path)]) == 0
     model = tmp_path / "m.psnn"
     model.write_bytes(_model_bytes(3, {"pipeline": {"mode": mode}}, head=head))
     preds = tmp_path / "preds.csv"
-    capsys.readouterr()
-    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
-                 "--out", str(preds)]) == 3
     mode_head = "regression" if head == "binary" else "binary"
-    assert (f"SchemaMismatch: model {model} has a {head} head but stores mode "
-            f"{mode!r}, whose head is {mode_head}") in capsys.readouterr().err
-    assert not preds.exists()
-    if head == "binary":
-        assert main(["eval", "--model", str(model),
-                     "--data", str(out / "segments.psseg")]) == 3
-        assert f"has a binary head but stores mode {mode!r}" in capsys.readouterr().err
+    eval_argv = ["eval", "--model", str(model), "--data", str(out / "segments.psseg"),
+                 "--out", str(preds)]
+    capsys.readouterr()
+    for argv in (["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                  "--out", str(preds)],
+                 eval_argv, eval_argv + ["--threshold", "1.5"]):
+        assert main(argv) == 3
+        assert (f"SchemaMismatch: model {model} has a {head} head but stores mode "
+                f"{mode!r}, whose head is {mode_head}") in capsys.readouterr().err
+        assert not preds.exists()
 
 
 def test_model_block_read_before_ingest(workdir, capsys):

@@ -45,6 +45,20 @@ class TestGenerate:
         assert abs(top2[0] - 15.0 / 60.0) <= bin_width
         assert abs(top2[1] - 72.0 / 60.0) <= bin_width
 
+    def test_rate_step_keeps_the_phase_continuous(self):
+        """Across a 72 -> 90 BPM step at 10.5 s, the cycle count advances by
+        one sample's worth at 80 Hz, where f(t) * t would jump 3.165 cycles."""
+        fs = 80.0
+        t = np.arange(int(20 * fs)) / fs
+        steps = np.diff(Schedule((0.0, 10.5), (72.0, 90.0)).cycles_at(t))
+        assert steps.min() >= 1.2 / fs - 1e-12 and steps.max() <= 1.5 / fs + 1e-12
+
+    def test_constant_rate_cycles_are_rate_times_time(self):
+        """One piece gives f_0 t bit for bit, so constant-rate recordings do
+        not move."""
+        t = np.arange(12000) / 80.0
+        assert np.array_equal(Schedule.constant(72.0).cycles_at(t), 72.0 / 60.0 * t)
+
     def test_apnea_labels_cover_interval_inclusively(self):
         sc = basic_scenario(apnea_intervals=((20.0, 30.0),))
         rec = generate(sc)
