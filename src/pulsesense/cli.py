@@ -33,6 +33,7 @@ from .dsp.pipeline import (
 )
 from .errors import (
     ConfigError,
+    ConfigInvalidValue,
     DataError,
     PulseSenseError,
     SchemaMismatch,
@@ -60,7 +61,7 @@ from .training import (
 )
 
 def _write(path: str, data) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
+    mode = "w" if isinstance(data, str) else "wb"
     with open(path, mode) as fh:
         fh.write(data)
 
@@ -206,13 +207,19 @@ def _check_fit(params, trained_w: Optional[int], w: int, width: int, source: str
 
 def cmd_eval(args) -> int:
     params, stored, trained_w = _load_trained(args.model)
+    # each head reads one scoring flag; the other would be silently dropped
+    head = params.config.head
+    flag, value = (("--threshold", args.threshold) if head == "binary"
+                   else ("--decision-threshold", args.decision_threshold))
+    if value is not None:
+        raise ConfigInvalidValue(f"{flag} does not apply to a model with a {head} head")
     with open(args.data, "rb") as fh:
         x, y = read_segment_dump(fh.read())
     _check_fit(params, trained_w, x.shape[1], x.shape[2], f"dump {args.data}")
     threshold = (args.threshold if args.threshold is not None
                  else mode_spec(stored.mode).threshold)
-    report = evaluate(params, (x, y), threshold=threshold,
-                      decision_threshold=args.decision_threshold)
+    decision = 0.5 if args.decision_threshold is None else args.decision_threshold
+    report = evaluate(params, (x, y), threshold=threshold, decision_threshold=decision)
     text = report.to_json() + "\n"
     if args.out:
         _write(args.out, text)
@@ -336,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--threshold", type=_in_range(float, 0.0),
                     help="regression tolerance; default: the stored mode's")
-    ev.add_argument("--decision-threshold", type=_in_range(float, 0.0, 1.0), default=0.5)
+    ev.add_argument("--decision-threshold", type=_in_range(float, 0.0, 1.0),
+                    help="binary-head decision threshold; default: 0.5")
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_eval)
 

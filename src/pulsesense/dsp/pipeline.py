@@ -290,22 +290,39 @@ def segments_to_arrays(segments: Sequence[WindowSegment]) -> Tuple[np.ndarray, n
     return x, y
 
 
-def write_segment_dump(segments: Sequence[WindowSegment]) -> bytes:
-    """Binary dump: magic, u32 count/W/S, then float32 records (values+label)."""
+def _dump_record(w: int, s: int) -> np.dtype:
+    """One dump record: W*S row-major float32 values, then a float32 label."""
+    return np.dtype([("values", "<f4", (w, s)), ("label", "<f4")])
+
+
+def write_segment_dump(segments: Sequence[WindowSegment]) -> bytearray:
+    """Binary dump: magic, u32 count/W/S, then float32 records (values+label).
+
+    The dump is allocated once and each window is cast into its record in
+    place: no per-window float32 copy and no join of the copies.
+    """
     if not segments:
         raise EmptyStream("no segments to dump")
     w, s = segments[0].values.shape
-    parts = [SEGMENT_DUMP_MAGIC, struct.pack("<III", len(segments), w, s)]
-    for seg in segments:
+    record = _dump_record(w, s)
+    out = bytearray(18 + len(segments) * record.itemsize)
+    out[:6] = SEGMENT_DUMP_MAGIC
+    struct.pack_into("<III", out, 6, len(segments), w, s)
+    values = np.frombuffer(out, dtype=record, offset=18)["values"]
+    label_at = 18 + record.fields["label"][1]
+    for i, seg in enumerate(segments):
         if seg.values.shape != (w, s):
             raise ValueError("segments disagree on shape")
-        parts.append(np.asarray(seg.values, dtype="<f4").tobytes(order="C"))
-        parts.append(struct.pack("<f", seg.label))
-    return b"".join(parts)
+        values[i] = seg.values
+        # struct, not a float32 cast: a label past the float32 range raises
+        # OverflowError rather than becoming inf
+        struct.pack_into("<f", out, label_at + i * record.itemsize, seg.label)
+    return out
 
 
 def read_segment_dump(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of write_segment_dump: (count, W, S) values plus labels.
+    """Inverse of write_segment_dump: (count, W, S) float32 values, a
+    read-only view into ``data``, plus the labels widened to float64.
 
     A non-finite value or label is refused (NonFiniteSample), as the
     pipeline refuses non-finite samples.
@@ -331,7 +348,6 @@ def read_segment_dump(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
         raise NonFiniteSample(
             f"dump record {i} (counted from 0) holds a non-finite "
             + ("label" if k == w * s else "value"))
-    record = np.dtype([("values", "<f4", (w, s)), ("label", "<f4")])
-    records = np.frombuffer(data, dtype=record, offset=18)
-    return (records["values"].astype(np.float64),
-            records["label"].astype(np.float64))
+    records = np.frombuffer(data, dtype=_dump_record(w, s), offset=18)
+    records.flags.writeable = False
+    return records["values"], records["label"].astype(np.float64)

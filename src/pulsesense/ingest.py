@@ -23,6 +23,7 @@ from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Unio
 import numpy as np
 
 from .errors import (
+    EmptyStream,
     InconsistentSubcarrierCount,
     InsufficientFrames,
     InsufficientOverlap,
@@ -412,7 +413,7 @@ def align(stream: CsiStream, labels: LabelSeries) -> AlignedRecording:
     outside the label span take the nearest endpoint value.
     """
     if stream.frame_count == 0:
-        raise InsufficientOverlap("stream has no frames")
+        raise EmptyStream("stream has no frames")
     if len(labels) == 0:
         raise InsufficientOverlap("label series is empty")
     t0, t1 = float(stream.timestamps[0]), float(stream.timestamps[-1])

@@ -276,8 +276,11 @@ def train(segments: Arrays, model_config: ModelConfig,
 
 
 def predict(params: ModelParams, segments: Arrays, chunk: int = 64) -> np.ndarray:
-    """Inference over an ``(x, y)`` pair; predictions come out in label units."""
-    x, _ = _float_arrays(segments)
+    """Inference over an ``(x, y)`` pair; predictions come out in label units.
+
+    ``x`` is not widened as a whole: forward_batch widens each chunk to
+    float64, so a float32 dump view predicts as its float64 copy would."""
+    x = np.asarray(segments[0])
     preds = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], chunk):
         preds[lo:lo + chunk], _ = forward_batch(params, x[lo:lo + chunk],
@@ -289,8 +292,8 @@ def evaluate(params: ModelParams, segments: Arrays, *,
              threshold: Optional[float] = 1.5,
              decision_threshold: float = 0.5) -> MetricsReport:
     """Predict then score with the metric set matching the head type."""
-    x, y = _float_arrays(segments)
-    preds = predict(params, (x, y))
+    y = np.asarray(segments[1], dtype=np.float64)
+    preds = predict(params, segments)
     if params.config.head == "binary":
         return classification_metrics(preds, y, decision_threshold)
     return regression_metrics(y, preds, threshold)

@@ -438,8 +438,8 @@ def test_eval_refuses_dump_the_model_does_not_fit(workdir, capsys, extra, window
 
 
 def test_empty_stream_exits_3(workdir, capsys):
-    """A canonical recording with a header and no packet is a data error in
-    process and in infer."""
+    """A canonical recording with a header and no packet is an EmptyStream
+    (a data error) in process and in infer alike."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
     stream = out / "stream.jsonl"
@@ -449,6 +449,7 @@ def test_empty_stream_exits_3(workdir, capsys):
     preds = tmp_path / "preds.csv"
     capsys.readouterr()
     assert main(["process", "--config", str(cfg_path)]) == 3
+    assert "EmptyStream: stream has no frames" in capsys.readouterr().err
     assert not (out / "segments.psseg").exists()
     assert main(["infer", "--model", str(model), "--stream", str(stream),
                  "--out", str(preds)]) == 3
@@ -862,6 +863,41 @@ def test_head_other_than_the_stored_mode_exits_3(workdir, capsys, head, mode):
         assert (f"SchemaMismatch: model {model} has a {head} head but stores mode "
                 f"{mode!r}, whose head is {mode_head}") in capsys.readouterr().err
         assert not preds.exists()
+
+
+@pytest.mark.parametrize("mode,head,flag", [("apnea", "binary", "--threshold"),
+                                            ("heart", "regression", "--decision-threshold")])
+def test_eval_refuses_the_flag_its_head_does_not_read(workdir, capsys, mode, head, flag):
+    """A regression head reads --threshold and a binary head
+    --decision-threshold; the other flag is refused (exit 2, naming it and
+    the head) before the dump is read, not silently dropped."""
+    tmp_path, out, cfg_path = workdir
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": {"mode": mode}}, head=head))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(tmp_path / "missing.psseg"),
+                 flag, "0.5", "--out", str(report)]) == 2
+    assert (f"ConfigInvalidValue: {flag} does not apply to a model with a {head} head"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
+def test_eval_decision_threshold_defaults_to_one_half(workdir, capsys):
+    tmp_path, out, cfg_path = workdir
+    apnea = ["--set", "pipeline.mode=apnea",
+             "--set", f"ingest.labels={out / 'labels_apnea.csv'}"]
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)] + apnea) == 0
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": {"mode": "apnea"}}, head="binary"))
+    argv = ["eval", "--model", str(model), "--data", str(out / "segments.psseg")]
+    capsys.readouterr()
+    reports = []
+    for extra in ([], ["--decision-threshold", "0.5"]):
+        assert main(argv + extra) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and '"kappa"' in reports[0]
 
 
 def test_model_block_read_before_ingest(workdir, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pulsesense.errors import (
+    EmptyStream,
     InconsistentSubcarrierCount,
     InsufficientFrames,
     InsufficientOverlap,
@@ -447,6 +448,12 @@ class TestAlign:
         stream = self._stream_at([0.0, 1.0])
         labels = LabelSeries("heart_rate_bpm", [10.0, 20.0], [60.0, 61.0])
         with pytest.raises(InsufficientOverlap):
+            align(stream, labels)
+
+    def test_stream_without_frames_is_empty(self):
+        stream = self._stream_at([])
+        labels = LabelSeries("heart_rate_bpm", [0.0, 1.0], [60.0, 61.0])
+        with pytest.raises(EmptyStream, match="stream has no frames"):
             align(stream, labels)
 
     def test_alignment_length_matches_frames(self):

@@ -1,6 +1,7 @@
 """Pipeline stages and the assembled five-stage chain."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,8 +355,89 @@ class TestSegmentDumpOracle:
             data = dump()
         got_values, got_labels = read_segment_dump(data)
         want_values, want_labels = reference_read_segment_dump(data)
-        assert got_values.dtype == want_values.dtype == np.float64
+        assert got_values.dtype == np.float32 and want_values.dtype == np.float64
         assert got_values.shape == want_values.shape == (count, w, s)
-        assert got_values.tobytes() == want_values.tobytes()
+        assert got_values.astype(np.float64).tobytes() == want_values.tobytes()
         assert got_labels.shape == want_labels.shape == (count,)
         assert got_labels.tobytes() == want_labels.tobytes()
+
+
+def reference_write_segment_dump(segments):
+    """The writer before it wrote in place: a float32 copy of each window
+    and a packed label per record in a list, then one join."""
+    w, s = segments[0].values.shape
+    parts = [b"PSSEG1", struct.pack("<III", len(segments), w, s)]
+    for seg in segments:
+        parts.append(np.asarray(seg.values, dtype="<f4").tobytes(order="C"))
+        parts.append(struct.pack("<f", seg.label))
+    return b"".join(parts)
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestSegmentDumpWriter:
+    @pytest.mark.parametrize("count,w,s", [(1, 1, 1), (1, 6, 3), (4, 5, 1),
+                                           (7, 1, 9), (30, 40, 4)])
+    def test_bytes_equal_the_joined_records(self, count, w, s):
+        """Signed zeros, infinities, NaN payloads, subnormals and values past
+        the float32 range are cast as the per-record copies cast them."""
+        rng = np.random.default_rng(count * 1000 + w * 10 + s + 7)
+        values = rng.standard_normal((count, w, s)) * 10.0 ** rng.integers(-40, 40)
+        flat = values.reshape(-1)
+        specials = [-0.0, np.inf, -np.inf, np.nan, _nan(0x7FF8000000000123),
+                    _nan(0xFFF4000020000000), 1e-42, -1e-310, 3.4e38, 1e39]
+        flat[rng.integers(0, flat.size, len(specials))] = specials
+        labels = rng.uniform(-200.0, 200.0, count)
+        labels[rng.integers(0, count, 3)] = [-0.0, np.nan, _nan(0x7FF8000040000001)]
+        segments = [WindowSegment(values[i], float(labels[i]), i, 1.0)
+                    for i in range(count)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = write_segment_dump(segments)
+            want = reference_write_segment_dump(segments)
+        assert isinstance(got, bytearray)
+        assert bytes(got) == want
+
+    def test_label_past_float32_range_raises(self):
+        segments = [WindowSegment(np.zeros((2, 2)), 1e39, 0, 1.0)]
+        with pytest.raises(OverflowError):
+            reference_write_segment_dump(segments)
+        with pytest.raises(OverflowError):
+            write_segment_dump(segments)
+
+
+class TestSegmentDumpMemory:
+    # 6.4 MB of payload: 1% of it covers the constant 32 KB buffer that the
+    # reader's min/max reduction takes
+    COUNT, W, S = 500, 200, 16
+
+    @pytest.fixture(scope="class")
+    def segments(self):
+        rng = np.random.default_rng(3)
+        return [WindowSegment(rng.standard_normal((self.W, self.S)), 70.0 + i, i, 1.0)
+                for i in range(self.COUNT)]
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_writer_allocates_the_dump_once(self, segments):
+        data, peak = self.traced_peak(write_segment_dump, segments)
+        assert peak < 1.05 * len(data)
+
+    def test_reader_returns_a_view(self, segments):
+        """The values stay in the dump's bytes (read-only, even in a
+        bytearray); only the labels are widened."""
+        data = write_segment_dump(segments)
+        (values, labels), peak = self.traced_peak(read_segment_dump, data)
+        assert peak < 0.01 * (len(data) - 18) + labels.nbytes
+        assert values.dtype == np.float32 and not values.flags.writeable
+        assert labels.dtype == np.float64
+        assert np.shares_memory(values, np.frombuffer(data, dtype=np.uint8))

@@ -1,10 +1,13 @@
 """Split protocol, training-control semantics, repeats, and k-fold CV."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pulsesense.dsp import WindowSegment, read_segment_dump, write_segment_dump
 from pulsesense.errors import ConfigInvalidValue, DivergedLoss, TooFewSegments
-from pulsesense.nn import ModelConfig
+from pulsesense.nn import ModelConfig, init_params
 from pulsesense.training import (
     TrainingConfig,
     aggregate_reports,
@@ -260,3 +263,20 @@ class TestKFold:
         cfg = TrainingConfig(seed=4, batch_size=16, max_epochs=1)
         reports, _ = kfold_cv((x, y), TINY_MODEL, cfg, k=10)
         assert all(r.n == 10 for r in reports)
+
+
+@pytest.mark.parametrize("head", ["regression", "binary"])
+def test_float32_dump_view_scores_as_its_float64_widening(head):
+    """predict and evaluate widen each chunk of 64 windows, not the whole x:
+    a read-only float32 dump view gives the predictions and report of its
+    float64 copy, bit for bit."""
+    x, y = tiny_dataset(n=150, binary=head == "binary")
+    view, labels = read_segment_dump(write_segment_dump(
+        [WindowSegment(x[i], float(y[i]), i, 1.0) for i in range(len(y))]))
+    assert view.dtype == np.float32 and not view.flags.writeable
+    wide = view.astype(np.float64)
+    params = init_params(replace(TINY_MODEL, head=head), 3)
+    assert (predict(params, (view, labels)).tobytes()
+            == predict(params, (wide, labels)).tobytes())
+    assert (evaluate(params, (view, labels)).to_json()
+            == evaluate(params, (wide, labels)).to_json())
