@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn.model import ModelParams, forward_batch
+from .nn.model import ModelParams, predict_batch
 
 CSV_HEADER = "model,seq_len,batch,cold_start_s,total_s,n_preds,preds_per_s,batch_mean_ms"
 
@@ -47,13 +47,13 @@ def bench_inference(params: ModelParams, seq_len: int, batch_size: int = 64,
             for _ in range(min(4, n_batches))]
 
     t0 = time.perf_counter()
-    forward_batch(params, pool[0], training=False)
+    predict_batch(params, pool[0])
     cold_start_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     steady = n_batches - 1
     for b in range(steady):
-        forward_batch(params, pool[b % len(pool)], training=False)
+        predict_batch(params, pool[b % len(pool)])
     total_time_s = time.perf_counter() - t1
 
     n_preds = steady * batch_size

@@ -9,6 +9,7 @@ from .model import (
     forward,
     forward_batch,
     init_params,
+    predict_batch,
 )
 from .serialize import load_model, quantize_params, save_model
 
@@ -16,5 +17,5 @@ __all__ = [
     "AdamState", "ModelConfig", "ModelParams", "adam_step", "adam_update",
     "backward", "backward_batch", "bce_loss", "count_parameters", "forward",
     "forward_batch", "init_params", "load_model", "mse_loss",
-    "quantize_params", "save_model",
+    "predict_batch", "quantize_params", "save_model",
 ]

@@ -31,6 +31,17 @@ activated row back once. The cell and hidden states are time-major,
 (T, B, H), so every other access of a step is contiguous; the cache's
 ``h`` is a (B, T, H) view of that storage.
 
+A step is about ten small numpy calls, so at small B their dispatch, not
+their arithmetic, sets the cost. The step loop therefore calls pre-bound
+ufuncs with a positional ``out`` and walks per-step lists of gate rows and
+state buffers built once before it. At B=1 the element-wise calls take 1-D
+rows, which dispatch faster than (1, n) ones and compute the same bits;
+the recurrent GEMM stays (1, H) @ (H, 4H), so BLAS gets the same call.
+The kernel's ``keep`` argument says whether a cache is built: without it
+no gate row is written back and one cell state, updated in place, replaces
+the (T, B, H) cell sequence. predict_batch runs both layers that way, for
+inference callers that need no backward.
+
 Backward consumes its cache: BPTT writes each step's dz over the gate row
 it has just read and the shifted hidden states over the spent cell states,
 then drops ``gates`` and ``c``. A second backward on that cache raises
@@ -181,7 +192,8 @@ def _gate_affine(units):
 class _LayerCache:
     x: np.ndarray        # (B, T, D) layer input sequence, as the caller passed it
     gates: Optional[np.ndarray]  # (B, T, 4H) post-activation, order i|f|g|o
-    c: Optional[np.ndarray]      # (T, B, H); both None once backward has run
+    c: Optional[np.ndarray]      # (T, B, H); both None once backward has run,
+                                 # or when forward ran without keep
     h: np.ndarray        # (B, T, H) view of time-major (T, B, H) storage
 
 
@@ -202,7 +214,10 @@ class ForwardCache:
     prediction: np.ndarray        # (B,)
 
 
-def _lstm_forward(w, u, b, x) -> _LayerCache:
+def _lstm_forward(w, u, b, x, keep: bool = True) -> _LayerCache:
+    """One LSTM layer over a (B, T, D) sequence. With ``keep``, the activated
+    gate rows go back into the gates and every cell state is stored, as
+    backward needs; without it, the cache's ``gates`` and ``c`` are None."""
     batch, t_len, _ = x.shape
     units = u.shape[1]
     # input projection plus bias for all timesteps, written into the gates
@@ -210,31 +225,48 @@ def _lstm_forward(w, u, b, x) -> _LayerCache:
                       out=np.empty((batch * t_len, 4 * units)))
     gates += _halve_sigmoid_rows(b, units)
     gates = gates.reshape(batch, t_len, 4 * units)
-    c_seq = np.empty((t_len, batch, units))
     h_seq = np.empty((t_len, batch, units))
     u_t = _halve_sigmoid_rows(u, units).T
     scale, offset = _gate_affine(units)
     z = np.empty((batch, 4 * units))
-    i, f, g, o = (z[:, :units], z[:, units:2 * units], z[:, 2 * units:3 * units],
-                  z[:, 3 * units:])
-    ig = np.empty((batch, units))
-    h = c = np.zeros((batch, units))
-    for t in range(t_len):
-        np.matmul(h, u_t, out=z)
-        z += gates[:, t, :]
+    zero = np.zeros((batch, units))
+    # the recurrent GEMM reads each step's previous hidden state as (B, H)
+    h_prev = [zero] + list(h_seq[:-1])
+
+    def steps(a):
+        # per-step rows of a time-major (T, B, n) array, 1-D at B=1
+        return list(a[:, 0] if batch == 1 else a)
+
+    zr, zero = (z[0], zero[0]) if batch == 1 else (z, zero)
+    rows = steps(gates.transpose(1, 0, 2))
+    h_new = steps(h_seq)
+    if keep:
+        c_seq = np.empty((t_len, batch, units))
+        c_new = steps(c_seq)
+        c_prev = [zero] + c_new[:-1]
+    else:
+        # one cell state, zero at the start and updated in place
+        c_seq = None
+        c_prev = c_new = [np.zeros(zero.shape)] * t_len
+    i, f, g, o = (zr[..., :units], zr[..., units:2 * units],
+                  zr[..., 2 * units:3 * units], zr[..., 3 * units:])
+    ig = np.empty(zero.shape)
+    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
+    for row, h, c, c_t, h_t in zip(rows, h_prev, c_prev, c_new, h_new):
+        matmul(h, u_t, z)
+        add(zr, row, zr)
         # tanh(g) and tanh(z / 2) of the halved sigmoid rows in one pass
-        np.tanh(z, out=z)
-        z *= scale
-        z += offset
-        gates[:, t, :] = z
-        c_new, h_new = c_seq[t], h_seq[t]
-        np.multiply(f, c, out=c_new)
-        np.multiply(i, g, out=ig)
-        c_new += ig
-        np.tanh(c_new, out=h_new)
-        h_new *= o
-        h, c = h_new, c_new
-    return _LayerCache(x, gates, c_seq, h_seq.transpose(1, 0, 2))
+        tanh(zr, zr)
+        multiply(zr, scale, zr)
+        add(zr, offset, zr)
+        if keep:
+            row[...] = zr
+        multiply(f, c, c_t)
+        multiply(i, g, ig)
+        add(c_t, ig, c_t)
+        tanh(c_t, h_t)
+        multiply(h_t, o, h_t)
+    return _LayerCache(x, gates if keep else None, c_seq, h_seq.transpose(1, 0, 2))
 
 
 def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
@@ -286,10 +318,8 @@ def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
     return dw, du, db, dx
 
 
-def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
-                  rng_seed: Optional[int] = None) -> Tuple[np.ndarray, ForwardCache]:
-    """Forward pass over a (B, T, S) batch; returns per-window predictions."""
-    cfg = params.config
+def _check_batch(cfg: ModelConfig, x) -> np.ndarray:
+    """The (B, T, S) input as float64, refused unless it fits ``cfg``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != cfg.input_dim:
         raise ShapeMismatch(
@@ -297,6 +327,25 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
     batch, t_len, _ = x.shape
     if batch == 0 or t_len == 0:
         raise ShapeMismatch(f"empty batch or time axis in input shape {x.shape}")
+    return x
+
+
+def _dense_head(params: ModelParams, h2_last):
+    """(dense_pre, dense_act, head_pre, prediction) of the last hidden state."""
+    dense_pre = h2_last @ params.dense_w.T + params.dense_b
+    dense_act = np.maximum(dense_pre, 0.0)
+    head_pre = (dense_act @ params.head_w.T + params.head_b)[:, 0]
+    prediction = _sigmoid(head_pre) if params.config.head == "binary" else head_pre
+    return dense_pre, dense_act, head_pre, prediction
+
+
+def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
+                  rng_seed: Optional[int] = None) -> Tuple[np.ndarray, ForwardCache]:
+    """Forward pass over a (B, T, S) batch; returns per-window predictions
+    and the cache that backward_batch takes. For predictions alone, use
+    predict_batch, which builds no cache."""
+    cfg = params.config
+    x = _check_batch(cfg, x)
     p = cfg.dropout_rate
     use_dropout = training and p > 0.0
     rng = np.random.default_rng(rng_seed) if use_dropout else None
@@ -317,14 +366,19 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
     else:
         mask2 = None
 
-    dense_pre = h2_last @ params.dense_w.T + params.dense_b
-    dense_act = np.maximum(dense_pre, 0.0)
-    head_pre = (dense_act @ params.head_w.T + params.head_b)[:, 0]
-    prediction = _sigmoid(head_pre) if cfg.head == "binary" else head_pre
+    head = _dense_head(params, h2_last)
+    cache = ForwardCache(cfg, l1, l2, mask1, mask2, *head)
+    return head[-1], cache
 
-    cache = ForwardCache(cfg, l1, l2, mask1, mask2, dense_pre, dense_act,
-                         head_pre, prediction)
-    return prediction, cache
+
+def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Inference-mode predictions over a (B, T, S) batch, bit for bit those
+    of forward_batch(training=False), without building the BPTT cache: no
+    gate row is written back and one cell state is kept per layer."""
+    x = _check_batch(params.config, x)
+    h1 = _lstm_forward(params.w1, params.u1, params.b1, x, keep=False).h
+    h2 = _lstm_forward(params.w2, params.u2, params.b2, h1, keep=False).h
+    return _dense_head(params, h2[:, -1, :])[-1]
 
 
 def forward(params: ModelParams, segment: np.ndarray, training: bool = False,

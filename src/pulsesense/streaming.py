@@ -6,9 +6,11 @@ the source. Pass one accumulates the per-subcarrier amplitude sums (O(S)
 memory) and refuses non-finite means as remove_dc does. Pass two pushes
 packets through the batch stages on bounded buffers: one biquad cascade,
 the 2m+1 mirror-padded filtered rows that smooth_padded turns into the next
-smoothed row, and a ring of exactly W smoothed rows for standardize and
-forward. Memory is independent of stream length, and predictions are
-bit-identical to processing the same recording offline.
+smoothed row, and a ring of the newest W smoothed rows for standardize
+and the model. The ring is a (2W, S) buffer holding each row twice, at k
+and k + W, so the newest W rows are always one contiguous slice. Memory is
+independent of stream length, and predictions are bit-identical to
+processing the same recording offline.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .dsp.pipeline import (
 )
 from .dsp.savgol import smooth_padded
 from .errors import EmptyStream, SeriesTooShort, WindowLongerThanSeries
-from .nn.model import ModelParams, forward
+from .nn.model import ModelParams, predict_batch
 
 
 class StreamingPredictor:
@@ -49,24 +51,27 @@ class StreamingPredictor:
         self.stride = cfg.stride
         self.index = (slice(None) if cfg.subcarriers is None
                       else np.asarray(cfg.subcarriers, dtype=np.intp))
-        # filtered rows around the next row to smooth, the newest W smoothed
-        # rows, and the timestamps of the rows not yet smoothed
+        # filtered rows around the next row to smooth, the smoothed rows (row
+        # n at n % W and n % W + W), and the timestamps of the rows not yet
+        # smoothed
         self.filt = deque(maxlen=2 * self.m + 1)
-        self.ring = deque(maxlen=self.w)
+        self.ring = np.empty((2 * self.w, self.mu.shape[0]))
         self.times = deque()
         self.n_smoothed = 0
 
     def _smooth_next(self) -> List[Tuple[float, float]]:
         """Smooth the centre row of filt into the ring; predict when a window
         ends on it."""
-        self.ring.append(smooth_padded(self.kernel, np.array(self.filt))[0])
+        k = self.n_smoothed % self.w
+        self.ring[k] = self.ring[k + self.w] = smooth_padded(
+            self.kernel, np.array(self.filt))[0]
         t_end = self.times.popleft()
         self.n_smoothed += 1
         start = self.n_smoothed - self.w
         if start < 0 or start % self.stride:
             return []
-        pred, _ = forward(self.params, standardize(np.stack(self.ring)), training=False)
-        return [(t_end, pred)]
+        window = standardize(self.ring[k + 1:k + 1 + self.w])
+        return [(t_end, float(predict_batch(self.params, window[None])[0]))]
 
     def push(self, timestamp: float, packet: np.ndarray) -> List[Tuple[float, float]]:
         """Feed one packet; returns any (t_end, prediction) pairs now ready."""

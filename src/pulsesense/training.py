@@ -39,6 +39,7 @@ from .nn import (
     forward_batch,
     init_params,
     mse_loss,
+    predict_batch,
 )
 
 Arrays = Tuple[np.ndarray, np.ndarray]  # (x, y): (N, W, S) windows, N labels
@@ -147,7 +148,7 @@ def _batch_losses(params, x, y, head, chunk=64):
     """Mean loss over a dataset, evaluated in chunks at inference settings."""
     total = 0.0
     for lo in range(0, x.shape[0], chunk):
-        preds, _ = forward_batch(params, x[lo:lo + chunk], training=False)
+        preds = predict_batch(params, x[lo:lo + chunk])
         if head == "binary":
             losses, _ = bce_loss(preds, y[lo:lo + chunk])
         else:
@@ -278,13 +279,12 @@ def train(segments: Arrays, model_config: ModelConfig,
 def predict(params: ModelParams, segments: Arrays, chunk: int = 64) -> np.ndarray:
     """Inference over an ``(x, y)`` pair; predictions come out in label units.
 
-    ``x`` is not widened as a whole: forward_batch widens each chunk to
+    ``x`` is not widened as a whole: predict_batch widens each chunk to
     float64, so a float32 dump view predicts as its float64 copy would."""
     x = np.asarray(segments[0])
     preds = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], chunk):
-        preds[lo:lo + chunk], _ = forward_batch(params, x[lo:lo + chunk],
-                                                training=False)
+        preds[lo:lo + chunk] = predict_batch(params, x[lo:lo + chunk])
     return preds
 
 

@@ -20,6 +20,7 @@ from pulsesense.nn import (
     forward_batch,
     init_params,
     mse_loss,
+    predict_batch,
 )
 from pulsesense.nn.model import _sigmoid
 
@@ -409,15 +410,21 @@ ODD_STACKS = [dict(input_dim=234, lstm1_units=13, lstm2_units=9, dense_units=3),
 class TestTimeMajorKernels:
     """The kernels with time-major cell and hidden states and halved sigmoid
     rows compute what the batch-major ones did, bit for bit: halving is
-    exact, and every BLAS call keeps its shape, row order and column order."""
+    exact, and every BLAS call keeps its shape, row order and column order.
+    So does predict_batch, which runs the same kernels without their cache;
+    at B=1 their element-wise calls take 1-D rows."""
 
     @pytest.mark.parametrize("head", ["regression", "binary"])
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
     @pytest.mark.parametrize("stack,t_len,batch",
                              [(PAPER_STACK, 400, b) for b in (1, 3, 64)]
-                             + [(stack, 50, 17) for stack in ODD_STACKS],
+                             + [(stack, 50, 17) for stack in ODD_STACKS]
+                             + [(stack, 50, b) for b in (1, 3, 64)
+                                for stack in ODD_STACKS],
                              ids=["paper-B1", "paper-B3", "paper-B64", "odd-wide",
-                                  "odd-63"])
+                                  "odd-63", "odd-wide-B1", "odd-63-B1",
+                                  "odd-wide-B3", "odd-63-B3", "odd-wide-B64",
+                                  "odd-63-B64"])
     def test_bit_identical_to_batch_major(self, stack, t_len, batch, head, dropout):
         cfg = ModelConfig(head=head, dropout_rate=dropout, **stack)
         params = init_params(cfg, 12)
@@ -433,6 +440,8 @@ class TestTimeMajorKernels:
         assert np.array_equal(cache.layer2.h, ref_h2)
         for got, want in zip(grads.tensors(), ref_grads):
             assert got.shape == want.shape and np.array_equal(got, want)
+        if dropout == 0.0:  # preds come from forward_batch(training=False)
+            assert predict_batch(params, x).tobytes() == preds.tobytes()
 
 
 class TestDropout:

@@ -97,7 +97,7 @@ class TestBoundedMemory:
         w = predictor.w
         for t, row in zip(rec.stream.timestamps, rec.stream.values):
             predictor.push(float(t), row)
-            assert len(predictor.ring) <= w
+            assert predictor.ring.shape == (2 * w, 3)  # each row held twice
             assert len(predictor.filt) <= 2 * predictor.m + 1
             assert len(predictor.times) <= w + predictor.m
 
