@@ -123,22 +123,16 @@ def cmd_process(args) -> int:
 
 
 def _training_inputs(cfg: dict):
-    """Configs and the (x, y) pair for train and cv. ``training.segments``,
-    the CLI's own key, names a segment dump to read instead of running
-    ingest and the pipeline. Every block is read before any data is: the
-    model's ``input_dim``, which the data sets, is filled in last."""
-    block = cfg.get("training", {})
-    segments_path = (cfgmod.check_type("training.segments", block.pop("segments", ""), str)
-                     if isinstance(block, dict) else "")
-    training_cfg = cfgmod.read_block("training", block, TrainingConfig)
+    """Configs and the (x, y) pair for train and cv: the configured
+    recording run through the configured pipeline, so the pipeline a model
+    stores is the one that made its windows. Every block is read before any
+    data is: the model's ``input_dim``, which the data sets, is filled in
+    last."""
+    training_cfg = cfgmod.read_block("training", cfg.get("training", {}), TrainingConfig)
     pipeline_cfg = cfgmod.read_pipeline(cfg.get("pipeline", {}))
     model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
                                   input_dim=1, head=mode_spec(pipeline_cfg.mode).head)
-    if segments_path:
-        with open(segments_path, "rb") as fh:
-            x, y = read_segment_dump(fh.read())
-    else:
-        x, y = segments_to_arrays(_process_segments(cfg, pipeline_cfg))
+    x, y = segments_to_arrays(_process_segments(cfg, pipeline_cfg))
     model_cfg = dataclasses.replace(model_cfg, input_dim=x.shape[2])
     return training_cfg, model_cfg, pipeline_cfg, x, y
 

@@ -60,15 +60,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-    def csv_row(self) -> str:
-        cells = [str(self.n)]
-        for name in self.NUMERIC_FIELDS:
-            v = getattr(self, name)
-            cells.append("" if v is None else f"{v:.6f}")
-        return ",".join(cells)
-
-    CSV_HEADER = "n," + ",".join(NUMERIC_FIELDS)
-
 
 def regression_metrics(y_true, y_pred, threshold: float) -> MetricsReport:
     """MAE, MAPE (percent of |error/target|), and inclusive within-threshold

@@ -101,16 +101,20 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _float_arrays(data: Arrays) -> Arrays:
+def _float_labels(data: Arrays) -> Arrays:
+    """``(x, y)`` with ``y`` widened to float64. ``x`` stays as given:
+    forward_batch and predict_batch widen each batch exactly, so a float32
+    ``x`` trains and scores as its float64 copy would."""
     x, y = data
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return np.asarray(x), np.asarray(y, dtype=np.float64)
 
 
 def split_segments(n: int, config: TrainingConfig,
                    recording_ids: Optional[Sequence] = None) -> SplitIndices:
-    """Seeded shuffle of whole recordings, then a 64/16/20 cut of the
-    ``n`` segment indices on recording boundaries, so no recording
-    straddles two splits.
+    """Seeded shuffle of whole recordings, then a cut of the ``n`` segment
+    indices on recording boundaries, so no recording straddles two splits:
+    20% for test, and ``val_fraction_of_train`` of the other 80% for
+    validation (64/16/20 at the default 0.2).
 
     ``recording_ids`` holds one id per segment; without it every segment is
     its own recording, and the cut falls on a shuffle of the segments.
@@ -123,8 +127,9 @@ def split_segments(n: int, config: TrainingConfig,
         raise ConfigInvalidValue(
             f"need one recording id per segment: {len(recording_ids)} ids, {n} segments")
     rng = np.random.default_rng(config.seed)
-    n_train = _round_half_up(0.64 * n)
-    n_val = _round_half_up(0.16 * n)
+    f = config.val_fraction_of_train
+    n_train = _round_half_up((1.0 - f) * 0.8 * n)
+    n_val = _round_half_up(f * 0.8 * n)
     rec_ids = list(dict.fromkeys(recording_ids))  # first-appearance order
     order = rng.permutation(len(rec_ids))
     by_rec = {rid: [] for rid in rec_ids}
@@ -177,13 +182,13 @@ def train(segments: Arrays, model_config: ModelConfig,
     is carved off (seeded) for validation. ``val_loss_fn(epoch, params)`` is
     a test hook that replaces the validation-loss computation.
     """
-    x_all, y_all = _float_arrays(segments)
+    x_all, y_all = _float_labels(segments)
     if x_all.shape[0] == 0:
         raise EmptyTrainSet("no training segments")
 
     if val_segments is not None:
         x_train, y_train = x_all, y_all
-        x_val, y_val = _float_arrays(val_segments)
+        x_val, y_val = _float_labels(val_segments)
     else:
         n = x_all.shape[0]
         n_val = max(1, _round_half_up(config.val_fraction_of_train * n))
@@ -333,7 +338,7 @@ def repeat_runs(segments: Arrays, model_config: ModelConfig,
                 threshold: Optional[float] = 1.5,
                 recording_ids: Optional[Sequence] = None) -> AggregateReport:
     """n independent seeded runs (seed, seed+1, ...) with fresh shuffles."""
-    x, y = _float_arrays(segments)
+    x, y = _float_labels(segments)
     reports = []
     for run in range(n):
         cfg = replace(config, seed=config.seed + run)
@@ -351,7 +356,7 @@ def kfold_cv(segments: Arrays, model_config: ModelConfig,
     """Seeded shuffle, k contiguous folds, each fold once as the test set."""
     if k < 2:
         raise ConfigInvalidValue(f"k-fold CV needs k >= 2 folds, got {k}")
-    x, y = _float_arrays(segments)
+    x, y = _float_labels(segments)
     n = x.shape[0]
     if n < k:
         raise TooFewSegments(f"{n} segments cannot form {k} folds")

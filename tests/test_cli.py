@@ -60,8 +60,7 @@ def test_full_workflow(workdir, capsys):
     assert summary["window_packets"] == 100
     assert summary["subcarriers"] == 3
 
-    assert main(["train", "--config", str(cfg_path), "--set",
-                 f"training.segments={out / 'segments.psseg'}"]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
     assert (out / "model.psnn").exists()
     history = (out / "history.csv").read_text().strip().splitlines()
     assert history[0] == "epoch,train_loss,val_loss,lr"
@@ -116,7 +115,6 @@ def test_cv_command(workdir):
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["process", "--config", str(cfg_path)]) == 0
     assert main(["cv", "--config", str(cfg_path), "--k", "5",
-                 "--set", f"training.segments={out / 'segments.psseg'}",
                  "--set", "training.max_epochs=1"]) == 0
     doc = json.loads((out / "cv.json").read_text())
     assert doc["n_runs"] == 5
@@ -199,12 +197,60 @@ def test_unknown_top_level_key_exits_2(workdir, capsys):
 
 
 def test_unknown_training_key_exits_2(workdir, capsys):
-    """training.segments belongs to the CLI; other unknown keys still fail."""
+    """train and cv read the training block by the config rule: a key that
+    is not a TrainingConfig field is a config error naming it."""
     tmp_path, out, cfg_path = workdir
     for cmd in ("train", "cv"):
         assert main([cmd, "--config", str(cfg_path),
                      "--set", "training.segmentz=x.psseg"]) == 2
         assert "ConfigUnknownKey: training.segmentz" in capsys.readouterr().err
+
+
+def test_training_segments_is_an_unknown_key(workdir, capsys):
+    """train and cv take their windows from the configured recording only:
+    a segment dump named in the training block is refused before anything
+    is written."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    for cmd in ("train", "cv"):
+        assert main([cmd, "--config", str(cfg_path), "--set",
+                     f"training.segments={out / 'segments.psseg'}"]) == 2
+        assert "ConfigUnknownKey: training.segments" in capsys.readouterr().err
+    for name in ("model.psnn", "history.csv", "metrics.json", "cv.json"):
+        assert not (out / name).exists()
+
+
+def test_model_stores_the_pipeline_that_made_its_windows(workdir):
+    """With nested and list overrides, train stores the pipeline block and
+    window length that process reports for the same overrides."""
+    tmp_path, out, cfg_path = workdir
+    from pulsesense.nn import load_model
+    overrides = ["--set", 'pipeline.band={"low_hz": 0.7, "high_hz": 2.5}',
+                 "--set", 'pipeline.savgol={"window": 9, "order": 2}',
+                 "--set", "pipeline.subcarriers=[0, 2]",
+                 "--set", "pipeline.stride=20"]
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)] + overrides) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert main(["train", "--config", str(cfg_path)] + overrides) == 0
+    params, extra = load_model((out / "model.psnn").read_bytes())
+    assert extra["pipeline"] == summary["pipeline"]
+    assert extra["window_packets"] == summary["window_packets"]
+    assert params.config.input_dim == summary["subcarriers"] == 2
+
+
+def test_train_reads_val_fraction_of_train(workdir):
+    """split_segments gives val_fraction_of_train of the non-test windows to
+    validation, so the fraction changes the model train writes."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    models = []
+    for extra in ([], ["--set", "training.val_fraction_of_train=0.5"]):
+        assert main(["train", "--config", str(cfg_path)] + extra) == 0
+        models.append((out / "model.psnn").read_bytes())
+    assert models[0] != models[1]
 
 
 @pytest.mark.parametrize("override,key", [
@@ -740,7 +786,7 @@ def test_canonical_header_types_exit_3(workdir, capsys, field, value):
     assert "SchemaMismatch: header sample_rate_hz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_non_finite_segment_dump_exits_3(workdir, capsys, command):
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
@@ -751,13 +797,9 @@ def test_non_finite_segment_dump_exits_3(workdir, capsys, command):
     bad = tmp_path / "nan.psseg"
     bad.write_bytes(bytes(dump))
     capsys.readouterr()
-    if command == "eval":
-        model = tmp_path / "m.psnn"
-        model.write_bytes(_model_bytes(3))
-        argv = ["eval", "--model", str(model), "--data", str(bad)]
-    else:
-        argv = ["train", "--config", str(cfg_path), "--set", f"training.segments={bad}"]
-    assert main(argv) == 3
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    assert main([command, "--model", str(model), "--data", str(bad)]) == 3
     assert (f"NonFiniteSample: dump record {count - 1} (counted from 0) holds a "
             "non-finite label") in capsys.readouterr().err
 

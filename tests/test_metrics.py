@@ -147,8 +147,3 @@ class TestSerialization:
         doc = regression_metrics([15.0], [14.9], threshold=0.75).to_json_dict()
         assert doc["threshold"] == 0.75 and doc["frac_within_threshold"] == 1.0
         assert not [key for key in doc if "bpm" in key]
-
-    def test_csv_row_matches_header(self):
-        rep = classification_metrics([0.9, 0.1], [1, 0])
-        from pulsesense.metrics import MetricsReport
-        assert len(rep.csv_row().split(",")) == len(MetricsReport.CSV_HEADER.split(","))

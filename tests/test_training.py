@@ -41,6 +41,10 @@ class TestSplit:
         idx = split_segments(100, TrainingConfig(seed=0))
         assert (len(idx.train), len(idx.val), len(idx.test)) == (64, 16, 20)
 
+    def test_val_fraction_of_train_cuts_the_non_test_80_percent(self):
+        idx = split_segments(100, TrainingConfig(val_fraction_of_train=0.5))
+        assert (len(idx.train), len(idx.val), len(idx.test)) == (40, 40, 20)
+
     def test_partition_is_exact(self):
         idx = split_segments(137, TrainingConfig(seed=3))
         union = np.sort(np.concatenate([idx.train, idx.val, idx.test]))
@@ -281,6 +285,24 @@ def test_float32_dump_view_scores_as_its_float64_widening(head):
             == predict(params, (wide, labels)).tobytes())
     assert (evaluate(params, (view, labels)).to_json()
             == evaluate(params, (wide, labels)).to_json())
+
+
+@pytest.mark.parametrize("head", ["regression", "binary"])
+def test_float32_x_trains_as_its_float64_widening(head):
+    """train and kfold_cv widen only y; forward_batch and predict_batch widen
+    each batch of x, so a float32 x gives the params, history and reports of
+    its float64 copy, bit for bit."""
+    x, y = tiny_dataset(n=30, binary=head == "binary")
+    narrow = x.astype(np.float32)
+    wide = narrow.astype(np.float64)
+    model = replace(TINY_MODEL, head=head)
+    cfg = TrainingConfig(seed=2, batch_size=8, max_epochs=3)
+    (p32, h32), (p64, h64) = (train((xs, y), model, cfg) for xs in (narrow, wide))
+    assert [t.tobytes() for t in p32.tensors()] == [t.tobytes() for t in p64.tensors()]
+    assert h32.to_csv() == h64.to_csv()
+    cv32, cv64 = (kfold_cv((xs, y), model, replace(cfg, max_epochs=1), k=3)[1]
+                  for xs in (narrow, wide))
+    assert cv32.to_json_dict() == cv64.to_json_dict()
 
 
 def test_predict_holds_no_cache_between_chunks():
