@@ -280,8 +280,7 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.model:
-        with open(args.model, "rb") as fh:
-            params, _ = load_model(fh.read())
+        params, _, _ = _load_trained(args.model)
         name = os.path.basename(args.model)
     else:
         params = init_params(ModelConfig(input_dim=args.input_dim), seed=0)

@@ -20,7 +20,6 @@ from .pipeline import (
     run_pipeline_config,
     segment,
     segments_to_arrays,
-    sequential_column_mean,
     standardize,
     window_length,
     write_segment_dump,
@@ -32,7 +31,6 @@ __all__ = [
     "PipelineConfig", "Savgol", "WindowSegment", "amplitude", "design_bandpass",
     "filter_values", "frequency_response", "mirror_pad", "mode_spec",
     "read_segment_dump", "remove_dc", "run_pipeline", "run_pipeline_config",
-    "savgol_kernel", "segment", "segments_to_arrays", "sequential_column_mean",
-    "smooth_padded", "smooth_values", "standardize", "window_length",
-    "write_segment_dump",
+    "savgol_kernel", "segment", "segments_to_arrays", "smooth_padded",
+    "smooth_values", "standardize", "window_length", "write_segment_dump",
 ]

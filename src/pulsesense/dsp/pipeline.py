@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,39 +83,37 @@ def amplitude(stream: CsiStream) -> AmplitudeSeries:
     return AmplitudeSeries(values, stream.sample_rate_hz)
 
 
-def sequential_column_mean(values: np.ndarray) -> np.ndarray:
-    """Per-subcarrier mean via strict packet-order accumulation.
+def column_means(rows: Callable[[], Iterable[np.ndarray]]) -> Tuple[np.ndarray, int]:
+    """Per-subcarrier means of the amplitude rows ``rows()`` yields, and their
+    count: the DC-removal mean of both remove_dc and streaming pass one.
 
-    Defined this way (rather than np.mean) so a streaming consumer that sees
-    one packet at a time computes the bit-identical mean.
+    The sum runs in strict packet order (not np.mean), so one packet at a
+    time gives the same bits. One non-finite sample makes its column's mean
+    non-finite, so the S means are checked in place of every sample; only on
+    failure is ``rows()`` called again, to name the first non-finite packet.
     """
-    acc = np.zeros(values.shape[1], dtype=np.float64)
-    for row in values:
+    acc = None
+    count = 0
+    for row in rows():
+        if acc is None:
+            acc = np.zeros(np.shape(row), dtype=np.float64)
         acc += row
-    return acc / values.shape[0]
-
-
-def check_finite_means(mu: np.ndarray, rows: Iterable[np.ndarray]) -> None:
-    """Refuse a recording whose column means are not finite.
-
-    One non-finite sample makes its column's mean non-finite, so checking
-    the S means stands in for checking every sample. Only on failure are
-    ``rows`` (the amplitude rows, in packet order) read again, to name the
-    first packet with a non-finite value.
-    """
-    if np.isfinite(mu).all():
-        return
-    for index, row in enumerate(rows):
-        if not np.isfinite(row).all():
-            raise NonFiniteSample(f"packet {index} has a non-finite CSI sample")
-    raise NonFiniteSample("column means are not finite: the amplitude sums "
-                          "overflow, or the packets could not be read again")
+        count += 1
+    if acc is None:
+        raise EmptyStream("empty stream")
+    mu = acc / count
+    if not np.isfinite(mu).all():
+        for index, row in enumerate(rows()):
+            if not np.isfinite(row).all():
+                raise NonFiniteSample(f"packet {index} has a non-finite CSI sample")
+        raise NonFiniteSample("column means are not finite: the amplitude sums "
+                              "overflow, or the packets could not be read again")
+    return mu, count
 
 
 def remove_dc(series: AmplitudeSeries) -> AmplitudeSeries:
     """Subtract each subcarrier's mean over all T samples."""
-    mu = sequential_column_mean(series.values)
-    check_finite_means(mu, series.values)
+    mu, _ = column_means(lambda: series.values)
     return AmplitudeSeries(series.values - mu, series.sample_rate_hz)
 
 

@@ -9,6 +9,11 @@ import numpy as np
 
 from .model import ModelParams
 
+# the moment decay rates and the denominator's offset of the fixed recipe
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -16,23 +21,18 @@ class AdamState:
     m: List[np.ndarray]
     v: List[np.ndarray]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: Union[ModelParams, Sequence[np.ndarray]],
-             learning_rate: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+             learning_rate: float = 1e-3) -> "AdamState":
         tensors = params.tensors() if isinstance(params, ModelParams) else params
         return cls(0,
                    [np.zeros_like(np.asarray(t, dtype=np.float64)) for t in tensors],
                    [np.zeros_like(np.asarray(t, dtype=np.float64)) for t in tensors],
-                   learning_rate, beta1, beta2, eps)
+                   learning_rate)
 
     def with_learning_rate(self, learning_rate: float) -> "AdamState":
-        return AdamState(self.step, self.m, self.v, learning_rate,
-                         self.beta1, self.beta2, self.eps)
+        return AdamState(self.step, self.m, self.v, learning_rate)
 
 
 def adam_update(state: AdamState, tensors: Sequence[np.ndarray],
@@ -40,21 +40,18 @@ def adam_update(state: AdamState, tensors: Sequence[np.ndarray],
     """One update over parallel tensor lists: moment tracking, bias
     correction, then the scaled step."""
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     new_m, new_v, new_t = [], [], []
     for p, g, m, v in zip(tensors, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        new_t.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps))
+        new_t.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS))
         new_m.append(m)
         new_v.append(v)
-    new_state = AdamState(t, new_m, new_v, state.learning_rate,
-                          b1, b2, state.eps)
-    return new_t, new_state
+    return new_t, AdamState(t, new_m, new_v, state.learning_rate)
 
 
 def adam_step(state: AdamState, params: ModelParams,

@@ -2,8 +2,8 @@
 
 The batch pipeline subtracts the whole-recording per-subcarrier mean, so a
 single pass cannot reproduce it; streaming therefore runs two passes over
-the source. Pass one accumulates the per-subcarrier amplitude sums (O(S)
-memory) and refuses non-finite means as remove_dc does. Pass two pushes
+the source. Pass one takes the per-subcarrier amplitude means in O(S) memory
+from column_means, the function remove_dc calls too. Pass two pushes
 packets through the batch stages on bounded buffers: one biquad cascade,
 the 2m+1 mirror-padded filtered rows that smooth_padded turns into the next
 smoothed row, and a ring of the newest W smoothed rows for standardize
@@ -23,12 +23,12 @@ import numpy as np
 from .dsp.filters import FilterState
 from .dsp.pipeline import (
     PipelineConfig,
-    check_finite_means,
+    column_means,
     standardize,
     subcarrier_index,
 )
 from .dsp.savgol import smooth_padded
-from .errors import EmptyStream, SeriesTooShort, WindowLongerThanSeries
+from .errors import SeriesTooShort, WindowLongerThanSeries
 from .nn.model import ModelParams, predict_batch
 
 
@@ -109,24 +109,19 @@ def _amplitude_row(packet: np.ndarray, index: Union[slice, np.ndarray]) -> np.nd
 def streaming_column_means(packets: Iterable[np.ndarray],
                            subcarriers: Optional[Sequence[int]] = None
                            ) -> Tuple[np.ndarray, int]:
-    """Pass-one accumulation: per-subcarrier amplitude means, packet count.
+    """Pass one: per-subcarrier amplitude means and the packet count from
+    column_means, so they are remove_dc's means bit for bit, refused alike.
 
     The first packet's width checks ``subcarriers`` (subcarrier_index).
-    Accumulates in strict packet order, matching sequential_column_mean, and
-    refuses non-finite means as remove_dc does. ``packets`` is iterated a
-    second time only then, to name the first non-finite packet, so pass an
-    iterable that restarts (a sequence, or a file reader) to get the name.
+    ``packets`` is iterated again only for non-finite means, to name the
+    first non-finite packet, so pass an iterable that restarts (a sequence,
+    or a file reader) to get the name.
     """
-    acc = None
-    count = 0
-    for packet in packets:
-        if acc is None:
-            index = subcarrier_index(subcarriers, np.shape(packet)[0])
-            acc = np.zeros_like(_amplitude_row(packet, index), dtype=np.float64)
-        acc += _amplitude_row(packet, index)
-        count += 1
-    if acc is None:
-        raise EmptyStream("empty stream")
-    mu = acc / count
-    check_finite_means(mu, (_amplitude_row(p, index) for p in packets))
-    return mu, count
+    def rows():
+        index = None
+        for packet in packets:
+            if index is None:
+                index = subcarrier_index(subcarriers, np.shape(packet)[0])
+            yield _amplitude_row(packet, index)
+
+    return column_means(rows)

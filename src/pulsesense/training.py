@@ -44,6 +44,9 @@ from .nn import (
 
 Arrays = Tuple[np.ndarray, np.ndarray]  # (x, y): (N, W, S) windows, N labels
 
+# windows per inference call in predict and in the validation loss
+PREDICT_CHUNK = 64
+
 
 @dataclass
 class TrainingConfig:
@@ -101,6 +104,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _no_training_window(f: float, n: int) -> ConfigInvalidValue:
+    """A fraction too large for ``n`` windows: a smaller one fixes it."""
+    return ConfigInvalidValue(
+        f"training.val_fraction_of_train of {f} leaves no training window of {n}")
+
+
 def _float_labels(data: Arrays) -> Arrays:
     """``(x, y)`` with ``y`` widened to float64. ``x`` stays as given:
     forward_batch and predict_batch widen each batch exactly, so a float32
@@ -129,6 +138,8 @@ def split_segments(n: int, config: TrainingConfig,
     rng = np.random.default_rng(config.seed)
     f = config.val_fraction_of_train
     n_train = _round_half_up((1.0 - f) * 0.8 * n)
+    if n_train < 1:
+        raise _no_training_window(f, n)
     n_val = _round_half_up(f * 0.8 * n)
     rec_ids = list(dict.fromkeys(recording_ids))  # first-appearance order
     order = rng.permutation(len(rec_ids))
@@ -149,15 +160,15 @@ def split_segments(n: int, config: TrainingConfig,
                         np.asarray(test, dtype=np.intp))
 
 
-def _batch_losses(params, x, y, head, chunk=64):
+def _batch_losses(params, x, y, head):
     """Mean loss over a dataset, evaluated in chunks at inference settings."""
     total = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        preds = predict_batch(params, x[lo:lo + chunk])
+    for lo in range(0, x.shape[0], PREDICT_CHUNK):
+        preds = predict_batch(params, x[lo:lo + PREDICT_CHUNK])
         if head == "binary":
-            losses, _ = bce_loss(preds, y[lo:lo + chunk])
+            losses, _ = bce_loss(preds, y[lo:lo + PREDICT_CHUNK])
         else:
-            losses, _ = mse_loss(preds, y[lo:lo + chunk])
+            losses, _ = mse_loss(preds, y[lo:lo + PREDICT_CHUNK])
         total += float(losses.sum())
     return total / x.shape[0]
 
@@ -192,7 +203,9 @@ def train(segments: Arrays, model_config: ModelConfig,
     else:
         n = x_all.shape[0]
         n_val = max(1, _round_half_up(config.val_fraction_of_train * n))
-        if n_val >= n:
+        if n_val >= n:  # no fraction splits a single window: a runtime error
+            if n >= 2:
+                raise _no_training_window(config.val_fraction_of_train, n)
             raise EmptyTrainSet("validation carve-out leaves no training data")
         perm = np.random.default_rng([config.seed, 0xC0DE]).permutation(n)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -281,15 +294,15 @@ def train(segments: Arrays, model_config: ModelConfig,
     return best_params, history
 
 
-def predict(params: ModelParams, segments: Arrays, chunk: int = 64) -> np.ndarray:
+def predict(params: ModelParams, segments: Arrays) -> np.ndarray:
     """Inference over an ``(x, y)`` pair; predictions come out in label units.
 
     ``x`` is not widened as a whole: predict_batch widens each chunk to
     float64, so a float32 dump view predicts as its float64 copy would."""
     x = np.asarray(segments[0])
     preds = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], chunk):
-        preds[lo:lo + chunk] = predict_batch(params, x[lo:lo + chunk])
+    for lo in range(0, x.shape[0], PREDICT_CHUNK):
+        preds[lo:lo + PREDICT_CHUNK] = predict_batch(params, x[lo:lo + PREDICT_CHUNK])
     return preds
 
 
@@ -335,14 +348,13 @@ def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateReport:
 
 def repeat_runs(segments: Arrays, model_config: ModelConfig,
                 config: TrainingConfig, n: int = 3, *,
-                threshold: Optional[float] = 1.5,
-                recording_ids: Optional[Sequence] = None) -> AggregateReport:
+                threshold: Optional[float] = 1.5) -> AggregateReport:
     """n independent seeded runs (seed, seed+1, ...) with fresh shuffles."""
     x, y = _float_labels(segments)
     reports = []
     for run in range(n):
         cfg = replace(config, seed=config.seed + run)
-        idx = split_segments(x.shape[0], cfg, recording_ids)
+        idx = split_segments(x.shape[0], cfg)
         params, _ = train((x[idx.train], y[idx.train]), model_config, cfg,
                           val_segments=(x[idx.val], y[idx.val]))
         reports.append(evaluate(params, (x[idx.test], y[idx.test]),

@@ -886,8 +886,8 @@ def test_eval_threshold_flag_names_no_unit(workdir, capsys):
                                        ("regression", "apnea")])
 def test_head_other_than_the_stored_mode_exits_3(workdir, capsys, head, mode):
     """A model whose head is not its stored mode's would print one task's
-    outputs as another's: infer and eval refuse it before any output, and
-    eval does so whether or not it is given --threshold."""
+    outputs as another's: infer, eval and bench refuse it before any output,
+    and eval does so whether or not it is given --threshold."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["process", "--config", str(cfg_path)]) == 0
@@ -900,11 +900,29 @@ def test_head_other_than_the_stored_mode_exits_3(workdir, capsys, head, mode):
     capsys.readouterr()
     for argv in (["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
                   "--out", str(preds)],
-                 eval_argv, eval_argv + ["--threshold", "1.5"]):
+                 eval_argv, eval_argv + ["--threshold", "1.5"],
+                 ["bench", "--model", str(model), "--seq-len", "16", "--out", str(preds)]):
         assert main(argv) == 3
         assert (f"SchemaMismatch: model {model} has a {head} head but stores mode "
                 f"{mode!r}, whose head is {mode_head}") in capsys.readouterr().err
         assert not preds.exists()
+
+
+def test_fraction_leaving_no_training_window_exits_2(workdir, capsys):
+    """A val_fraction_of_train too large for the window count is a config
+    error in both train's split (56 windows) and cv's carve-out (28 of them
+    per fold at k = 2), refused before any output is written."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    argv = ["--config", str(cfg_path), "--set", "pipeline.stride=20",
+            "--set", "training.val_fraction_of_train=0.99"]
+    capsys.readouterr()
+    for command, n, output in ((["train"], 56, "model.psnn"),
+                               (["cv", "--k", "2"], 28, "cv.json")):
+        assert main(command + argv) == 2
+        assert (f"ConfigInvalidValue: training.val_fraction_of_train of 0.99 leaves "
+                f"no training window of {n}") in capsys.readouterr().err
+        assert not (out / output).exists()
 
 
 @pytest.mark.parametrize("mode,head,flag", [("apnea", "binary", "--threshold"),

@@ -10,8 +10,8 @@ from pulsesense.dsp import (
     amplitude,
     remove_dc,
     run_pipeline_config,
-    sequential_column_mean,
 )
+from pulsesense.dsp.pipeline import column_means
 from pulsesense.errors import NonFiniteSample
 from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
@@ -81,7 +81,7 @@ class TestBitEquality:
     def test_column_means_match_batch_dc_removal(self):
         rec = small_recording()
         mu_stream, count = streaming_column_means(iter(rec.stream.values))
-        mu_batch = sequential_column_mean(amplitude(rec.stream).values)
+        mu_batch, _ = column_means(lambda: amplitude(rec.stream).values)
         assert count == rec.stream.frame_count
         assert np.array_equal(mu_stream, mu_batch)
 
@@ -171,6 +171,13 @@ class TestNonFinite:
         # a one-shot iterator cannot be read again: refused, without a name
         with pytest.raises(NonFiniteSample, match="could not be read again"):
             streaming_column_means(iter(values))
+
+    def test_overflowing_sums_are_refused(self):
+        """Finite packets whose amplitude sums overflow: refused as remove_dc
+        refuses them, by a re-read that finds no non-finite packet."""
+        values = np.full((4, 2), 1e308 + 0j)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteSample, match="overflow"):
+            streaming_column_means(values)
 
     def test_subset_without_the_bad_subcarrier_still_matches_batch(self):
         fs = 20.0

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from pulsesense.dsp import WindowSegment, read_segment_dump, write_segment_dump
-from pulsesense.errors import ConfigInvalidValue, DivergedLoss, TooFewSegments
+from pulsesense.errors import (
+    ConfigInvalidValue,
+    DivergedLoss,
+    EmptyTrainSet,
+    TooFewSegments,
+)
 from pulsesense.nn import ModelConfig, init_params
 from pulsesense.training import (
     TrainingConfig,
@@ -95,6 +100,23 @@ class TestSplit:
     def test_too_few(self):
         with pytest.raises(TooFewSegments):
             split_segments(4, TrainingConfig())
+
+    def test_fraction_leaving_no_training_window_is_a_config_error(self):
+        """At f = 0.95, 5 windows would split 0/4/1: a config value that does
+        not fit the data, named with its value and the window count."""
+        with pytest.raises(ConfigInvalidValue, match=(
+                r"training\.val_fraction_of_train of 0\.95 leaves no training "
+                r"window of 5$")):
+            split_segments(5, TrainingConfig(val_fraction_of_train=0.95))
+
+    def test_carve_out_leaving_no_training_window_is_a_config_error(self):
+        """train's own carve-out: round(0.9 * 3) takes all 3 windows, a config
+        error; a single window cannot be split by any fraction, a runtime one."""
+        x, y = tiny_dataset(n=3)
+        with pytest.raises(ConfigInvalidValue, match="0.9 leaves no training window of 3$"):
+            train((x, y), TINY_MODEL, TrainingConfig(val_fraction_of_train=0.9))
+        with pytest.raises(EmptyTrainSet, match="carve-out"):
+            train((x[:1], y[:1]), TINY_MODEL, TrainingConfig(val_fraction_of_train=0.1))
 
 
 @pytest.mark.parametrize("overrides", [
