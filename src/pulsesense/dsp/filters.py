@@ -228,26 +228,51 @@ class FilterState:
             self._pipe[lo + 1:hi + 1], coef[3:, lo:hi], ax[:, lo:hi], bx[1:, lo:hi],
             state[p, 1:, lo:hi], state[1 - p, :2, lo:hi]) for p in (0, 1)]
             for lo in range(k) for hi in range(lo + 1, k + 1)}
+        # step plans of blocks up to 2K rows, by (rows, phase)
+        self._plans = {}
+
+    def _plan(self, t: int) -> list:
+        """The views of each of the t + K - 1 steps of a t-row block (t >= 1)
+        that starts on state copy _phase: step j advances sections
+        max(0, j - t + 1) .. min(K, j + 1) - 1, so the first and last K - 1
+        steps ramp the pipeline in and out, and the steps between use all K
+        sections on alternate copies."""
+        key = (t, self._phase)
+        plan = self._plans.get(key)
+        if plan is None:
+            k, views, phase = len(self._pipe) - 1, self._views, self._phase
+
+            def at(j):
+                return views[max(0, j - t + 1), min(k, j + 1)][(j + phase) & 1]
+
+            ramp_in = [at(j) for j in range(k - 1)]
+            steady = [at(j) for j in range(k - 1, min(t, k + 1))]
+            ramp_out = [at(j) for j in range(max(t, k - 1), t + k - 1)]
+            n_steady = max(t - k + 1, 0)
+            plan = ramp_in + steady * (n_steady // 2) + steady[:n_steady & 1] + ramp_out
+            if t <= 2 * k:
+                self._plans[key] = plan
+        return plan
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a (T, S) block (or a single (S,) packet), advancing state."""
-        single = block.ndim == 1
-        x = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        x = np.asarray(block, dtype=np.float64)
+        single = x.ndim == 1
+        if single:
+            x = x[None]
         y = np.empty(x.shape)  # C order even for an F-ordered x
         t, k = x.shape[0], len(self._pipe) - 1
-        pipe, views, phase = self._pipe, self._views, self._phase
-        steady = views[0, k]
+        pipe = self._pipe
         mul, add, sub = np.multiply, np.add, np.subtract
-        for j in range(t + k - 1 if t else 0):
+        for j, (b, xin, bx, bx0, s1, out, a, ax, bx12, s2z, s_next) in enumerate(
+                self._plan(t) if t else ()):
             if j < t:
                 pipe[0] = x[j]
-            v = steady if k - 1 <= j < t else views[max(0, j - t + 1), min(k, j + 1)]
-            b, xin, bx, bx0, s1, out, a, ax, bx12, s2z, s_next = v[(j + phase) & 1]
-            mul(b, xin, out=bx)  # b0 x, b1 x, b2 x
-            add(bx0, s1, out=out)
-            mul(a, out, out=ax)  # a1 out, a2 out
-            sub(bx12, ax, out=bx12)
-            add(bx12, s2z, out=s_next)
+            mul(b, xin, bx)  # b0 x, b1 x, b2 x (out= given by position: cheaper)
+            add(bx0, s1, out)
+            mul(a, out, ax)  # a1 out, a2 out
+            sub(bx12, ax, bx12)
+            add(bx12, s2z, s_next)
             if j >= k - 1:
                 y[j - k + 1] = pipe[k]
         self._phase ^= t & 1

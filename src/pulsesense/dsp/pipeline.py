@@ -83,29 +83,37 @@ def amplitude(stream: CsiStream) -> AmplitudeSeries:
     return AmplitudeSeries(values, stream.sample_rate_hz)
 
 
-def column_means(rows: Callable[[], Iterable[np.ndarray]]) -> Tuple[np.ndarray, int]:
-    """Per-subcarrier means of the amplitude rows ``rows()`` yields, and their
-    count: the DC-removal mean of both remove_dc and streaming pass one.
+def column_means(blocks: Callable[[], Iterable[np.ndarray]]) -> Tuple[np.ndarray, int]:
+    """Per-subcarrier means of the (n, S) amplitude blocks ``blocks()``
+    yields, and their row count: the DC-removal mean of both remove_dc and
+    streaming pass one.
 
-    The sum runs in strict packet order (not np.mean), so one packet at a
-    time gives the same bits. One non-finite sample makes its column's mean
-    non-finite, so the S means are checked in place of every sample; only on
-    failure is ``rows()`` called again, to name the first non-finite packet.
+    The sum adds one row at a time in packet order (not np.mean, and not a
+    reduce, which numpy runs pairwise over a single column), so any split of
+    the rows into blocks gives the same bits. One non-finite sample makes its
+    column's mean non-finite, so the S means are checked in place of every
+    sample; only on failure is ``blocks()`` called again, to name the first
+    non-finite packet by its index in the whole stream.
     """
     acc = None
     count = 0
-    for row in rows():
+    for block in blocks():
         if acc is None:
-            acc = np.zeros(np.shape(row), dtype=np.float64)
-        acc += row
-        count += 1
-    if acc is None:
+            acc = np.zeros(block.shape[1:], dtype=np.float64)
+        for row in block:
+            acc += row
+        count += len(block)
+    if not count:
         raise EmptyStream("empty stream")
     mu = acc / count
     if not np.isfinite(mu).all():
-        for index, row in enumerate(rows()):
-            if not np.isfinite(row).all():
-                raise NonFiniteSample(f"packet {index} has a non-finite CSI sample")
+        start = 0
+        for block in blocks():
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                raise NonFiniteSample(
+                    f"packet {start + int(np.argmin(finite))} has a non-finite CSI sample")
+            start += len(block)
         raise NonFiniteSample("column means are not finite: the amplitude sums "
                               "overflow, or the packets could not be read again")
     return mu, count
@@ -113,7 +121,7 @@ def column_means(rows: Callable[[], Iterable[np.ndarray]]) -> Tuple[np.ndarray, 
 
 def remove_dc(series: AmplitudeSeries) -> AmplitudeSeries:
     """Subtract each subcarrier's mean over all T samples."""
-    mu, _ = column_means(lambda: series.values)
+    mu, _ = column_means(lambda: [series.values])
     return AmplitudeSeries(series.values - mu, series.sample_rate_hz)
 
 

@@ -10,10 +10,15 @@ centre value, so polynomials up to that order pass through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import InvalidKernelSpec, SeriesTooShort
+
+# values per coefficient in one chunk of smooth_padded, which keeps its
+# (2m+1, rows, S) products in cache
+SMOOTH_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -25,6 +30,13 @@ class SavGolKernel:
     @property
     def half_width(self) -> int:
         return self.window // 2
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The coefficients as a read-only float64 array, made once."""
+        weights = np.array(self.coefficients, dtype=np.float64)
+        weights.flags.writeable = False
+        return weights
 
 
 def savgol_kernel(window: int, poly_order: int) -> SavGolKernel:
@@ -67,13 +79,29 @@ def smooth_values(kernel: SavGolKernel, values: np.ndarray) -> np.ndarray:
 def smooth_padded(kernel: SavGolKernel, padded: np.ndarray) -> np.ndarray:
     """The T smoothed rows of an already padded (T + 2m, S) matrix.
 
-    This is the one Savitzky-Golay accumulation. It runs coefficient by
-    coefficient in a fixed order, so the streaming predictor, which calls it
-    on its 2m+1 buffered rows, reproduces smooth_values bit for bit.
+    This is the one Savitzky-Golay accumulation, for smooth_values and for
+    the streaming predictor, which calls it on the padded rows of the rows
+    it has waiting, one row or a few dozen. The output goes in chunks of
+    SMOOTH_CHUNK // S rows. One multiply over a strided (2m+1, rows, S) view
+    of ``padded`` forms all of a chunk's products, which are then added in
+    coefficient order, c0 p0 + c1 p1 + ... + c2m p2m, so each row gets the
+    same bits however the rows are split between calls and chunks. The sum
+    is a loop of in-place adds, not a reduce: numpy reduces a single column
+    pairwise, in another order.
     """
-    t_len = padded.shape[0] - kernel.window + 1
-    c = kernel.coefficients
-    out = c[0] * padded[0:t_len]
-    for k in range(1, kernel.window):
-        out += c[k] * padded[k:k + t_len]
+    padded = np.ascontiguousarray(padded, dtype=np.float64)
+    window = kernel.window
+    t_len = padded.shape[0] - window + 1
+    # shifted[k] is padded[k:k + t_len], a view
+    shifted = np.ndarray((window, t_len) + padded.shape[1:], np.float64, padded,
+                         strides=padded.strides[:1] + padded.strides)
+    weights = kernel.weights.reshape((window,) + (1,) * padded.ndim)
+    out = np.empty(shifted.shape[1:])
+    rows = max(1, SMOOTH_CHUNK // max(out[:1].size, 1))  # output rows per chunk
+    for lo in range(0, t_len, rows):
+        products = weights * shifted[:, lo:lo + rows]
+        acc = products[0]
+        for term in products[1:]:
+            acc += term
+        out[lo:lo + rows] = acc
     return out

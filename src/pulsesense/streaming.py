@@ -3,20 +3,31 @@
 The batch pipeline subtracts the whole-recording per-subcarrier mean, so a
 single pass cannot reproduce it; streaming therefore runs two passes over
 the source. Pass one takes the per-subcarrier amplitude means in O(S) memory
-from column_means, the function remove_dc calls too. Pass two pushes
-packets through the batch stages on bounded buffers: one biquad cascade,
-the 2m+1 mirror-padded filtered rows that smooth_padded turns into the next
-smoothed row, and a ring of the newest W smoothed rows for standardize
-and the model. The ring is a (2W, S) buffer holding each row twice, at k
-and k + W, so the newest W rows are always one contiguous slice. Memory is
-independent of stream length, and predictions are bit-identical to
-processing the same recording offline.
+from column_means, the function remove_dc calls too. It reads the packets
+into complex blocks of PACKET_BLOCK and takes a block's amplitudes in one
+call, so its per-packet Python is only the copy into the block.
+
+Pass two pushes packets through the batch stages on bounded buffers. A push
+checks its packet (width, finite selected samples) before it changes any
+state, then runs one step of the biquad cascade and stores the filtered
+row in a ring of the mirror-padded rows that the rows not yet smoothed
+need. A row is ready once its m look-ahead rows have arrived. The ready
+rows are smoothed together, in one smooth_padded call, when a window ends
+on the newest of them or when SMOOTH_BATCH of them wait, and go into a ring
+of the newest W smoothed rows for standardize and the model. Both rings
+hold each row twice, at i % n and i % n + n in a ring of n rows, so the rows
+a step reads are always one contiguous slice and nothing is copied to
+gather them. Memory is independent of stream length, and predictions are
+bit-identical to processing the same recording offline, because
+smooth_padded gives each row the same bits however many rows one call
+smooths.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain, islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +39,17 @@ from .dsp.pipeline import (
     subcarrier_index,
 )
 from .dsp.savgol import smooth_padded
-from .errors import SeriesTooShort, WindowLongerThanSeries
+from .errors import (
+    NonFiniteSample,
+    SeriesTooShort,
+    ShapeMismatch,
+    WindowLongerThanSeries,
+)
 from .nn.model import ModelParams, predict_batch
+
+PACKET_BLOCK = 256  # packets per block of pass one
+# rows smoothed in one call when no window ends sooner
+SMOOTH_BATCH = 32
 
 
 class StreamingPredictor:
@@ -38,55 +58,105 @@ class StreamingPredictor:
     ``column_means`` must hold the recording's per-subcarrier amplitude means
     (after any subcarrier subsetting), exactly as streaming_column_means
     computes them for ``cfg.subcarriers``; that pass also checks the
-    selection against the stream's width.
+    selection against the stream's width. Means that are not one finite
+    value per model input are refused here.
     """
 
     def __init__(self, params: ModelParams, cfg: PipelineConfig,
                  sample_rate_hz: float, column_means: np.ndarray):
         self.params = params
         self.mu = np.asarray(column_means, dtype=np.float64)
+        width = params.config.input_dim
+        if self.mu.shape != (width,):
+            raise ShapeMismatch(f"column means of shape {self.mu.shape} do not "
+                                f"fit a model of {width} inputs")
+        if not np.isfinite(self.mu).all():
+            raise NonFiniteSample("column means hold a non-finite value")
         cascade, self.kernel, self.w = cfg.stages(sample_rate_hz)
-        self.filter_state = FilterState(cascade, self.mu.shape[0])
+        self.filter_state = FilterState(cascade, width)
         self.m = self.kernel.half_width
         self.stride = cfg.stride
         self.index = (slice(None) if cfg.subcarriers is None
                       else np.asarray(cfg.subcarriers, dtype=np.intp))
-        # filtered rows around the next row to smooth, the smoothed rows (row
-        # n at n % W and n % W + W), and the timestamps of the rows not yet
-        # smoothed
-        self.filt = deque(maxlen=2 * self.m + 1)
-        self.ring = np.empty((2 * self.w, self.mu.shape[0]))
+        # the padded filtered rows the rows not yet smoothed need (padded
+        # row i at i % span and i % span + span), the smoothed rows (row n
+        # at n % W and n % W + W), and the timestamps of the rows whose
+        # look-ahead has not arrived
+        self.span = SMOOTH_BATCH + 2 * self.m
+        self.filt = np.empty((2 * self.span, width))
+        self.ring = np.empty((2 * self.w, width))
         self.times = deque()
-        self.n_smoothed = 0
+        self.n_ready = 0  # rows whose 2m+1 padded rows have arrived
+        self.n_smoothed = 0  # rows in the ring
 
-    def _smooth_next(self) -> List[Tuple[float, float]]:
-        """Smooth the centre row of filt into the ring; predict when a window
-        ends on it."""
-        k = self.n_smoothed % self.w
-        self.ring[k] = self.ring[k + self.w] = smooth_padded(
-            self.kernel, np.array(self.filt))[0]
+    def _put_filtered(self, i: int, row: np.ndarray) -> None:
+        """Store ``row`` as padded filtered row i."""
+        k = i % self.span
+        self.filt[k] = self.filt[k + self.span] = row
+
+    def _next_ready(self) -> List[Tuple[float, float]]:
+        """Row n_ready has its look-ahead: smooth the ready rows if a window
+        ends on it or SMOOTH_BATCH are waiting, and predict if one ends."""
         t_end = self.times.popleft()
-        self.n_smoothed += 1
-        start = self.n_smoothed - self.w
-        if start < 0 or start % self.stride:
+        self.n_ready += 1
+        start = self.n_ready - self.w
+        due = start >= 0 and start % self.stride == 0
+        if due or self.n_ready - self.n_smoothed == SMOOTH_BATCH:
+            self._smooth_ready()
+        if not due:
             return []
-        window = standardize(self.ring[k + 1:k + 1 + self.w])
+        k = start % self.w
+        window = standardize(self.ring[k:k + self.w])
         return [(t_end, float(predict_batch(self.params, window[None])[0]))]
 
+    def _smooth_ready(self) -> None:
+        """Smooth rows n_smoothed .. n_ready-1 in one smooth_padded call and
+        put the newest W of them in the ring."""
+        lo, n = self.n_smoothed % self.span, self.n_ready - self.n_smoothed
+        rows = smooth_padded(self.kernel, self.filt[lo:lo + n + 2 * self.m])[-self.w:]
+        k, w = (self.n_ready - len(rows)) % self.w, self.w
+        # row n goes to n % W and n % W + W: the first `below` rows land under
+        # W and are copied up by W, the rest land from W on and are copied down
+        below = min(len(rows), w - k)
+        self.ring[k:k + len(rows)] = rows
+        self.ring[k + w:k + w + below] = rows[:below]
+        self.ring[:len(rows) - below] = rows[below:]
+        self.n_smoothed = self.n_ready
+
     def push(self, timestamp: float, packet: np.ndarray) -> List[Tuple[float, float]]:
-        """Feed one packet; returns any (t_end, prediction) pairs now ready."""
-        row = _amplitude_row(packet, self.index) - self.mu
-        self.filt.append(self.filter_state.process(row))
+        """Feed one packet; returns any (t_end, prediction) pairs now ready.
+
+        A packet whose selected subcarriers do not match the means in number
+        (ShapeMismatch) or hold a non-finite amplitude (NonFiniteSample,
+        naming the 0-based packet index) is refused before any state
+        changes.
+        """
+        j = self.n_ready + len(self.times)  # this packet's index
+        packet = np.asarray(packet)
+        try:
+            picked = packet[self.index]
+        except IndexError:
+            picked = None
+        if picked is None or picked.shape != self.mu.shape:
+            raise ShapeMismatch(
+                f"packet {j} of shape {packet.shape} does not give the "
+                f"{self.mu.shape[0]} selected subcarriers the means have")
+        amp = np.hypot(picked.real, picked.imag)
+        # amplitudes are >= 0 or NaN, so the maximum is finite only if all are
+        if not amp.max() < np.inf:
+            raise NonFiniteSample(f"packet {j} has a non-finite CSI sample")
+        row = self.filter_state.process(amp - self.mu)
+        self._put_filtered(j + self.m, row)
+        if 1 <= j <= self.m:  # the near-edge mirror: row j again as padded row m - j
+            self._put_filtered(self.m - j, row)
         self.times.append(float(timestamp))
-        if len(self.times) <= self.m:
+        if j < self.m:
             return []
-        if len(self.filt) == self.m + 1:  # packet m: mirror rows m..1 before row 0
-            self.filt.extendleft(list(self.filt)[1:])
-        return self._smooth_next()
+        return self._next_ready()
 
     def finish(self) -> List[Tuple[float, float]]:
         """Flush the tail once the stream ends (mirror-pads the far edge)."""
-        t_total = self.n_smoothed + len(self.times)
+        t_total = self.n_ready + len(self.times)
         if t_total < self.kernel.window:
             raise SeriesTooShort(
                 f"stream of {t_total} packets shorter than the smoothing window")
@@ -94,16 +164,13 @@ class StreamingPredictor:
             raise WindowLongerThanSeries(
                 f"window of {self.w} packets exceeds stream length {t_total}")
         out = []
-        # rows T-2 down to T-1-m, the far-edge mirror, one per smoothed row
-        for row in reversed(list(self.filt)[self.m:-1]):
-            self.filt.append(row)
-            out.extend(self._smooth_next())
+        # the far-edge mirror: row T-1-i again as padded row T-1+m+i, each
+        # the look-ahead of one more row
+        last = t_total - 1 + self.m  # padded index of row T-1
+        for i in range(1, self.m + 1):
+            self._put_filtered(last + i, self.filt[(last - i) % self.span])
+            out.extend(self._next_ready())
         return out
-
-
-def _amplitude_row(packet: np.ndarray, index: Union[slice, np.ndarray]) -> np.ndarray:
-    packet = np.asarray(packet)
-    return np.hypot(packet.real, packet.imag)[index]
 
 
 def streaming_column_means(packets: Iterable[np.ndarray],
@@ -112,16 +179,25 @@ def streaming_column_means(packets: Iterable[np.ndarray],
     """Pass one: per-subcarrier amplitude means and the packet count from
     column_means, so they are remove_dc's means bit for bit, refused alike.
 
-    The first packet's width checks ``subcarriers`` (subcarrier_index).
-    ``packets`` is iterated again only for non-finite means, to name the
-    first non-finite packet, so pass an iterable that restarts (a sequence,
-    or a file reader) to get the name.
+    Packets are read as complex128 in blocks of PACKET_BLOCK. The first
+    packet's width checks ``subcarriers`` (subcarrier_index). ``packets`` is
+    iterated again only for non-finite means, to name the first non-finite
+    packet, so pass an iterable that restarts (a sequence, or a file reader)
+    to get the name.
     """
-    def rows():
-        index = None
-        for packet in packets:
-            if index is None:
-                index = subcarrier_index(subcarriers, np.shape(packet)[0])
-            yield _amplitude_row(packet, index)
+    def blocks():
+        stream = iter(packets)
+        first = next(stream, None)
+        if first is None:
+            return
+        width = np.shape(first)[0]
+        index = subcarrier_index(subcarriers, width)
+        stream = chain([first], stream)
+        packet = np.dtype((np.complex128, width))
+        while True:
+            block = np.fromiter(islice(stream, PACKET_BLOCK), packet)[:, index]
+            if not len(block):
+                return
+            yield np.hypot(block.real, block.imag)
 
-    return column_means(rows)
+    return column_means(blocks)

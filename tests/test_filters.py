@@ -207,6 +207,28 @@ class TestPipelinedCascade:
                 i += n
             assert np.concatenate(parts).tobytes() == expected
 
+    @pytest.mark.parametrize("spec", [HR_SPEC, BR_SPEC, APNEA_SPEC],
+                             ids=["heart", "breath", "apnea"])
+    def test_packets_between_odd_and_even_blocks_equal_one_full_pass(self, spec):
+        """One-packet calls run the cached per-packet step plans; between
+        blocks of odd and even length, short and past the cached sizes, they
+        leave the bytes of one full pass."""
+        cascade = design_bandpass(spec)
+        k = len(cascade.sections)
+        x = _signed_zero_signal(np.random.default_rng(31), 400, 4)
+        full = filter_values(cascade, x).tobytes()
+        for pattern in ([1, 2, 1, 3], [3, 1, 1, 4, 1],
+                        [2 * k + 1, 1, 2 * k + 2, 1, 1, k, 1, k - 1, 5 * k + 2]):
+            state, parts, i, n = FilterState(cascade, 4), [], 0, 0
+            while i < len(x):
+                size = pattern[n % len(pattern)]
+                if size == 1:
+                    parts.append(state.process(x[i])[None])
+                else:
+                    parts.append(state.process(x[i:i + size]))
+                i, n = i + size, n + 1
+            assert np.concatenate(parts).tobytes() == full
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_state_decayed_to_signed_zero_equals_textbook_bytes(self, order):
         """An impulse response that underflows leaves -0.0 in the state, which
@@ -230,11 +252,10 @@ class TestPipelinedCascade:
         assert np.vstack([head, rest]).tobytes() == filter_values(cascade, x).tobytes()
 
     def test_fortran_ordered_input_gives_c_ordered_output(self):
-        """A subcarrier subset reaches the filter F-ordered. The smoothing
-        keeps the layout it is given, and standardize's column sums add in a
-        layout-dependent order, so an F-ordered filter output would give batch
-        z-scores that differ in the last bit from the streaming ones, which
-        are stacked from C-ordered rows."""
+        """A subcarrier subset reaches the filter F-ordered. Standardize's
+        column sums add in a layout-dependent order, so an F-ordered output
+        carried on to them would give batch z-scores that differ in the last
+        bit from the streaming ones, which are stacked from C-ordered rows."""
         cascade = design_bandpass(HR_SPEC)
         x = np.random.default_rng(8).standard_normal((200, 5))
         out = filter_values(cascade, np.asfortranarray(x))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pulsesense.dsp import mirror_pad, savgol_kernel, smooth_padded, smooth_values
+from pulsesense.dsp.savgol import SMOOTH_CHUNK
 from pulsesense.errors import InvalidKernelSpec, SeriesTooShort
 
 
@@ -123,3 +124,58 @@ class TestSmoothing:
             row = smooth_padded(kernel, padded[i:i + 15])
             assert row.shape == (1, 3)
             assert np.array_equal(row[0], block[i])
+
+
+def per_coefficient_loop(kernel, padded):
+    """Reference accumulation: c0 times all rows, then each further
+    coefficient's products added over all rows, in coefficient order."""
+    t_len = padded.shape[0] - kernel.window + 1
+    c = kernel.coefficients
+    out = c[0] * padded[0:t_len]
+    for k in range(1, kernel.window):
+        out += c[k] * padded[k:k + t_len]
+    return out
+
+
+class TestSmoothPaddedBits:
+    @pytest.mark.parametrize("window,order", [(15, 3), (5, 1), (1, 0)])
+    def test_one_subcarrier(self, window, order):
+        """At S=1 a reduce over the coefficients would sum pairwise."""
+        kernel = savgol_kernel(window, order)
+        rng = np.random.default_rng(40 + window)
+        for t_len in (1, 2, window, 3 * SMOOTH_CHUNK + 5):
+            padded = rng.standard_normal((t_len + window - 1, 1))
+            got = smooth_padded(kernel, padded)
+            assert got.shape == (t_len, 1)
+            assert got.tobytes() == per_coefficient_loop(kernel, padded).tobytes()
+
+    @pytest.mark.parametrize("n_sub", [3, 64, 234])
+    def test_across_chunk_boundaries(self, n_sub):
+        kernel = savgol_kernel(15, 3)
+        rows = max(1, SMOOTH_CHUNK // n_sub)  # output rows per chunk
+        rng = np.random.default_rng(n_sub)
+        for t_len in (rows - 1, rows, rows + 1, 2 * rows + 7):
+            padded = rng.standard_normal((t_len + 14, n_sub)) * 100
+            expected = per_coefficient_loop(kernel, padded).tobytes()
+            assert smooth_padded(kernel, padded).tobytes() == expected
+            assert smooth_padded(kernel, np.asfortranarray(padded)).tobytes() == expected
+
+    @pytest.mark.parametrize("window,order", [(15, 3), (5, 1)])
+    def test_rows_holding_signed_zeros(self, window, order):
+        """Products of -0.0 and sums of zeros keep their signs as in the
+        loop; with all-positive coefficients (5, 1) an all -0.0 column stays
+        -0.0."""
+        kernel = savgol_kernel(window, order)
+        rng = np.random.default_rng(7)
+        padded = rng.standard_normal((200, 4))
+        padded[rng.random((200, 4)) < 0.3] = 0.0
+        padded[rng.random((200, 4)) < 0.3] = -0.0
+        padded[:, 2] = -0.0
+        padded[:, 3] = 0.0
+        expected = per_coefficient_loop(kernel, padded)
+        if order == 1:
+            assert np.all(np.signbit(expected[:, 2]))
+        assert smooth_padded(kernel, padded).tobytes() == expected.tobytes()
+        for i in range(0, 200 - window + 1, 17):  # one row at a time, as streaming calls it
+            row = smooth_padded(kernel, padded[i:i + window])
+            assert row.tobytes() == expected[i:i + 1].tobytes()

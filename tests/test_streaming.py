@@ -12,10 +12,15 @@ from pulsesense.dsp import (
     run_pipeline_config,
 )
 from pulsesense.dsp.pipeline import column_means
-from pulsesense.errors import NonFiniteSample
+from pulsesense.errors import NonFiniteSample, ShapeMismatch
 from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
-from pulsesense.streaming import StreamingPredictor, streaming_column_means
+from pulsesense.streaming import (
+    PACKET_BLOCK,
+    SMOOTH_BATCH,
+    StreamingPredictor,
+    streaming_column_means,
+)
 from pulsesense.synth import Scenario, Schedule, generate
 
 
@@ -81,7 +86,7 @@ class TestBitEquality:
     def test_column_means_match_batch_dc_removal(self):
         rec = small_recording()
         mu_stream, count = streaming_column_means(iter(rec.stream.values))
-        mu_batch, _ = column_means(lambda: amplitude(rec.stream).values)
+        mu_batch, _ = column_means(lambda: [amplitude(rec.stream).values])
         assert count == rec.stream.frame_count
         assert np.array_equal(mu_stream, mu_batch)
 
@@ -98,7 +103,7 @@ class TestBoundedMemory:
         for t, row in zip(rec.stream.timestamps, rec.stream.values):
             predictor.push(float(t), row)
             assert predictor.ring.shape == (2 * w, 3)  # each row held twice
-            assert len(predictor.filt) <= 2 * predictor.m + 1
+            assert predictor.filt.shape == (2 * (SMOOTH_BATCH + 2 * predictor.m), 3)
             assert len(predictor.times) <= w + predictor.m
 
 
@@ -116,6 +121,8 @@ SWEEP = [
     ("heart", 3, 1, 1.0, 100, 60, None),      # stride beyond the window count
     ("heart", 15, 3, 1.0, 6, 80, [3, 0]),     # subcarrier subset, reordered
     ("apnea", 31, 4, 1.5, 2, 90, [1]),        # one subcarrier
+    # W = 10 < SMOOTH_BATCH < stride: more ready rows than the ring holds
+    ("heart", 3, 1, 0.5, 45, 120, None),
 ]
 
 
@@ -152,7 +159,8 @@ class TestSweep:
         got = []
         for k in range(t_len):
             got.extend((k, t, p) for t, p in predictor.push(stream.timestamps[k], values[k]))
-            assert len(predictor.filt) <= 2 * m + 1 and len(predictor.times) <= m + 1
+            assert predictor.filt.shape == (2 * (SMOOTH_BATCH + 2 * m), len(mu))
+            assert len(predictor.times) <= m + 1
         got.extend((t_len, t, p) for t, p in predictor.finish())
         assert len(expected) >= 1 and got == expected
 
@@ -189,3 +197,119 @@ class TestNonFinite:
         params = init_params(ModelConfig(input_dim=2), seed=2)
         batch = batch_predictions(params, recording, cfg, fs)
         assert batch == stream_predictions(params, rec, cfg, fs)
+
+
+def row_by_row_means(values, subcarriers=None):
+    """Reference pass one: each packet's amplitudes, added to the sum one row
+    at a time."""
+    acc = None
+    for packet in values:
+        amp = np.hypot(packet.real, packet.imag)
+        if subcarriers is not None:
+            amp = amp[subcarriers]
+        if acc is None:
+            acc = np.zeros(amp.shape)
+        acc += amp
+    return acc / len(values)
+
+
+def complex_packets(t_len, n_sub, seed):
+    rng = np.random.default_rng(seed)
+    return 3 + rng.standard_normal((t_len, n_sub)) + 1j * rng.standard_normal((t_len, n_sub))
+
+
+class TestPassOneBlocks:
+    def test_stream_of_blocks_and_a_partial_block_equals_row_by_row(self):
+        values = complex_packets(2 * PACKET_BLOCK + 37, 5, seed=21)
+        for subs in (None, [4, 1]):
+            mu, count = streaming_column_means(iter(values), subs)
+            assert count == len(values)
+            assert mu.tobytes() == row_by_row_means(values, subs).tobytes()
+
+    def test_one_subcarrier_equals_row_by_row(self):
+        """At S=1 numpy's reduce sums pairwise; the mean must not."""
+        values = complex_packets(PACKET_BLOCK + 3, 1, seed=22)
+        expected = row_by_row_means(values).tobytes()
+        assert streaming_column_means(values)[0].tobytes() == expected
+        amp = amplitude(CsiStream(np.arange(len(values)) / 20.0, values, 20.0)).values
+        assert column_means(lambda: [amp])[0].tobytes() == expected
+
+    def test_any_split_into_blocks_gives_the_same_bits(self):
+        amp = np.hypot(*np.random.default_rng(23).standard_normal((2, 300, 2))) * 1e3
+        expected = row_by_row_means(amp.astype(complex)).tobytes()
+        for sizes in ([300], [1] * 300, [7, 0, 93, 200], [299, 1]):
+            edges = np.cumsum([0] + sizes)
+            mu, count = column_means(lambda: [amp[a:b] for a, b in zip(edges, edges[1:])])
+            assert count == 300 and mu.tobytes() == expected
+
+    def test_non_finite_packet_in_a_later_block_is_named_by_its_global_index(self):
+        values = complex_packets(3 * PACKET_BLOCK, 4, seed=24)
+        bad = PACKET_BLOCK + 5
+        values[bad, 2] = complex(np.nan, 1.0)
+        values[bad + PACKET_BLOCK, 0] = complex(0.0, -np.inf)
+        with pytest.raises(NonFiniteSample, match=f"packet {bad} "):
+            streaming_column_means(values)
+        series = amplitude(CsiStream(np.arange(len(values)) / 20.0, values, 20.0))
+        with pytest.raises(NonFiniteSample, match=f"packet {bad} "):
+            remove_dc(series)
+        with pytest.raises(NonFiniteSample, match="could not be read again"):
+            streaming_column_means(iter(values))
+
+
+def predictor_for(n_sub=3, subcarriers=None, seed=25):
+    rec = small_recording(duration_s=20.0, n_sub=n_sub, seed=seed)
+    cfg = PipelineConfig(mode="heart", window_s=2.0, stride=5, subcarriers=subcarriers)
+    params = init_params(ModelConfig(input_dim=n_sub if subcarriers is None
+                                     else len(subcarriers)), seed=4)
+    mu, _ = streaming_column_means(rec.stream.values, subcarriers)
+    return rec, params, cfg, mu
+
+
+class TestRefusals:
+    def test_means_that_do_not_fit_the_model_are_refused(self):
+        rec, params, cfg, mu = predictor_for()
+        for bad in (np.append(mu, 1.0), mu[:2], mu[None], np.float64(mu[0])):
+            with pytest.raises(ShapeMismatch, match="column means"):
+                StreamingPredictor(params, cfg, 20.0, bad)
+
+    def test_non_finite_means_are_refused(self):
+        rec, params, cfg, mu = predictor_for()
+        for value in (np.nan, np.inf, -np.inf):
+            bad = mu.copy()
+            bad[1] = value
+            with pytest.raises(NonFiniteSample, match="column means"):
+                StreamingPredictor(params, cfg, 20.0, bad)
+
+    @pytest.mark.parametrize("subs", [None, [2, 0]])
+    def test_refused_packets_leave_the_stream_as_it_was(self, subs):
+        """Packets of the wrong width and packets with a non-finite selected
+        sample are refused with typed errors, the latter naming the 0-based
+        packet index; the stream then goes on as if they never came."""
+        rec, params, cfg, mu = predictor_for(subcarriers=subs)
+        expected = stream_predictions(params, rec, cfg, 20.0)
+        values, times = rec.stream.values, rec.stream.timestamps
+        wrong_width = [values[0, :2], values[:2], values[0, 0]]
+        if subs is None:  # a subset only needs its columns to be there
+            wrong_width += [values[0, :1], np.append(values[0], 1.0)]
+        non_finite = []
+        for sub, value in ((subs or [0])[0], np.nan), ((subs or [1])[-1], np.inf):
+            packet = values[0].copy()
+            packet[sub] = complex(value, 0.0)
+            non_finite.append(packet)
+        huge = values[0].copy()
+        huge[(subs or [2])[0]] = complex(1.5e308, 1.5e308)  # finite, |.| overflows
+        non_finite.append(huge)
+        predictor = StreamingPredictor(params, cfg, 20.0, mu)
+        got = []
+        for k, (t, row) in enumerate(zip(times, values)):
+            if k in (0, 57, len(values) - 1):
+                for packet in wrong_width:
+                    with pytest.raises(ShapeMismatch, match=f"packet {k} "):
+                        predictor.push(float(t), packet)
+                for packet in non_finite:
+                    with np.errstate(over="ignore"), pytest.raises(
+                            NonFiniteSample, match=f"packet {k} has a non-finite"):
+                        predictor.push(float(t), packet)
+            got.extend(predictor.push(float(t), row))
+        got.extend(predictor.finish())
+        assert len(expected) > 0 and got == expected
