@@ -242,27 +242,17 @@ def _iter_canonical_packets(path: str):
             yield t, complex_values(re, im)
 
 
-class _StreamRows:
-    """The complex rows of a canonical file; each iteration reads it anew."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __iter__(self):
-        return (row for _, row in _iter_canonical_packets(self.path))
-
-
 def cmd_infer(args) -> int:
     params, pipeline_cfg, trained_w = _load_trained(args.model)
+    # the header and pass one share one open of the stream; pass two opens it again
     with open(args.stream, "rb") as fh:
-        fs, n_sub, _ = iter_canonical(utf8_lines(fh))
-    with _stored_in(args.model):
-        _, _, w = pipeline_cfg.stages(fs)
-    width = np.arange(n_sub)[subcarrier_index(pipeline_cfg.subcarriers, n_sub)].size
-    _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
-
-    mu, _count = streaming_column_means(_StreamRows(args.stream),
-                                        pipeline_cfg.subcarriers)
+        fs, n_sub, frames = iter_canonical(utf8_lines(fh))
+        with _stored_in(args.model):
+            _, _, w = pipeline_cfg.stages(fs)
+        width = np.arange(n_sub)[subcarrier_index(pipeline_cfg.subcarriers, n_sub)].size
+        _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
+        mu, _count = streaming_column_means(
+            (complex_values(re, im) for _, re, im in frames), pipeline_cfg.subcarriers)
     predictor = StreamingPredictor(params, pipeline_cfg, fs, mu)
 
     sink = open(args.out, "w") if args.out else sys.stdout

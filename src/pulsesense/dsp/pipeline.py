@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,21 +83,26 @@ def amplitude(stream: CsiStream) -> AmplitudeSeries:
     return AmplitudeSeries(values, stream.sample_rate_hz)
 
 
-def column_means(blocks: Callable[[], Iterable[np.ndarray]]) -> Tuple[np.ndarray, int]:
-    """Per-subcarrier means of the (n, S) amplitude blocks ``blocks()``
-    yields, and their row count: the DC-removal mean of both remove_dc and
-    streaming pass one.
+def column_means(blocks: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """Per-subcarrier means of the (n, S) amplitude blocks in ``blocks``, and
+    their row count: the DC-removal mean of both remove_dc and streaming pass
+    one. ``blocks`` is read once.
 
     The sum adds one row at a time in packet order (not np.mean, and not a
     reduce, which numpy runs pairwise over a single column), so any split of
-    the rows into blocks gives the same bits. One non-finite sample makes its
-    column's mean non-finite, so the S means are checked in place of every
-    sample; only on failure is ``blocks()`` called again, to name the first
-    non-finite packet by its index in the whole stream.
+    the rows into blocks gives the same bits. A block is checked before it is
+    added: the first non-finite sample raises NonFiniteSample, naming its
+    packet by its index in the whole stream. Sums that overflow while every
+    sample is finite are refused after the last block.
     """
     acc = None
     count = 0
-    for block in blocks():
+    for block in blocks:
+        # amplitudes are >= 0 or NaN, so the maximum is finite only if all are
+        if block.size and not block.max() < np.inf:
+            finite = np.isfinite(block).all(axis=1)
+            raise NonFiniteSample(
+                f"packet {count + int(np.argmin(finite))} has a non-finite CSI sample")
         if acc is None:
             acc = np.zeros(block.shape[1:], dtype=np.float64)
         for row in block:
@@ -107,21 +112,13 @@ def column_means(blocks: Callable[[], Iterable[np.ndarray]]) -> Tuple[np.ndarray
         raise EmptyStream("empty stream")
     mu = acc / count
     if not np.isfinite(mu).all():
-        start = 0
-        for block in blocks():
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                raise NonFiniteSample(
-                    f"packet {start + int(np.argmin(finite))} has a non-finite CSI sample")
-            start += len(block)
-        raise NonFiniteSample("column means are not finite: the amplitude sums "
-                              "overflow, or the packets could not be read again")
+        raise NonFiniteSample("column means are not finite: the amplitude sums overflow")
     return mu, count
 
 
 def remove_dc(series: AmplitudeSeries) -> AmplitudeSeries:
     """Subtract each subcarrier's mean over all T samples."""
-    mu, _ = column_means(lambda: [series.values])
+    mu, _ = column_means([series.values])
     return AmplitudeSeries(series.values - mu, series.sample_rate_hz)
 
 
@@ -138,16 +135,17 @@ def window_length(window_s: float, sample_rate_hz: float) -> int:
     return int(round(window_s * sample_rate_hz))
 
 
-def subcarrier_index(subcarriers: Optional[Sequence[int]], width: int):
+def subcarrier_index(subcarriers: Optional[Sequence[int]], width: Optional[int]):
     """The index picking ``subcarriers`` from rows of ``width`` values: a slice
-    for None (all, no copy), else distinct in-range columns or SchemaMismatch."""
+    for None (all, no copy), else distinct in-range columns or SchemaMismatch.
+    A width of None (a stream not yet seen) bounds the columns only below."""
     if subcarriers is None:
         return slice(None)
+    top = math.inf if width is None else width
     if (not subcarriers or len(set(subcarriers)) != len(subcarriers)
-            or not all(0 <= i < width for i in subcarriers)):
-        raise SchemaMismatch(
-            f"pipeline.subcarriers {list(subcarriers)} must name distinct "
-            f"columns of a stream with {width} subcarriers (0..{width - 1})")
+            or not all(0 <= i < top for i in subcarriers)):
+        raise SchemaMismatch(f"pipeline.subcarriers {list(subcarriers)} must name "
+                             f"distinct columns 0..{top - 1} of the stream")
     return np.asarray(subcarriers, dtype=np.intp)
 
 

@@ -3,9 +3,10 @@
 The batch pipeline subtracts the whole-recording per-subcarrier mean, so a
 single pass cannot reproduce it; streaming therefore runs two passes over
 the source. Pass one takes the per-subcarrier amplitude means in O(S) memory
-from column_means, the function remove_dc calls too. It reads the packets
-into complex blocks of PACKET_BLOCK and takes a block's amplitudes in one
-call, so its per-packet Python is only the copy into the block.
+from column_means, the function remove_dc calls too. It reads the source
+once, into complex blocks of PACKET_BLOCK, checks each block as it reads it
+and takes its amplitudes in one call, so its per-packet Python is only the
+copy into the block.
 
 Pass two pushes packets through the batch stages on bounded buffers. A push
 checks its packet (width, finite selected samples) before it changes any
@@ -26,7 +27,7 @@ smooths.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +60,8 @@ class StreamingPredictor:
     (after any subcarrier subsetting), exactly as streaming_column_means
     computes them for ``cfg.subcarriers``; that pass also checks the
     selection against the stream's width. Means that are not one finite
-    value per model input are refused here.
+    value per model input are refused here, as are negative or repeated
+    ``cfg.subcarriers`` (subcarrier_index, before the width is known).
     """
 
     def __init__(self, params: ModelParams, cfg: PipelineConfig,
@@ -76,8 +78,7 @@ class StreamingPredictor:
         self.filter_state = FilterState(cascade, width)
         self.m = self.kernel.half_width
         self.stride = cfg.stride
-        self.index = (slice(None) if cfg.subcarriers is None
-                      else np.asarray(cfg.subcarriers, dtype=np.intp))
+        self.index = subcarrier_index(cfg.subcarriers, None)
         # the padded filtered rows the rows not yet smoothed need (padded
         # row i at i % span and i % span + span), the smoothed rows (row n
         # at n % W and n % W + W), and the timestamps of the rows whose
@@ -179,25 +180,31 @@ def streaming_column_means(packets: Iterable[np.ndarray],
     """Pass one: per-subcarrier amplitude means and the packet count from
     column_means, so they are remove_dc's means bit for bit, refused alike.
 
-    Packets are read as complex128 in blocks of PACKET_BLOCK. The first
-    packet's width checks ``subcarriers`` (subcarrier_index). ``packets`` is
-    iterated again only for non-finite means, to name the first non-finite
-    packet, so pass an iterable that restarts (a sequence, or a file reader)
-    to get the name.
+    ``packets`` is read once, as complex128 blocks of PACKET_BLOCK. The first
+    packet's width checks ``subcarriers`` (subcarrier_index). A packet that is
+    not a row of that width is a ShapeMismatch naming its 0-based index.
     """
     def blocks():
-        stream = iter(packets)
-        first = next(stream, None)
-        if first is None:
-            return
-        width = np.shape(first)[0]
-        index = subcarrier_index(subcarriers, width)
-        stream = chain([first], stream)
-        packet = np.dtype((np.complex128, width))
-        while True:
-            block = np.fromiter(islice(stream, PACKET_BLOCK), packet)[:, index]
-            if not len(block):
-                return
+        stream, start = iter(packets), 0
+        while chunk := list(islice(stream, PACKET_BLOCK)):
+            if start == 0:
+                shape = np.shape(chunk[0])
+                if len(shape) != 1:
+                    raise ShapeMismatch(f"packet 0 of shape {shape} is not a row")
+                index = subcarrier_index(subcarriers, shape[0])
+            try:
+                block = np.array(chunk, dtype=np.complex128)
+                if block.shape[1:] != shape:  # the whole block shares another
+                    raise ValueError
+            except ValueError:  # a packet of another shape makes the block ragged
+                for k, packet in enumerate(chunk):
+                    if np.shape(packet) != shape:
+                        raise ShapeMismatch(
+                            f"packet {start + k} of shape {np.shape(packet)} is not "
+                            f"a row of {shape[0]} values like packet 0") from None
+                raise
+            start += len(block)
+            block = block[:, index]
             yield np.hypot(block.real, block.imag)
 
-    return column_means(blocks)
+    return column_means(blocks())

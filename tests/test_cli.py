@@ -1,5 +1,6 @@
 """End-to-end CLI workflows on a desk-scale synthetic recording."""
 
+import builtins
 import json
 import struct
 import warnings
@@ -295,6 +296,39 @@ def test_non_finite_sample_exits_3_before_any_output(workdir, capsys):
                  "--stream", str(out / "stream.jsonl"), "--out", str(preds)]) == 3
     assert "NonFiniteSample: packet 200 " in capsys.readouterr().err
     assert not preds.exists()
+
+
+def test_infer_opens_its_stream_twice_and_once_when_pass_one_refuses(
+        workdir, capsys, monkeypatch):
+    """The header and pass one share one open of the stream and pass two
+    opens it again; a stream that pass one refuses is opened once."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    good = out / "stream.jsonl"
+    lines = good.read_text().splitlines()
+    frame = json.loads(lines[201])  # packet 200, after the header line
+    frame["re"][0] = float("nan")
+    lines[201] = json.dumps(frame)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    preds = tmp_path / "preds.csv"
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model), "--stream", str(good),
+                 "--out", str(preds)]) == 0
+    assert opened.count(str(good)) == 2
+    assert main(["infer", "--model", str(model), "--stream", str(bad)]) == 3
+    assert "NonFiniteSample: packet 200 " in capsys.readouterr().err
+    assert opened.count(str(bad)) == 1
 
 
 def test_data_error_exits_3(workdir, capsys):

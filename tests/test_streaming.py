@@ -1,5 +1,8 @@
 """Streaming inference must reproduce the batch pipeline bit for bit."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from pulsesense.dsp import (
     run_pipeline_config,
 )
 from pulsesense.dsp.pipeline import column_means
-from pulsesense.errors import NonFiniteSample, ShapeMismatch
+from pulsesense.errors import NonFiniteSample, SchemaMismatch, ShapeMismatch
 from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
 from pulsesense.streaming import (
@@ -52,6 +55,20 @@ def stream_predictions(params, rec, cfg, fs):
     return out
 
 
+class OneShot:
+    """The packets of ``values``, which may be iterated once: a second
+    iteration fails the test."""
+
+    def __init__(self, values):
+        self.values = values
+        self.read = False
+
+    def __iter__(self):
+        assert not self.read, "the packets were read a second time"
+        self.read = True
+        return iter(self.values)
+
+
 class TestBitEquality:
     @pytest.mark.parametrize("mode,window_s,stride", [
         ("heart", 5.0, 7),
@@ -86,7 +103,7 @@ class TestBitEquality:
     def test_column_means_match_batch_dc_removal(self):
         rec = small_recording()
         mu_stream, count = streaming_column_means(iter(rec.stream.values))
-        mu_batch, _ = column_means(lambda: [amplitude(rec.stream).values])
+        mu_batch, _ = column_means([amplitude(rec.stream).values])
         assert count == rec.stream.frame_count
         assert np.array_equal(mu_stream, mu_batch)
 
@@ -176,16 +193,30 @@ class TestNonFinite:
         series = amplitude(CsiStream(rec.stream.timestamps, values, 20.0))
         with pytest.raises(NonFiniteSample, match="packet 123 "):
             remove_dc(series)
-        # a one-shot iterator cannot be read again: refused, without a name
-        with pytest.raises(NonFiniteSample, match="could not be read again"):
-            streaming_column_means(iter(values))
+        # read once, the packets still name the bad one
+        with pytest.raises(NonFiniteSample, match="packet 123 "):
+            streaming_column_means(OneShot(values))
 
     def test_overflowing_sums_are_refused(self):
         """Finite packets whose amplitude sums overflow: refused as remove_dc
-        refuses them, by a re-read that finds no non-finite packet."""
+        refuses them, after the last block, since no packet is non-finite."""
         values = np.full((4, 2), 1e308 + 0j)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteSample, match="overflow"):
             streaming_column_means(values)
+
+    def test_non_finite_packet_after_overflowing_sums_is_named(self):
+        """Sums that overflow in block 0 do not hide the NaN packet of block
+        2: it is named, not refused as an overflow."""
+        values = np.ones((3 * PACKET_BLOCK, 2), dtype=complex)
+        values[:PACKET_BLOCK] = 1e308
+        bad = 2 * PACKET_BLOCK + 9
+        values[bad, 1] = np.nan
+        series = amplitude(CsiStream(np.arange(len(values)) / 20.0, values, 20.0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteSample, match=f"packet {bad} "):
+                streaming_column_means(values)
+            with pytest.raises(NonFiniteSample, match=f"packet {bad} "):
+                remove_dc(series)
 
     def test_subset_without_the_bad_subcarrier_still_matches_batch(self):
         fs = 20.0
@@ -232,15 +263,40 @@ class TestPassOneBlocks:
         expected = row_by_row_means(values).tobytes()
         assert streaming_column_means(values)[0].tobytes() == expected
         amp = amplitude(CsiStream(np.arange(len(values)) / 20.0, values, 20.0)).values
-        assert column_means(lambda: [amp])[0].tobytes() == expected
+        assert column_means([amp])[0].tobytes() == expected
 
     def test_any_split_into_blocks_gives_the_same_bits(self):
         amp = np.hypot(*np.random.default_rng(23).standard_normal((2, 300, 2))) * 1e3
         expected = row_by_row_means(amp.astype(complex)).tobytes()
         for sizes in ([300], [1] * 300, [7, 0, 93, 200], [299, 1]):
             edges = np.cumsum([0] + sizes)
-            mu, count = column_means(lambda: [amp[a:b] for a, b in zip(edges, edges[1:])])
+            mu, count = column_means([amp[a:b] for a, b in zip(edges, edges[1:])])
             assert count == 300 and mu.tobytes() == expected
+
+    def test_packets_read_once_give_the_same_bits(self):
+        values = complex_packets(2 * PACKET_BLOCK + 37, 5, seed=27)
+        for subs in (None, [4, 1]):
+            mu, count = streaming_column_means(OneShot(values), subs)
+            assert count == len(values)
+            assert mu.tobytes() == row_by_row_means(values, subs).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (), (1, 3)])
+    @pytest.mark.parametrize("bad", [7, PACKET_BLOCK + 7])
+    def test_packet_of_another_shape_is_named(self, shape, bad):
+        """A packet that is not a row of the first packet's width is refused
+        by its index, in the first block or a later one; a 1-wide packet is
+        not spread over every subcarrier."""
+        packets = list(complex_packets(2 * PACKET_BLOCK, 3, seed=26))
+        packets[bad] = np.ones(shape, dtype=complex)
+        for subs in (None, [2, 0]):
+            name = f"packet {bad} of shape {re.escape(str(shape))} "
+            with pytest.raises(ShapeMismatch, match=name):
+                streaming_column_means(OneShot(packets), subs)
+
+    def test_first_packet_must_be_a_row(self):
+        for first in (np.ones((2, 3), dtype=complex), np.complex128(1.0)):
+            with pytest.raises(ShapeMismatch, match="packet 0 "):
+                streaming_column_means([first, np.ones(3, dtype=complex)])
 
     def test_non_finite_packet_in_a_later_block_is_named_by_its_global_index(self):
         values = complex_packets(3 * PACKET_BLOCK, 4, seed=24)
@@ -252,8 +308,8 @@ class TestPassOneBlocks:
         series = amplitude(CsiStream(np.arange(len(values)) / 20.0, values, 20.0))
         with pytest.raises(NonFiniteSample, match=f"packet {bad} "):
             remove_dc(series)
-        with pytest.raises(NonFiniteSample, match="could not be read again"):
-            streaming_column_means(iter(values))
+        with pytest.raises(NonFiniteSample, match=f"packet {bad} "):
+            streaming_column_means(OneShot(values))
 
 
 def predictor_for(n_sub=3, subcarriers=None, seed=25):
@@ -279,6 +335,19 @@ class TestRefusals:
             bad[1] = value
             with pytest.raises(NonFiniteSample, match="column means"):
                 StreamingPredictor(params, cfg, 20.0, bad)
+
+    @pytest.mark.parametrize("subs", [[-1], [0, 0], [2, -1], [1, 2, 1]])
+    def test_negative_or_repeated_subcarriers_are_refused(self, subs):
+        """In subcarrier_index's words, as run_pipeline_config and pass one
+        refuse them; an entry past a packet's width refuses that packet."""
+        rec, _, cfg, mu = predictor_for()
+        cfg = dataclasses.replace(cfg, subcarriers=subs)
+        params = init_params(ModelConfig(input_dim=len(subs)), seed=4)
+        words = re.escape(f"pipeline.subcarriers {subs} must name distinct columns ")
+        with pytest.raises(SchemaMismatch, match=words):
+            StreamingPredictor(params, cfg, 20.0, mu[:len(subs)])
+        with pytest.raises(SchemaMismatch, match=words):
+            streaming_column_means(rec.stream.values, subs)
 
     @pytest.mark.parametrize("subs", [None, [2, 0]])
     def test_refused_packets_leave_the_stream_as_it_was(self, subs):
