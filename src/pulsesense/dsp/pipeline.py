@@ -88,12 +88,15 @@ def column_means(blocks: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
     their row count: the DC-removal mean of both remove_dc and streaming pass
     one. ``blocks`` is read once.
 
-    The sum adds one row at a time in packet order (not np.mean, and not a
-    reduce, which numpy runs pairwise over a single column), so any split of
-    the rows into blocks gives the same bits. A block is checked before it is
-    added: the first non-finite sample raises NonFiniteSample, naming its
-    packet by its index in the whole stream. Sums that overflow while every
-    sample is finite are refused after the last block.
+    The sum adds one row at a time in packet order (not np.mean), so any
+    split of the rows into blocks gives the same bits. For S >= 2 that is an
+    axis-0 reduce over the running sum stacked on the block in C order; numpy
+    reduces pairwise along a contiguous axis, as over an F-ordered stack or a
+    single column, so at S = 1 a Python loop adds the rows. A block is
+    checked before it is added: the first non-finite sample raises
+    NonFiniteSample, naming its packet by its index in the whole stream. Sums
+    that overflow while every sample is finite are refused after the last
+    block.
     """
     acc = None
     count = 0
@@ -105,8 +108,14 @@ def column_means(blocks: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
                 f"packet {count + int(np.argmin(finite))} has a non-finite CSI sample")
         if acc is None:
             acc = np.zeros(block.shape[1:], dtype=np.float64)
-        for row in block:
-            acc += row
+        if acc.size > 1:
+            # concatenate would keep an F-ordered block's order
+            stacked = np.concatenate([acc[None], block],
+                                     out=np.empty((len(block) + 1, acc.size)))
+            acc = np.add.reduce(stacked, axis=0)
+        else:
+            for row in block:
+                acc += row
         count += len(block)
     if not count:
         raise EmptyStream("empty stream")
@@ -137,13 +146,18 @@ def window_length(window_s: float, sample_rate_hz: float) -> int:
 
 def subcarrier_index(subcarriers: Optional[Sequence[int]], width: Optional[int]):
     """The index picking ``subcarriers`` from rows of ``width`` values: a slice
-    for None (all, no copy), else distinct in-range columns or SchemaMismatch.
-    A width of None (a stream not yet seen) bounds the columns only below."""
+    for None (all, no copy), else distinct in-range integer columns or
+    SchemaMismatch. A width of None (a stream not yet seen) bounds the columns
+    only by what an index can address."""
     if subcarriers is None:
         return slice(None)
     top = math.inf if width is None else width
+    # numpy would truncate 1.5 and True to column 1, and cannot convert an
+    # entry past the intp range
     if (not subcarriers or len(set(subcarriers)) != len(subcarriers)
-            or not all(0 <= i < top for i in subcarriers)):
+            or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       and 0 <= i < min(top, np.iinfo(np.intp).max)
+                       for i in subcarriers)):
         raise SchemaMismatch(f"pipeline.subcarriers {list(subcarriers)} must name "
                              f"distinct columns 0..{top - 1} of the stream")
     return np.asarray(subcarriers, dtype=np.intp)

@@ -4,9 +4,13 @@ apnea probability).
 
 Gate tensors are packed in the fixed order (input, forget, candidate,
 output) along the 4H axis; the serialized container relies on this order.
-Training math is float64 throughout. Dropout is inverted (masks scaled by
-1/(1-p)), applied to the first LSTM's output sequence and to the second
-LSTM's final hidden state, and disabled at inference.
+Training math is float64 throughout. Dropout is inverted (kept values
+scaled by 1/(1-p)), applied to the first LSTM's output sequence and to the
+second LSTM's final hidden state, and disabled at inference. A mask is kept
+as its boolean keep-array and applied as a multiply by it, then an in-place
+multiply by 1/(1-p): a kept value times 1.0 is itself and a dropped one the
+signed zero of v * 0.0, so these are the bits of v * (keep / (1-p)) with no
+float mask built.
 
 The sigmoid is 0.5 * (1 + tanh(z / 2)), so no z overflows: tanh saturates
 where exp would not. The LSTM kernels fold the halving into the weights:
@@ -45,7 +49,11 @@ inference callers that need no backward.
 Backward consumes its cache: BPTT writes each step's dz over the gate row
 it has just read and the shifted hidden states over the spent cell states,
 then drops ``gates`` and ``c``. A second backward on that cache raises
-CacheMismatch; ``x``, ``h``, the masks and the head values stay readable.
+CacheMismatch; layer 1's ``x``, both ``h``, the masks and the head values
+stay readable. Under dropout the cache holds no layer-2 input (its ``x`` is
+None): backward rebuilds it from layer 1's ``h`` and the mask for layer 2's
+BPTT, forms dW2 from it and writes layer 2's dx over it. Without dropout,
+layer 2's ``x`` is a view of layer 1's ``h``.
 """
 
 from __future__ import annotations
@@ -190,7 +198,8 @@ def _gate_affine(units):
 
 @dataclass
 class _LayerCache:
-    x: np.ndarray        # (B, T, D) layer input sequence, as the caller passed it
+    x: Optional[np.ndarray]  # (B, T, D) layer input sequence, as the caller
+                             # passed it; None for layer 2 under dropout
     gates: Optional[np.ndarray]  # (B, T, 4H) post-activation, order i|f|g|o
     c: Optional[np.ndarray]      # (T, B, H); both None once backward has run,
                                  # or when forward ran without keep
@@ -206,12 +215,20 @@ class ForwardCache:
     config: ModelConfig
     layer1: _LayerCache
     layer2: _LayerCache
-    mask1: Optional[np.ndarray]   # (B, T, H1) inverted-dropout mask or None
-    mask2: Optional[np.ndarray]   # (B, H2)
+    mask1: Optional[np.ndarray]   # (B, T, H1) boolean keep-mask, None without dropout
+    mask2: Optional[np.ndarray]   # (B, H2) boolean keep-mask
     dense_pre: np.ndarray         # (B, dense_units)
     dense_act: np.ndarray
     head_pre: np.ndarray          # (B,)
     prediction: np.ndarray        # (B,)
+
+
+def _drop(a, keep, p, out=None):
+    """Inverted dropout of ``a`` by the boolean ``keep``: a * keep, then
+    scaled in place by 1 / (1 - p), into ``out`` or a new C-ordered array."""
+    out = np.multiply(a, keep, out=np.empty(a.shape) if out is None else out)
+    out *= 1.0 / (1.0 - p)
+    return out
 
 
 def _lstm_forward(w, u, b, x, keep: bool = True) -> _LayerCache:
@@ -269,14 +286,17 @@ def _lstm_forward(w, u, b, x, keep: bool = True) -> _LayerCache:
     return _LayerCache(x, gates if keep else None, c_seq, h_seq.transpose(1, 0, 2))
 
 
-def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
+def _lstm_backward(u, cache: _LayerCache, dh_top, w=None, x=None):
     """Exact BPTT over the full sequence. ``dh_top`` is the upstream gradient
     of every output, (B, T, H), or of the last output only, (B, H). Returns
     (dW, dU, db, dx_seq); dx_seq is computed only when the input kernel ``w``
     is given. Consumes the layer cache: each step's dz goes over its gate row,
     so the gates end as the (B, T, 4H) dz sequence, the spent cell states hold
-    the (B, T, H) previous hidden states, and both are then set to None."""
-    x, gates, c_seq = cache.x, cache.gates, cache.c
+    the (B, T, H) previous hidden states, and both are then set to None.
+    ``x`` is the layer's input when the cache holds none; it is spent too,
+    dx_seq being written over it once dW is formed."""
+    spare, gates, c_seq = x, cache.gates, cache.c
+    x = cache.x if spare is None else spare
     t_len, batch, units = c_seq.shape
     # this step's gate row and dz, each read from or written to the
     # batch-major gates in one pass
@@ -313,7 +333,11 @@ def _lstm_backward(u, cache: _LayerCache, dh_top, w=None):
     h_prev[:, 1:, :] = cache.h[:, :-1, :]
     du = flat_dz.T @ h_prev.reshape(batch * t_len, units)
     db = flat_dz.sum(axis=0)
-    dx = None if w is None else (flat_dz @ w).reshape(x.shape)
+    if w is None:
+        dx = None
+    else:
+        out = None if spare is None else spare.reshape(batch * t_len, -1)
+        dx = np.matmul(flat_dz, w, out=out).reshape(x.shape)
     cache.gates = cache.c = None
     return dw, du, db, dx
 
@@ -352,17 +376,17 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
 
     l1 = _lstm_forward(params.w1, params.u1, params.b1, x)
     if use_dropout:
-        mask1 = (rng.random(l1.h.shape) >= p) / (1.0 - p)
-        h1_out = l1.h * mask1
+        mask1 = rng.random(l1.h.shape) >= p
+        l2 = _lstm_forward(params.w2, params.u2, params.b2, _drop(l1.h, mask1, p))
+        l2.x = None  # backward rebuilds the dropped sequence
     else:
         mask1 = None
-        h1_out = l1.h
+        l2 = _lstm_forward(params.w2, params.u2, params.b2, l1.h)
 
-    l2 = _lstm_forward(params.w2, params.u2, params.b2, h1_out)
     h2_last = l2.h[:, -1, :]
     if use_dropout:
-        mask2 = (rng.random(h2_last.shape) >= p) / (1.0 - p)
-        h2_last = h2_last * mask2
+        mask2 = rng.random(h2_last.shape) >= p
+        h2_last = _drop(h2_last, mask2, p)
     else:
         mask2 = None
 
@@ -415,18 +439,20 @@ def backward_batch(params: ModelParams, cache: ForwardCache,
     dhead_b = np.array([dhead_pre.sum()])
     ddense_act = dhead_pre[:, None] @ params.head_w
     ddense_pre = ddense_act * (cache.dense_pre > 0.0)
-    h2_last_dropped = (cache.layer2.h[:, -1, :] if cache.mask2 is None
-                       else cache.layer2.h[:, -1, :] * cache.mask2)
-    ddense_w = ddense_pre.T @ h2_last_dropped
+    p = cfg.dropout_rate
+    dropout = cache.mask1 is not None
+    h2_last = cache.layer2.h[:, -1, :]
+    ddense_w = ddense_pre.T @ (_drop(h2_last, cache.mask2, p) if dropout else h2_last)
     ddense_b = ddense_pre.sum(axis=0)
     dh2_last = ddense_pre @ params.dense_w
-    if cache.mask2 is not None:
-        dh2_last = dh2_last * cache.mask2
+    if dropout:
+        _drop(dh2_last, cache.mask2, p, out=dh2_last)
 
+    x2 = _drop(cache.layer1.h, cache.mask1, p) if dropout else None
     dw2, du2, db2, dx2 = _lstm_backward(params.u2, cache.layer2, dh2_last,
-                                        w=params.w2)
-    if cache.mask1 is not None:
-        dx2 *= cache.mask1
+                                        w=params.w2, x=x2)
+    if dropout:
+        _drop(dx2, cache.mask1, p, out=dx2)
     dw1, du1, db1, _ = _lstm_backward(params.u1, cache.layer1, dx2)
 
     return ModelParams.from_tensors(cfg, [dw1, du1, db1, dw2, du2, db2,

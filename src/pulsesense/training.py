@@ -249,9 +249,9 @@ def train(segments: Arrays, model_config: ModelConfig,
             dpred = grads / sel.size
             grad_params = backward_batch(params, cache, dpred)
             # backward_batch has consumed the cache's gates and cell states;
-            # this frees the rest (the batch, the hidden states, layer 2's
-            # dropped input and the masks, about 60 MB at the paper stack,
-            # B=64) before the next forward_batch
+            # this frees the rest (both layers' hidden states and the boolean
+            # masks, 20.3 MiB at the paper stack, B=64; the 12.5 MiB batch
+            # goes when xb is rebound) before the next forward_batch
             del preds, cache
             params, state = adam_step(state, params, grad_params)
         train_loss = loss_sum / n_train * loss_unit

@@ -3,6 +3,7 @@ consumed-cache contract, dropout semantics, parameter accounting, the fused
 gate kernels against a per-gate reference, and the time-major kernels bit
 for bit against the batch-major ones they replaced."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from pulsesense.nn import (
     mse_loss,
     predict_batch,
 )
+from pulsesense.nn import model
 from pulsesense.nn.model import _sigmoid
 
 SMALL = dict(input_dim=3, lstm1_units=4, lstm2_units=3, dense_units=5)
@@ -206,6 +208,33 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < gate_bytes
+
+    def test_dropout_cache_holds_no_float_mask_or_layer_2_input(self):
+        """Under dropout the cache keeps mask1 as booleans and no layer-2
+        input: its only float (B, T, H1) arrays are layer 1's h and c, and
+        forward holds no buffer besides the arrays the cache names."""
+        cfg = ModelConfig(input_dim=64, dropout_rate=0.2)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(0).standard_normal((8, 200, 64))
+        tracemalloc.start()
+        try:
+            _, cache = forward_batch(params, x, training=True, rng_seed=1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        named = {}
+        for prefix, owner in (("", cache), ("layer1.", cache.layer1),
+                              ("layer2.", cache.layer2)):
+            for field in dataclasses.fields(owner):
+                value = getattr(owner, field.name)
+                if isinstance(value, np.ndarray) and value is not x:
+                    named[prefix + field.name] = value
+        h1_size = 8 * 200 * cfg.lstm1_units
+        big_floats = sorted(name for name, a in named.items()
+                            if a.dtype.kind == "f" and a.size == h1_size)
+        assert big_floats == ["layer1.c", "layer1.h"]
+        assert cache.mask1.dtype == bool and cache.layer2.x is None
+        assert held < sum(a.nbytes for a in named.values()) + h1_size * 8 // 2
 
     def test_batch_gradient_is_sum_of_singles(self):
         """backward_batch over B windows equals the sum of per-window runs."""
@@ -415,7 +444,8 @@ class TestTimeMajorKernels:
     at B=1 their element-wise calls take 1-D rows."""
 
     @pytest.mark.parametrize("head", ["regression", "binary"])
-    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    # 1/(1-p) is dyadic at p=0.2 and not at p=0.4
+    @pytest.mark.parametrize("dropout", [0.0, 0.2, 0.4])
     @pytest.mark.parametrize("stack,t_len,batch",
                              [(PAPER_STACK, 400, b) for b in (1, 3, 64)]
                              + [(stack, 50, 17) for stack in ODD_STACKS]
@@ -444,11 +474,25 @@ class TestTimeMajorKernels:
             assert predict_batch(params, x).tobytes() == preds.tobytes()
 
 
+def record_layer_inputs(monkeypatch):
+    """The input sequence of every LSTM layer call forward makes, in order."""
+    seen = []
+    lstm_forward = model._lstm_forward
+
+    def recording(w, u, b, x, keep=True):
+        seen.append(x)
+        return lstm_forward(w, u, b, x, keep)
+
+    monkeypatch.setattr(model, "_lstm_forward", recording)
+    return seen
+
+
 class TestDropout:
-    def test_inverted_masks_preserve_expectation(self):
-        """Monte-Carlo over 10k masks: the mean dropped layer-1 output equals
-        the undropped activations within a 3 sigma band (exact at the mask
-        application site because inverted dropout rescales by 1/(1-p))."""
+    def test_inverted_masks_preserve_expectation(self, monkeypatch):
+        """Monte-Carlo over 10k masks: the mean of layer 2's input, the
+        dropped layer-1 output, equals the undropped activations within a 3
+        sigma band (exact at the mask application site because inverted
+        dropout rescales by 1/(1-p))."""
         cfg = ModelConfig(input_dim=2, lstm1_units=2, lstm2_units=2,
                           dense_units=2, dropout_rate=0.2)
         params = init_params(cfg, 0)
@@ -456,24 +500,37 @@ class TestDropout:
         base, base_cache = forward(params, x, training=False)
         h_clean = base_cache.layer1.h[0]  # (T, H) no-dropout activations
 
+        seen = record_layer_inputs(monkeypatch)
         n = 10_000
         acc = np.zeros_like(h_clean)
         for s in range(n):
-            _, cache = forward(params, x, training=True, rng_seed=s)
-            acc += cache.layer2.x[0]  # the dropped layer-1 sequence
+            seen.clear()
+            forward(params, x, training=True, rng_seed=s)
+            acc += seen[1][0]  # the dropped layer-1 sequence
         mean = acc / n
         p = cfg.dropout_rate
         sigma = np.abs(h_clean) * np.sqrt(p / (1 - p)) / np.sqrt(n)
         assert np.all(np.abs(mean - h_clean) <= 3.0 * sigma + 1e-12)
 
-    def test_mask_scaling_values(self):
-        """Masks take values in {0, 1/(1-p)} only."""
-        cfg = small_config(dropout=0.4)
+    def test_mask_scaling_values(self, monkeypatch):
+        """Masks are boolean keep-arrays. Layer 2's input and the dense
+        layer's input are the undropped values times 1/(1-p) where kept and
+        zero where dropped, bit for bit."""
+        p = 0.4
+        cfg = small_config(dropout=p)
         params = init_params(cfg, 0)
         x = np.random.default_rng(2).standard_normal((6, 3))
+        seen = record_layer_inputs(monkeypatch)
         _, cache = forward(params, x, training=True, rng_seed=0)
-        vals = np.unique(cache.mask1)
-        assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.6, 12)}
+        for mask in (cache.mask1, cache.mask2):
+            assert mask.dtype == bool
+        mask1, h1 = cache.mask1, cache.layer1.h
+        assert mask1.any() and not mask1.all()
+        assert np.array_equal(seen[1][mask1], h1[mask1] * (1 / (1 - p)))
+        assert np.all(seen[1][~mask1] == 0.0)
+        last = np.where(cache.mask2, cache.layer2.h[:, -1, :] * (1 / (1 - p)), 0.0)
+        dense_pre = last @ params.dense_w.T + params.dense_b
+        assert dense_pre.tobytes() == cache.dense_pre.tobytes()
 
 
 class TestParameterCount:

@@ -266,12 +266,17 @@ class TestPassOneBlocks:
         assert column_means([amp])[0].tobytes() == expected
 
     def test_any_split_into_blocks_gives_the_same_bits(self):
-        amp = np.hypot(*np.random.default_rng(23).standard_normal((2, 300, 2))) * 1e3
-        expected = row_by_row_means(amp.astype(complex)).tobytes()
-        for sizes in ([300], [1] * 300, [7, 0, 93, 200], [299, 1]):
-            edges = np.cumsum([0] + sizes)
-            mu, count = column_means([amp[a:b] for a, b in zip(edges, edges[1:])])
-            assert count == 300 and mu.tobytes() == expected
+        rng = np.random.default_rng(23)
+        for n_sub in (2, 3, 64, 234):
+            amp = np.hypot(*rng.standard_normal((2, 300, n_sub))) * 1e3
+            expected = row_by_row_means(amp.astype(complex)).tobytes()
+            for sizes in ([300], [1] * 300, [7, 0, 93, 200], [299, 1]):
+                edges = np.cumsum([0] + sizes)
+                blocks = [amp[a:b] for a, b in zip(edges, edges[1:])]
+                # a subset taken by fancy indexing can come out F-ordered
+                for order in (blocks, [np.asfortranarray(b) for b in blocks]):
+                    mu, count = column_means(order)
+                    assert count == 300 and mu.tobytes() == expected
 
     def test_packets_read_once_give_the_same_bits(self):
         values = complex_packets(2 * PACKET_BLOCK + 37, 5, seed=27)
@@ -336,10 +341,15 @@ class TestRefusals:
             with pytest.raises(NonFiniteSample, match="column means"):
                 StreamingPredictor(params, cfg, 20.0, bad)
 
-    @pytest.mark.parametrize("subs", [[-1], [0, 0], [2, -1], [1, 2, 1]])
+    @pytest.mark.parametrize("subs", [[-1], [0, 0], [2, -1], [1, 2, 1],
+                                      [2 ** 70], [0, 2 ** 63], [1.5], [True],
+                                      [0, np.float64(2.0)]])
     def test_negative_or_repeated_subcarriers_are_refused(self, subs):
         """In subcarrier_index's words, as run_pipeline_config and pass one
-        refuse them; an entry past a packet's width refuses that packet."""
+        refuse them, whether the width is not yet known (the predictor) or
+        known (pass one); so are entries that are not integers, which numpy
+        would truncate, and entries past the intp range. An entry past a
+        packet's width refuses that packet."""
         rec, _, cfg, mu = predictor_for()
         cfg = dataclasses.replace(cfg, subcarriers=subs)
         params = init_params(ModelConfig(input_dim=len(subs)), seed=4)
