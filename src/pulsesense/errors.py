@@ -85,6 +85,12 @@ class WindowLongerThanSeries(PulseSenseError):
     pass
 
 
+# --- streaming --------------------------------------------------------------
+
+class StreamFinished(PulseSenseError):
+    """A push or finish on a stream that finish has already closed."""
+
+
 # --- model ------------------------------------------------------------------
 
 class ShapeMismatch(PulseSenseError):

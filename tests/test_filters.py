@@ -129,15 +129,26 @@ class TestApply:
         assert filter_values(cascade, x).shape == (257, 5)
 
     def test_blockwise_equals_full_pass_bitwise(self):
-        """Feeding packets one at a time reproduces the block result exactly;
-        streaming inference relies on this."""
-        cascade = design_bandpass(HR_SPEC)
+        """Feeding packets one at a time, or in blocks of any sizes, reproduces
+        the block result exactly in every band; streaming inference, which
+        filters the rows of each smoothing batch in one block, relies on this."""
         rng = np.random.default_rng(9)
         x = rng.standard_normal((300, 4))
-        full = filter_values(cascade, x)
-        state = FilterState(cascade, 4)
-        rows = np.vstack([state.process(row) for row in x])
-        assert np.array_equal(full, rows)
+        # uniform blocks of 1, 7, 16 and 32 with a partial last one, and a
+        # mixed split with an empty block
+        splits = ([1] * 300, [7] * 42 + [6], [16] * 18 + [12], [32] * 9 + [12],
+                  [1, 7, 16, 32, 2, 31, 5, 0, 206])
+        for spec in (HR_SPEC, BR_SPEC, APNEA_SPEC):
+            cascade = design_bandpass(spec)
+            full = filter_values(cascade, x)
+            state = FilterState(cascade, 4)
+            rows = np.vstack([state.process(row) for row in x])
+            assert np.array_equal(full, rows)
+            for sizes in splits:
+                state = FilterState(cascade, 4)
+                edges = np.cumsum([0] + sizes)
+                blocks = [state.process(x[a:b]) for a, b in zip(edges, edges[1:])]
+                assert np.vstack(blocks).tobytes() == full.tobytes(), sizes
 
 
 def textbook_df2t(cascade, x):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from pulsesense.dsp import (
     run_pipeline_config,
 )
 from pulsesense.dsp.pipeline import column_means
-from pulsesense.errors import NonFiniteSample, SchemaMismatch, ShapeMismatch
+from pulsesense import streaming
+from pulsesense.errors import (
+    NonFiniteSample,
+    NonMonotonicTimestamp,
+    SchemaMismatch,
+    SeriesTooShort,
+    ShapeMismatch,
+    StreamFinished,
+)
 from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
 from pulsesense.streaming import (
@@ -124,6 +133,34 @@ class TestBoundedMemory:
             assert len(predictor.times) <= w + predictor.m
 
 
+class TestBlockFiltering:
+    def test_cascade_runs_once_per_smoothing_batch_and_once_in_finish(self, monkeypatch):
+        """A push stores its DC-removed row; the waiting rows are band-passed
+        in one FilterState.process call per smoothing batch, and finish
+        band-passes the rest in one more, each packet exactly once."""
+        fs = 20.0
+        rec = small_recording(duration_s=30.0, fs=fs)
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=7)
+        params = init_params(ModelConfig(input_dim=3), seed=1)
+        mu, _ = streaming_column_means(rec.stream.values)
+        predictor = StreamingPredictor(params, cfg, fs, mu)
+        blocks, batches = [], []
+        process, smooth = predictor.filter_state.process, streaming.smooth_padded
+        monkeypatch.setattr(predictor.filter_state, "process",
+                            lambda x: blocks.append(len(x)) or process(x))
+        monkeypatch.setattr(streaming, "smooth_padded",
+                            lambda kernel, padded: batches.append(len(padded))
+                            or smooth(kernel, padded))
+        for t, row in zip(rec.stream.timestamps, rec.stream.values):
+            predictor.push(float(t), row)
+        assert len(blocks) == len(batches) > 0
+        pushed_batches = len(batches)
+        predictor.finish()
+        assert len(blocks) == pushed_batches + 1
+        assert sum(blocks) == rec.stream.frame_count
+        assert len(blocks) < rec.stream.frame_count // 4
+
+
 # (mode, savgol window, order, window_s, stride, T, subcarriers) at 20 Hz
 SWEEP = [
     ("heart", 1, 0, 1.0, 3, 40, None),        # m = 0: no look-ahead
@@ -143,43 +180,67 @@ SWEEP = [
 ]
 
 
+def check_emissions_against_batch(mode, sg_window, sg_order, window_s, stride,
+                                  t_len, subs):
+    """Each prediction equals run_pipeline_config + forward bit for bit,
+    and comes from the push of packet end + m, or from finish when the
+    stream ends sooner."""
+    fs, m = 20.0, sg_window // 2
+    rng = np.random.default_rng(t_len * 100 + sg_window)
+    values = 3 + rng.standard_normal((t_len, 4)) + 1j * rng.standard_normal((t_len, 4))
+    stream = CsiStream(np.arange(t_len) / fs, values, fs)
+    labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
+    cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
+                         savgol=Savgol(sg_window, sg_order),
+                         subcarriers=subs)
+    params = init_params(ModelConfig(input_dim=4 if subs is None else len(subs),
+                                     lstm1_units=4, lstm2_units=3, dense_units=2,
+                                     head=MODES[mode].head), seed=3)
+
+    segments = run_pipeline_config(
+        AlignedRecording(stream, labels, np.zeros(t_len)), cfg)
+    w = segments[0].values.shape[0]
+    expected = []
+    for seg in segments:
+        end = seg.start_index + w - 1
+        pred, _ = forward(params, seg.values, training=False)
+        expected.append((min(end + m, t_len), float(stream.timestamps[end]), pred))
+
+    mu, _ = streaming_column_means(values, subs)
+    predictor = StreamingPredictor(params, cfg, fs, mu)
+    got = []
+    for k in range(t_len):
+        got.extend((k, t, p) for t, p in predictor.push(stream.timestamps[k], values[k]))
+        assert predictor.filt.shape == (2 * (SMOOTH_BATCH + 2 * m), len(mu))
+        assert len(predictor.times) <= m + 1
+    got.extend((t_len, t, p) for t, p in predictor.finish())
+    assert len(expected) >= 1 and got == expected
+
+
 class TestSweep:
     @pytest.mark.parametrize("mode,sg_window,sg_order,window_s,stride,t_len,subs", SWEEP)
     def test_streaming_equals_batch_with_emission_timing(
             self, mode, sg_window, sg_order, window_s, stride, t_len, subs):
-        """Each prediction equals run_pipeline_config + forward bit for bit,
-        and comes from the push of packet end + m, or from finish when the
-        stream ends sooner."""
-        fs, m = 20.0, sg_window // 2
-        rng = np.random.default_rng(t_len * 100 + sg_window)
-        values = 3 + rng.standard_normal((t_len, 4)) + 1j * rng.standard_normal((t_len, 4))
-        stream = CsiStream(np.arange(t_len) / fs, values, fs)
-        labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
-        cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
-                             savgol=Savgol(sg_window, sg_order),
-                             subcarriers=subs)
-        params = init_params(ModelConfig(input_dim=4 if subs is None else len(subs),
-                                         lstm1_units=4, lstm2_units=3, dense_units=2,
-                                         head=MODES[mode].head), seed=3)
+        check_emissions_against_batch(mode, sg_window, sg_order, window_s, stride,
+                                      t_len, subs)
 
-        segments = run_pipeline_config(
-            AlignedRecording(stream, labels, np.zeros(t_len)), cfg)
-        w = segments[0].values.shape[0]
-        expected = []
-        for seg in segments:
-            end = seg.start_index + w - 1
-            pred, _ = forward(params, seg.values, training=False)
-            expected.append((min(end + m, t_len), float(stream.timestamps[end]), pred))
-
-        mu, _ = streaming_column_means(values, subs)
-        predictor = StreamingPredictor(params, cfg, fs, mu)
-        got = []
-        for k in range(t_len):
-            got.extend((k, t, p) for t, p in predictor.push(stream.timestamps[k], values[k]))
-            assert predictor.filt.shape == (2 * (SMOOTH_BATCH + 2 * m), len(mu))
-            assert len(predictor.times) <= m + 1
-        got.extend((t_len, t, p) for t, p in predictor.finish())
-        assert len(expected) >= 1 and got == expected
+    @pytest.mark.parametrize("mode,sg_window,sg_order,window_s,stride,t_first", [
+        # W = 10 < 2m+1 = 15; up to T = 16 no row is smoothed before finish,
+        # which band-passes every row in one block, near-edge mirror included
+        ("heart", 15, 3, 0.5, 45, 15),
+        ("heart", 15, 3, 0.5, 45, 100),  # the same later in the stream
+        ("heart", 15, 3, 0.5, 1, 15),    # a window ends on every ready row
+        ("breath", 15, 3, 2.0, 5, 40),   # W = 40 > 2m+1
+        ("apnea", 3, 1, 1.0, 3, 20),     # m = 1
+    ])
+    def test_stop_at_every_offset_within_one_smoothing_batch(
+            self, mode, sg_window, sg_order, window_s, stride, t_first):
+        """Streams of each length from t_first to one smoothing batch more, so
+        finish meets every count of rows still waiting to be band-passed and
+        smoothed."""
+        for t_len in range(t_first, t_first + SMOOTH_BATCH + 1):
+            check_emissions_against_batch(mode, sg_window, sg_order, window_s,
+                                          stride, t_len, None)
 
 
 class TestNonFinite:
@@ -361,9 +422,12 @@ class TestRefusals:
 
     @pytest.mark.parametrize("subs", [None, [2, 0]])
     def test_refused_packets_leave_the_stream_as_it_was(self, subs):
-        """Packets of the wrong width and packets with a non-finite selected
-        sample are refused with typed errors, the latter naming the 0-based
-        packet index; the stream then goes on as if they never came."""
+        """Packets of the wrong width or not numbers, packets with a
+        non-finite selected sample and timestamps that are not a finite
+        number after the previous one are refused with typed errors naming
+        the 0-based packet index, and so is a finish too short for the
+        windows; the stream then goes on as if they never came. After
+        finish, a push and a second finish are refused alike."""
         rec, params, cfg, mu = predictor_for(subcarriers=subs)
         expected = stream_predictions(params, rec, cfg, 20.0)
         values, times = rec.stream.values, rec.stream.timestamps
@@ -378,17 +442,42 @@ class TestRefusals:
         huge = values[0].copy()
         huge[(subs or [2])[0]] = complex(1.5e308, 1.5e308)  # finite, |.| overflows
         non_finite.append(huge)
+        not_numbers = [values[0].astype(str), "abc", [None] * values.shape[1],
+                       [values[0, :2], values[0, :1]]]
+        bad_times = [np.nan, np.inf, -np.inf, "abc", "1e9", None, [1.0, 2.0]]
         predictor = StreamingPredictor(params, cfg, 20.0, mu)
+
+        def refused(error, match, call, *args):
+            state = state_of(predictor)
+            with np.errstate(over="ignore"), pytest.raises(error, match=match):
+                call(*args)
+            assert state_of(predictor) == state
+
+        refused(SeriesTooShort, "stream of 0 packets", predictor.finish)
         got = []
         for k, (t, row) in enumerate(zip(times, values)):
             if k in (0, 57, len(values) - 1):
-                for packet in wrong_width:
-                    with pytest.raises(ShapeMismatch, match=f"packet {k} "):
-                        predictor.push(float(t), packet)
+                for packet in wrong_width + not_numbers:
+                    refused(ShapeMismatch, f"packet {k} ", predictor.push, float(t), packet)
                 for packet in non_finite:
-                    with np.errstate(over="ignore"), pytest.raises(
-                            NonFiniteSample, match=f"packet {k} has a non-finite"):
-                        predictor.push(float(t), packet)
+                    refused(NonFiniteSample, f"packet {k} has a non-finite",
+                            predictor.push, float(t), packet)
+                # the previous packet's time and one before it are not after it
+                stale = [float(times[k - 1]), float(times[k - 1]) - 1.0] if k else []
+                for bad in bad_times + stale:
+                    refused(NonMonotonicTimestamp, f"packet {k}: timestamp ",
+                            predictor.push, bad, row)
             got.extend(predictor.push(float(t), row))
         got.extend(predictor.finish())
         assert len(expected) > 0 and got == expected
+        refused(StreamFinished, "push after finish", predictor.push,
+                float(times[-1]) + 1.0, values[0])
+        refused(StreamFinished, "finish after finish", predictor.finish)
+
+
+def state_of(predictor):
+    """Everything of a predictor that a push or finish changes, comparable."""
+    return ({name: value.tobytes() if isinstance(value, np.ndarray)
+             else tuple(value) if isinstance(value, deque) else value
+             for name, value in vars(predictor).items() if name != "filter_state"},
+            predictor.filter_state._pipe.tobytes(), predictor.filter_state._phase)
