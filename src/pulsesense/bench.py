@@ -1,7 +1,8 @@
 """Inference throughput measurement.
 
-Inputs are pre-generated (generation excluded from timing); the first batch
-is reported separately as cold start and excluded from steady-state stats.
+Inputs are pre-generated (generation excluded from timing). One
+InferencePlan runs every batch; its set-up and the first batch are reported
+separately as cold start and excluded from steady-state stats.
 All derived columns are computed from the recorded counters, so the report's
 internal identities hold exactly.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn.model import ModelParams, predict_batch
+from .nn.model import InferencePlan, ModelParams
 
 CSV_HEADER = "model,seq_len,batch,cold_start_s,total_s,n_preds,preds_per_s,batch_mean_ms"
 
@@ -47,13 +48,14 @@ def bench_inference(params: ModelParams, seq_len: int, batch_size: int = 64,
             for _ in range(min(4, n_batches))]
 
     t0 = time.perf_counter()
-    predict_batch(params, pool[0])
+    plan = InferencePlan(params, pool[0].shape)
+    plan.run(pool[0])
     cold_start_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     steady = n_batches - 1
     for b in range(steady):
-        predict_batch(params, pool[b % len(pool)])
+        plan.run(pool[b % len(pool)])
     total_time_s = time.perf_counter() - t1
 
     n_preds = steady * batch_size

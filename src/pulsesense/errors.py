@@ -109,6 +109,11 @@ class ChecksumMismatch(DataError):
     pass
 
 
+class NonFiniteWeight(DataError):
+    """A model container whose CRC holds but whose tensors hold a NaN or an
+    infinity."""
+
+
 # --- training / metrics -----------------------------------------------------
 
 class TooFewSegments(PulseSenseError):

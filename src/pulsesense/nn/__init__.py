@@ -1,6 +1,7 @@
 from .adam import AdamState, adam_step, adam_update
 from .losses import bce_loss, mse_loss
 from .model import (
+    InferencePlan,
     ModelConfig,
     ModelParams,
     backward,
@@ -14,8 +15,8 @@ from .model import (
 from .serialize import load_model, quantize_params, save_model
 
 __all__ = [
-    "AdamState", "ModelConfig", "ModelParams", "adam_step", "adam_update",
-    "backward", "backward_batch", "bce_loss", "count_parameters", "forward",
+    "AdamState", "InferencePlan", "ModelConfig", "ModelParams", "adam_step",
+    "adam_update", "backward", "backward_batch", "bce_loss", "count_parameters", "forward",
     "forward_batch", "init_params", "load_model", "mse_loss",
     "predict_batch", "quantize_params", "save_model",
 ]

@@ -14,13 +14,14 @@ float mask built.
 
 The sigmoid is 0.5 * (1 + tanh(z / 2)), so no z overflows: tanh saturates
 where exp would not. The LSTM kernels fold the halving into the weights:
-each call halves the i, f and o rows of W, U and b, so one tanh over the
-whole packed gate row yields tanh(g) and tanh(z / 2) together, and a
-per-column scale and offset (0.5 and 0.5 on i, f, o; 1.0 and -0.0 on g)
-finish the sigmoids. Halving is exact, since 0.5 is a power of two and
-every product and sum of halved terms is the half of the unhalved one,
-unless a halved term is subnormal. Halving then adding 0.5 equals adding
-1 then halving, so the results are bit for bit those of the textbook form.
+a layer's set-up halves the i, f and o rows of W, U and b, so one tanh
+over the whole packed gate row yields tanh(g) and tanh(z / 2) together,
+and a per-column scale and offset (0.5 and 0.5 on i, f, o; 1.0 and -0.0
+on g) finish the sigmoids. Halving is exact, since 0.5 is a power of two
+and every product and sum of halved terms is the half of the unhalved
+one, unless a halved term is subnormal. Halving then adding 0.5 equals
+adding 1 then halving, so the results are bit for bit those of the
+textbook form.
 
 The kernels compute in the serialized i|f|g|o column order and make the
 BLAS calls of a plain batch-major implementation, on the same shapes and
@@ -37,14 +38,24 @@ activated row back once. The cell and hidden states are time-major,
 
 A step is about ten small numpy calls, so at small B their dispatch, not
 their arithmetic, sets the cost. The step loop therefore calls pre-bound
-ufuncs with a positional ``out`` and walks per-step lists of gate rows and
-state buffers built once before it. At B=1 the element-wise calls take 1-D
+ufuncs with a positional ``out`` and walks a per-step list of gate rows and
+state buffers built before it. At B=1 the element-wise calls take 1-D
 rows, which dispatch faster than (1, n) ones and compute the same bits;
 the recurrent GEMM stays (1, H) @ (H, 4H), so BLAS gets the same call.
-The kernel's ``keep`` argument says whether a cache is built: without it
-no gate row is written back and one cell state, updated in place, replaces
-the (T, B, H) cell sequence. predict_batch runs both layers that way, for
-inference callers that need no backward.
+A layer's ``keep`` says whether a cache is built: without it no gate row
+is written back and one cell state, updated in place and zeroed at each
+recurrence, replaces the (T, B, H) cell sequence.
+
+Inference splits into a plan and its runs. An InferencePlan, built once
+for fixed params and a fixed (B, T), holds two layers without ``keep``:
+the halved kernels, the scale/offset rows, the gate, state and work
+buffers and the per-step lists. A run writes each layer's input
+projection into its gate buffer, adds the bias, zeroes the cell state and
+walks the step loop, so per call only the arithmetic and the dispatch of
+the steps remain. Streaming holds one B=1 plan per predictor, predict and
+the validation loss one plan for their full chunks, and the throughput
+bench one; predict_batch is a one-shot plan. forward_batch builds layers
+with ``keep`` per call, since their buffers become the cache.
 
 Backward consumes its cache: BPTT writes each step's dz over the gate row
 it has just read and the shifted hidden states over the spent cell states,
@@ -231,59 +242,94 @@ def _drop(a, keep, p, out=None):
     return out
 
 
-def _lstm_forward(w, u, b, x, keep: bool = True) -> _LayerCache:
-    """One LSTM layer over a (B, T, D) sequence. With ``keep``, the activated
-    gate rows go back into the gates and every cell state is stored, as
-    backward needs; without it, the cache's ``gates`` and ``c`` are None."""
-    batch, t_len, _ = x.shape
-    units = u.shape[1]
-    # input projection plus bias for all timesteps, written into the gates
-    gates = np.matmul(x.reshape(batch * t_len, -1), _halve_sigmoid_rows(w, units).T,
-                      out=np.empty((batch * t_len, 4 * units)))
-    gates += _halve_sigmoid_rows(b, units)
-    gates = gates.reshape(batch, t_len, 4 * units)
-    h_seq = np.empty((t_len, batch, units))
-    u_t = _halve_sigmoid_rows(u, units).T
-    scale, offset = _gate_affine(units)
-    z = np.empty((batch, 4 * units))
-    zero = np.zeros((batch, units))
-    # the recurrent GEMM reads each step's previous hidden state as (B, H)
-    h_prev = [zero] + list(h_seq[:-1])
+class _Layer:
+    """One LSTM layer at a fixed (B, T): the halved kernels W^T and U^T
+    (transposed views of C-ordered arrays), the halved bias, the gate
+    scale/offset rows, the (B*T, 4H) gate buffer, the time-major (T, B, H)
+    hidden states, the z, zero and ig rows, the cell state(s) and the
+    per-step rows the step loop walks.
 
-    def steps(a):
-        # per-step rows of a time-major (T, B, n) array, 1-D at B=1
-        return list(a[:, 0] if batch == 1 else a)
+    With ``keep``, the activated gate rows go back into the gates and every
+    cell state is stored in a (T, B, H) array, as backward needs; without
+    it, one cell state is updated in place and zeroed at each recurrence."""
 
-    zr, zero = (z[0], zero[0]) if batch == 1 else (z, zero)
-    rows = steps(gates.transpose(1, 0, 2))
-    h_new = steps(h_seq)
-    if keep:
-        c_seq = np.empty((t_len, batch, units))
-        c_new = steps(c_seq)
-        c_prev = [zero] + c_new[:-1]
-    else:
-        # one cell state, zero at the start and updated in place
-        c_seq = None
-        c_prev = c_new = [np.zeros(zero.shape)] * t_len
-    i, f, g, o = (zr[..., :units], zr[..., units:2 * units],
-                  zr[..., 2 * units:3 * units], zr[..., 3 * units:])
-    ig = np.empty(zero.shape)
-    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
-    for row, h, c, c_t, h_t in zip(rows, h_prev, c_prev, c_new, h_new):
-        matmul(h, u_t, z)
-        add(zr, row, zr)
-        # tanh(g) and tanh(z / 2) of the halved sigmoid rows in one pass
-        tanh(zr, zr)
-        multiply(zr, scale, zr)
-        add(zr, offset, zr)
+    def __init__(self, w, u, b, batch: int, t_len: int, keep: bool):
+        units = u.shape[1]
+        self.w_t = _halve_sigmoid_rows(w, units).T
+        self.u_t = _halve_sigmoid_rows(u, units).T
+        self.b = _halve_sigmoid_rows(b, units)
+        self.scale, self.offset = _gate_affine(units)
+        self.gates = np.empty((batch * t_len, 4 * units))
+        self.h_seq = np.empty((t_len, batch, units))
+        self.shape, self.keep = (batch, t_len, units), keep
+        self.z = np.empty((batch, 4 * units))
+        zero = np.zeros((batch, units))
+        # the recurrent GEMM reads each step's previous hidden state as (B, H)
+        h_prev = [zero] + list(self.h_seq[:-1])
+
+        def steps(a):
+            # per-step rows of a time-major (T, B, n) array, 1-D at B=1
+            return list(a[:, 0] if batch == 1 else a)
+
+        self.zr, zero = (self.z[0], zero[0]) if batch == 1 else (self.z, zero)
+        rows = steps(self.gates.reshape(batch, t_len, -1).transpose(1, 0, 2))
         if keep:
-            row[...] = zr
-        multiply(f, c, c_t)
-        multiply(i, g, ig)
-        add(c_t, ig, c_t)
-        tanh(c_t, h_t)
-        multiply(h_t, o, h_t)
-    return _LayerCache(x, gates if keep else None, c_seq, h_seq.transpose(1, 0, 2))
+            self.c_seq = np.empty((t_len, batch, units))
+            c_new = steps(self.c_seq)
+            c_prev = [zero] + c_new[:-1]
+        else:
+            self.c_seq = None
+            self.cell = np.empty(zero.shape)
+            c_prev = c_new = [self.cell] * t_len
+        self.ig = np.empty(zero.shape)
+        self.step_rows = list(zip(rows, h_prev, c_prev, c_new, steps(self.h_seq)))
+
+    def project(self, x):
+        """Write the input projection plus bias of the (B, T, D) ``x`` for
+        all timesteps into the gates."""
+        np.matmul(x.reshape(len(self.gates), -1), self.w_t, out=self.gates)
+        self.gates += self.b
+
+    @property
+    def h(self) -> np.ndarray:
+        """The (B, T, H) view of the hidden states."""
+        return self.h_seq.transpose(1, 0, 2)
+
+    def recur(self) -> np.ndarray:
+        """Walk the step loop over the projected gates from a zero state;
+        returns the (B, T, H) hidden states."""
+        if not self.keep:
+            self.cell.fill(0.0)
+        units, keep = self.shape[2], self.keep
+        z, zr, u_t, scale, offset, ig = (self.z, self.zr, self.u_t, self.scale,
+                                         self.offset, self.ig)
+        i, f, g, o = (zr[..., :units], zr[..., units:2 * units],
+                      zr[..., 2 * units:3 * units], zr[..., 3 * units:])
+        matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
+        for row, h, c, c_t, h_t in self.step_rows:
+            matmul(h, u_t, z)
+            add(zr, row, zr)
+            # tanh(g) and tanh(z / 2) of the halved sigmoid rows in one pass
+            tanh(zr, zr)
+            multiply(zr, scale, zr)
+            add(zr, offset, zr)
+            if keep:
+                row[...] = zr
+            multiply(f, c, c_t)
+            multiply(i, g, ig)
+            add(c_t, ig, c_t)
+            tanh(c_t, h_t)
+            multiply(h_t, o, h_t)
+        return self.h
+
+
+def _kept_layer(w, u, b, x) -> _LayerCache:
+    """One LSTM layer over the (B, T, D) ``x`` with its BPTT cache."""
+    batch, t_len, _ = x.shape
+    layer = _Layer(w, u, b, batch, t_len, keep=True)
+    layer.project(x)
+    h = layer.recur()
+    return _LayerCache(x, layer.gates.reshape(batch, t_len, -1), layer.c_seq, h)
 
 
 def _lstm_backward(u, cache: _LayerCache, dh_top, w=None, x=None):
@@ -342,15 +388,19 @@ def _lstm_backward(u, cache: _LayerCache, dh_top, w=None, x=None):
     return dw, du, db, dx
 
 
+def _check_shape(cfg: ModelConfig, shape: Tuple[int, ...]) -> None:
+    """Refuse an input shape unless it is a non-empty (B, T, S) that fits ``cfg``."""
+    if len(shape) != 3 or shape[2] != cfg.input_dim:
+        raise ShapeMismatch(
+            f"expected (B, T, {cfg.input_dim}) input, got {shape}")
+    if shape[0] == 0 or shape[1] == 0:
+        raise ShapeMismatch(f"empty batch or time axis in input shape {shape}")
+
+
 def _check_batch(cfg: ModelConfig, x) -> np.ndarray:
     """The (B, T, S) input as float64, refused unless it fits ``cfg``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != cfg.input_dim:
-        raise ShapeMismatch(
-            f"expected (B, T, {cfg.input_dim}) input, got {x.shape}")
-    batch, t_len, _ = x.shape
-    if batch == 0 or t_len == 0:
-        raise ShapeMismatch(f"empty batch or time axis in input shape {x.shape}")
+    _check_shape(cfg, x.shape)
     return x
 
 
@@ -374,14 +424,14 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
     use_dropout = training and p > 0.0
     rng = np.random.default_rng(rng_seed) if use_dropout else None
 
-    l1 = _lstm_forward(params.w1, params.u1, params.b1, x)
+    l1 = _kept_layer(params.w1, params.u1, params.b1, x)
     if use_dropout:
         mask1 = rng.random(l1.h.shape) >= p
-        l2 = _lstm_forward(params.w2, params.u2, params.b2, _drop(l1.h, mask1, p))
+        l2 = _kept_layer(params.w2, params.u2, params.b2, _drop(l1.h, mask1, p))
         l2.x = None  # backward rebuilds the dropped sequence
     else:
         mask1 = None
-        l2 = _lstm_forward(params.w2, params.u2, params.b2, l1.h)
+        l2 = _kept_layer(params.w2, params.u2, params.b2, l1.h)
 
     h2_last = l2.h[:, -1, :]
     if use_dropout:
@@ -395,14 +445,48 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
     return head[-1], cache
 
 
+class InferencePlan:
+    """Inference set-up for one model at one (B, T, S) input shape, built
+    once and run on any number of inputs of that shape.
+
+    The plan copies ``params`` when it is built and makes the halved LSTM
+    kernels, the gate, state and work buffers and the per-step rows from
+    that copy, so changing ``params`` afterwards does not change what the
+    plan predicts. A run writes each layer's input projection into its
+    gate buffer, adds the bias, zeroes the cell state and walks the step
+    loop, so nothing carries over from one run to the next. Its predictions
+    are bit for bit those of predict_batch and of
+    forward_batch(training=False).
+    """
+
+    def __init__(self, params: ModelParams, shape: Tuple[int, ...]):
+        shape = tuple(shape)
+        _check_shape(params.config, shape)
+        self.params = params.copy()
+        self.shape = shape
+        p, (batch, t_len, _) = self.params, shape
+        self.layers = (_Layer(p.w1, p.u1, p.b1, batch, t_len, keep=False),
+                       _Layer(p.w2, p.u2, p.b2, batch, t_len, keep=False))
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """Predictions over ``x``, which must have the plan's shape; widened
+        to float64 first."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.shape:
+            raise ShapeMismatch(f"a plan for {self.shape} input got {x.shape}")
+        for layer in self.layers:
+            layer.project(x)
+            x = layer.recur()
+        return _dense_head(self.params, x[:, -1, :])[-1]
+
+
 def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Inference-mode predictions over a (B, T, S) batch, bit for bit those
     of forward_batch(training=False), without building the BPTT cache: no
-    gate row is written back and one cell state is kept per layer."""
+    gate row is written back and one cell state is kept per layer. A one-shot
+    InferencePlan; a caller that predicts at one shape many times keeps one."""
     x = _check_batch(params.config, x)
-    h1 = _lstm_forward(params.w1, params.u1, params.b1, x, keep=False).h
-    h2 = _lstm_forward(params.w2, params.u2, params.b2, h1, keep=False).h
-    return _dense_head(params, h2[:, -1, :])[-1]
+    return InferencePlan(params, x.shape).run(x)
 
 
 def forward(params: ModelParams, segment: np.ndarray, training: bool = False,

@@ -13,7 +13,9 @@ Byte layout (all integers little-endian):
 
 Weights are stored as float32; loading re-embeds them in float64 exactly, so
 save(load(data)) == data and load(save(p)) == p whenever p holds
-float32-representable values (always true for loaded or saved models).
+float32-representable values (always true for loaded or saved models). A
+tensor holding a NaN or an infinity is refused on load (NonFiniteWeight),
+as it would turn every prediction non-finite.
 """
 
 from __future__ import annotations
@@ -28,8 +30,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..config import read_block
-from ..errors import BadMagic, ChecksumMismatch, ConfigError, SchemaMismatch
-from .model import ModelConfig, ModelParams, expected_shapes
+from ..errors import (
+    BadMagic,
+    ChecksumMismatch,
+    ConfigError,
+    NonFiniteWeight,
+    SchemaMismatch,
+)
+from .model import TENSOR_NAMES, ModelConfig, ModelParams, expected_shapes
 
 MAGIC = b"PSNN1"
 
@@ -77,9 +85,11 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
             f"container holds {len(payload)} bytes before its CRC; its config "
             f"implies {expected}")
     tensors = []
-    for shape in shapes:
+    for name, shape in zip(TENSOR_NAMES, shapes):
         n = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
+        if not np.isfinite(arr).all():
+            raise NonFiniteWeight(f"model tensor {name} holds a non-finite weight")
         tensors.append(arr.reshape(shape).astype(np.float64))
         offset += n * 4
     return ModelParams.from_tensors(config, tensors), extra

@@ -54,7 +54,7 @@ from .errors import (
     StreamFinished,
     WindowLongerThanSeries,
 )
-from .nn.model import ModelParams, predict_batch
+from .nn.model import InferencePlan, ModelParams
 
 PACKET_BLOCK = 256  # packets per block of pass one
 # rows smoothed in one call when no window ends sooner
@@ -83,6 +83,13 @@ class StreamingPredictor:
     selection against the stream's width. Means that are not one finite
     value per model input are refused here, as are negative or repeated
     ``cfg.subcarriers`` (subcarrier_index, before the width is known).
+
+    The first emission builds a B=1 InferencePlan for (1, W, S) windows,
+    and every emission runs it, so the kernels are halved and the gate,
+    state and per-step buffers made once per predictor. The plan copies
+    ``params`` when it is built: changing them after the first emission
+    does not change the predictions; before it, the predictor holds
+    ``params`` by reference.
     """
 
     def __init__(self, params: ModelParams, cfg: PipelineConfig,
@@ -114,6 +121,7 @@ class StreamingPredictor:
         self.n_ready = 0  # rows whose 2m+1 padded rows have arrived
         self.n_smoothed = 0  # rows in the ring
         self.finished = False  # finish has run: the stream takes nothing more
+        self.plan = None  # the B=1 InferencePlan, built at the first emission
 
     def _next_ready(self) -> List[Tuple[float, float]]:
         """Row n_ready has its look-ahead: smooth the ready rows if a window
@@ -128,7 +136,9 @@ class StreamingPredictor:
             return []
         k = start % self.w
         window = standardize(self.ring[k:k + self.w])
-        return [(t_end, float(predict_batch(self.params, window[None])[0]))]
+        if self.plan is None:
+            self.plan = InferencePlan(self.params, (1,) + window.shape)
+        return [(t_end, float(self.plan.run(window[None])[0]))]
 
     def _filter_waiting(self) -> None:
         """Band-pass the packets stored since the last call in one
@@ -163,7 +173,9 @@ class StreamingPredictor:
         a packet that is not numbers, or whose selected subcarriers do not
         match the means in number (ShapeMismatch); a packet with a
         non-finite selected amplitude (NonFiniteSample). A push after finish
-        is a StreamFinished.
+        is a StreamFinished. The selected samples are taken as complex128
+        whatever the packet's numeric dtype, so a stream of complex64 or
+        integer packets predicts as its complex128 copy does.
         """
         if self.finished:
             raise StreamFinished("push after finish: the stream has ended")
@@ -187,6 +199,9 @@ class StreamingPredictor:
             raise ShapeMismatch(
                 f"packet {j} {what} does not give the {self.mu.shape[0]} "
                 f"numeric selected subcarriers the means have")
+        # in complex128 whatever the packet's dtype, as pass one and the
+        # batch pipeline take it: a complex64 hypot rounds otherwise
+        picked = picked.astype(np.complex128, copy=False)
         amp = np.hypot(picked.real, picked.imag)
         # amplitudes are >= 0 or NaN, so the maximum is finite only if all are
         if not amp.max() < np.inf:

@@ -31,6 +31,7 @@ from .errors import (
 from .metrics import MetricsReport, classification_metrics, regression_metrics
 from .nn import (
     AdamState,
+    InferencePlan,
     ModelConfig,
     ModelParams,
     adam_step,
@@ -160,11 +161,25 @@ def split_segments(n: int, config: TrainingConfig,
                         np.asarray(test, dtype=np.intp))
 
 
+def _chunk_predictions(params, x):
+    """Yield (lo, predictions) for each PREDICT_CHUNK-window chunk of ``x``
+    in turn: one InferencePlan runs every full chunk, and predict_batch the
+    ragged last one."""
+    plan = None
+    for lo in range(0, x.shape[0], PREDICT_CHUNK):
+        chunk = x[lo:lo + PREDICT_CHUNK]
+        if len(chunk) < PREDICT_CHUNK:
+            yield lo, predict_batch(params, chunk)
+        else:
+            if plan is None:
+                plan = InferencePlan(params, chunk.shape)
+            yield lo, plan.run(chunk)
+
+
 def _batch_losses(params, x, y, head):
     """Mean loss over a dataset, evaluated in chunks at inference settings."""
     total = 0.0
-    for lo in range(0, x.shape[0], PREDICT_CHUNK):
-        preds = predict_batch(params, x[lo:lo + PREDICT_CHUNK])
+    for lo, preds in _chunk_predictions(params, x):
         if head == "binary":
             losses, _ = bce_loss(preds, y[lo:lo + PREDICT_CHUNK])
         else:
@@ -297,12 +312,12 @@ def train(segments: Arrays, model_config: ModelConfig,
 def predict(params: ModelParams, segments: Arrays) -> np.ndarray:
     """Inference over an ``(x, y)`` pair; predictions come out in label units.
 
-    ``x`` is not widened as a whole: predict_batch widens each chunk to
-    float64, so a float32 dump view predicts as its float64 copy would."""
+    ``x`` is not widened as a whole: each chunk is widened to float64 as it
+    is run, so a float32 dump view predicts as its float64 copy would."""
     x = np.asarray(segments[0])
     preds = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], PREDICT_CHUNK):
-        preds[lo:lo + PREDICT_CHUNK] = predict_batch(params, x[lo:lo + PREDICT_CHUNK])
+    for lo, chunk_preds in _chunk_predictions(params, x):
+        preds[lo:lo + PREDICT_CHUNK] = chunk_preds
     return preds
 
 

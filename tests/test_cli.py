@@ -771,6 +771,30 @@ def test_model_with_matching_crc_but_wrong_contents_exits_3(workdir, capsys, dam
     assert ("ChecksumMismatch" if damage == "short_tensors" else "SchemaMismatch") in err
 
 
+def test_model_with_a_non_finite_weight_exits_3_before_any_output(workdir, capsys):
+    """A NaN weight under a valid CRC is refused when the model is read, so
+    neither eval nor infer writes its --out."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["process", "--config", str(cfg_path)]) == 0
+    from pulsesense.nn import ModelConfig, init_params, save_model
+    params = init_params(ModelConfig(input_dim=3), 0)
+    params.w1[0, 0] = np.nan
+    model = tmp_path / "nan.psnn"
+    model.write_bytes(save_model(params, extra={"pipeline": {"mode": "heart"}}))
+    capsys.readouterr()
+    report = tmp_path / "eval.json"
+    assert main(["eval", "--model", str(model), "--data", str(out / "segments.psseg"),
+                 "--out", str(report)]) == 3
+    assert "NonFiniteWeight: model tensor w1" in capsys.readouterr().err
+    assert not report.exists()
+    preds = tmp_path / "preds.csv"
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 3
+    assert "NonFiniteWeight: model tensor w1" in capsys.readouterr().err
+    assert not preds.exists()
+
+
 def test_config_not_utf8_exits_2(workdir, capsys):
     tmp_path, out, cfg_path = workdir
     cfg_path.write_bytes(cfg_path.read_bytes().replace(b'"cli-unit"', b'"cli-\xffunit"'))

@@ -4,13 +4,18 @@ gate kernels against a per-gate reference, and the time-major kernels bit
 for bit against the batch-major ones they replaced."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pulsesense
 from pulsesense.errors import CacheMismatch, ShapeMismatch
 from pulsesense.nn import (
+    InferencePlan,
     ModelConfig,
     ModelParams,
     backward,
@@ -474,16 +479,91 @@ class TestTimeMajorKernels:
             assert predict_batch(params, x).tobytes() == preds.tobytes()
 
 
+PLAN_CASES = ([(PAPER_STACK, 200, b) for b in (1, 3, 17, 64)]
+              + [(stack, 50, b) for stack in ODD_STACKS for b in (1, 3, 17, 64)])
+
+
+class TestInferencePlan:
+    """A plan built once for (params, B, T) predicts what predict_batch and
+    forward_batch(training=False) do, bit for bit, on every run."""
+
+    @pytest.mark.parametrize("head", ["regression", "binary"])
+    @pytest.mark.parametrize("stack,t_len,batch", PLAN_CASES,
+                             ids=[f"{name}-B{b}" for name in ("paper", "odd-wide", "odd-63")
+                                  for b in (1, 3, 17, 64)])
+    def test_plan_equals_predict_batch_and_forward(self, stack, t_len, batch, head):
+        cfg = ModelConfig(head=head, **stack)
+        params = init_params(cfg, 5)
+        x = np.random.default_rng(batch).standard_normal((batch, t_len, cfg.input_dim))
+        want = forward_batch(params, x)[0].tobytes()
+        assert predict_batch(params, x).tobytes() == want
+        plan = InferencePlan(params, x.shape)
+        assert plan.run(x).tobytes() == want
+        assert plan.run(x).tobytes() == want
+
+    def test_plan_equals_predict_batch_and_forward_at_one_blas_thread(self):
+        """The test above in a child process at one OpenBLAS thread, since
+        OpenBLAS reads its thread count once, when numpy loads; this process
+        runs at the default count."""
+        src = os.path.dirname(os.path.dirname(pulsesense.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        test = f"{__file__}::TestInferencePlan::test_plan_equals_predict_batch_and_forward"
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stdout[-3000:]
+        assert f"{2 * len(PLAN_CASES)} passed" in child.stdout
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_nothing_carries_over_between_runs(self, batch):
+        """Three inputs, one with a NaN, through one plan in turn, then the
+        first again: each run gives its own one-shot bits."""
+        params = init_params(small_config(), 2)
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((2, batch, 30, 3))
+        nan = b.copy()
+        nan[0, 4, 1] = np.nan
+        plan = InferencePlan(params, a.shape)
+        inputs = (a, nan, b, a)
+        got = [plan.run(v) for v in inputs]
+        for v, preds in zip(inputs, got):
+            assert preds.tobytes() == predict_batch(params, v).tobytes()
+        assert np.isnan(got[1][0]) and np.isfinite(got[1][1:]).all()
+        assert np.isfinite(got[2]).all() and got[3].tobytes() == got[0].tobytes()
+
+    def test_plan_copies_params_when_built(self):
+        params = init_params(small_config(), 3)
+        x = np.random.default_rng(3).standard_normal((2, 12, 3))
+        plan = InferencePlan(params, x.shape)
+        before = plan.run(x).tobytes()
+        for tensor in params.tensors():
+            tensor *= 2.0
+        assert plan.run(x).tobytes() == before
+        assert predict_batch(params, x).tobytes() != before
+
+    def test_plan_refuses_other_shapes(self):
+        params = init_params(small_config(), 0)
+        plan = InferencePlan(params, (2, 9, 3))
+        for shape in [(3, 9, 3), (2, 8, 3), (2, 9, 4), (9, 3)]:
+            with pytest.raises(ShapeMismatch):
+                plan.run(np.zeros(shape))
+        for shape in [(0, 9, 3), (2, 0, 3), (2, 9, 4), (9, 3)]:
+            with pytest.raises(ShapeMismatch):
+                InferencePlan(params, shape)
+
+
 def record_layer_inputs(monkeypatch):
     """The input sequence of every LSTM layer call forward makes, in order."""
     seen = []
-    lstm_forward = model._lstm_forward
+    kept_layer = model._kept_layer
 
-    def recording(w, u, b, x, keep=True):
+    def recording(w, u, b, x):
         seen.append(x)
-        return lstm_forward(w, u, b, x, keep)
+        return kept_layer(w, u, b, x)
 
-    monkeypatch.setattr(model, "_lstm_forward", recording)
+    monkeypatch.setattr(model, "_kept_layer", recording)
     return seen
 
 

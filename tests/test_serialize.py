@@ -12,7 +12,9 @@ from pulsesense.dsp import read_segment_dump, run_pipeline, write_segment_dump
 from pulsesense.errors import (
     BadMagic,
     ChecksumMismatch,
+    DataError,
     NonFiniteSample,
+    NonFiniteWeight,
     PulseSenseError,
     SchemaMismatch,
 )
@@ -92,6 +94,18 @@ class TestCorruption:
         data[30] ^= 0xFF
         with pytest.raises(ChecksumMismatch):
             load_model(bytes(data))
+
+    @pytest.mark.parametrize("name", ["w1", "u2", "head_b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_with_a_valid_crc_is_refused(self, name, bad):
+        """A container whose CRC holds but whose tensor holds a NaN or an
+        infinity is a data error naming the tensor, not a model whose every
+        prediction is non-finite."""
+        params = small_params()
+        getattr(params, name).flat[-1] = bad
+        with pytest.raises(NonFiniteWeight, match=f"tensor {name} ") as exc:
+            load_model(save_model(params))
+        assert isinstance(exc.value, DataError)
 
 
 def _small_dump() -> bytes:

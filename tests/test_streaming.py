@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -115,6 +116,79 @@ class TestBitEquality:
         mu_batch, _ = column_means([amplitude(rec.stream).values])
         assert count == rec.stream.frame_count
         assert np.array_equal(mu_stream, mu_batch)
+
+
+class TestPacketDtypes:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float32, np.int16,
+                                       np.complex128])
+    def test_packets_of_any_dtype_stream_as_batch_on_the_same_values(self, dtype):
+        """Packets of each dtype, against batch on the complex128 copy of the
+        same values: push takes amplitudes in complex128 as batch does."""
+        fs = 20.0
+        rec = small_recording(duration_s=30.0, fs=fs)
+        values = rec.stream.values
+        if dtype is np.int16:
+            typed = np.round(values.real * 1000).astype(dtype)
+        elif np.dtype(dtype).kind == "f":
+            typed = values.real.astype(dtype)
+        else:
+            typed = values.astype(dtype)
+        stream = dataclasses.replace(rec.stream, values=typed)  # widened to complex128
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=7)
+        params = init_params(ModelConfig(input_dim=3), seed=1)
+        batch = batch_predictions(params, align(stream, rec.heart), cfg, fs)
+        mu, _ = streaming_column_means(iter(typed))
+        predictor = StreamingPredictor(params, cfg, fs, mu)
+        got = []
+        for t, row in zip(stream.timestamps, typed):
+            got.extend(predictor.push(float(t), row))
+        got.extend(predictor.finish())
+        assert len(batch) > 0 and got == batch
+
+
+class TestInferencePlan:
+    def test_predictor_builds_its_plan_once(self, monkeypatch):
+        built = []
+
+        class Counting(streaming.InferencePlan):
+            def __init__(self, params, shape):
+                built.append(tuple(shape))
+                super().__init__(params, shape)
+
+        monkeypatch.setattr(streaming, "InferencePlan", Counting)
+        fs = 20.0
+        rec = small_recording(duration_s=30.0, fs=fs)
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=7)
+        params = init_params(ModelConfig(input_dim=3), seed=1)
+        got = stream_predictions(params, rec, cfg, fs)
+        assert len(got) > 2 and built == [(1, 100, 3)]
+
+    def test_emitting_push_allocates_no_gate_array(self):
+        """After the first emission built the plan, an emitting push runs it
+        in its own buffers: its traced peak stays below layer 2's (T, 4H)
+        gate array, the smaller of the two."""
+        fs = 20.0
+        rec = small_recording(duration_s=30.0, fs=fs)
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=7)
+        model_cfg = ModelConfig(input_dim=3)
+        params = init_params(model_cfg, seed=1)
+        mu, _ = streaming_column_means(iter(rec.stream.values))
+        predictor = StreamingPredictor(params, cfg, fs, mu)
+        peaks = []
+        for t, row in zip(rec.stream.timestamps, rec.stream.values):
+            if predictor.plan is None:
+                predictor.push(float(t), row)
+                continue
+            tracemalloc.start()
+            try:
+                out = predictor.push(float(t), row)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if out:
+                peaks.append(peak)
+        gate_bytes = predictor.w * 4 * model_cfg.lstm2_units * 8
+        assert len(peaks) > 2 and max(peaks) < gate_bytes
 
 
 class TestBoundedMemory:

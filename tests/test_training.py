@@ -13,8 +13,10 @@ from pulsesense.errors import (
     EmptyTrainSet,
     TooFewSegments,
 )
-from pulsesense.nn import ModelConfig, init_params
+from pulsesense import training
+from pulsesense.nn import InferencePlan, ModelConfig, init_params, mse_loss, predict_batch
 from pulsesense.training import (
+    PREDICT_CHUNK,
     TrainingConfig,
     aggregate_reports,
     evaluate,
@@ -343,3 +345,32 @@ def test_predict_holds_no_cache_between_chunks():
             tracemalloc.stop()
 
     assert peak(192) <= 1.1 * peak(64)
+
+
+def test_predict_and_validation_build_one_plan_per_chunk_shape(monkeypatch):
+    """predict and the validation loss run one InferencePlan over every full
+    chunk and a one-shot predict_batch over the ragged last one, with the
+    predictions of predict_batch on each chunk."""
+    shapes = []
+    init = InferencePlan.__init__
+
+    def recording(plan, params, shape):
+        shapes.append(tuple(shape))
+        init(plan, params, shape)
+
+    monkeypatch.setattr(InferencePlan, "__init__", recording)
+    params = init_params(TINY_MODEL, 1)
+    n = 3 * PREDICT_CHUNK + 5
+    x, y = tiny_dataset(n=n)
+    want = [predict_batch(params, x[lo:lo + PREDICT_CHUNK])
+            for lo in range(0, n, PREDICT_CHUNK)]
+    chunk_shapes = [(PREDICT_CHUNK, 10, 2), (5, 10, 2)]
+    assert shapes == [(PREDICT_CHUNK, 10, 2)] * 3 + [(5, 10, 2)]
+    shapes.clear()
+    assert predict(params, (x, y)).tobytes() == np.concatenate(want).tobytes()
+    assert shapes == chunk_shapes
+    shapes.clear()
+    loss = training._batch_losses(params, x, y, "regression")
+    assert shapes == chunk_shapes
+    assert loss == sum(float(mse_loss(p, y[lo:lo + PREDICT_CHUNK])[0].sum())
+                       for p, lo in zip(want, range(0, n, PREDICT_CHUNK))) / n
