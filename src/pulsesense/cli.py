@@ -17,8 +17,6 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-import numpy as np
-
 from . import config as cfgmod
 from .bench import CSV_HEADER, bench_inference
 from .dsp.pipeline import (
@@ -249,7 +247,8 @@ def cmd_infer(args) -> int:
         fs, n_sub, frames = iter_canonical(utf8_lines(fh))
         with _stored_in(args.model):
             _, _, w = pipeline_cfg.stages(fs)
-        width = np.arange(n_sub)[subcarrier_index(pipeline_cfg.subcarriers, n_sub)].size
+        index = subcarrier_index(pipeline_cfg.subcarriers, n_sub)
+        width = n_sub if isinstance(index, slice) else len(index)
         _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
         mu, _count = streaming_column_means(
             (complex_values(re, im) for _, re, im in frames), pipeline_cfg.subcarriers)

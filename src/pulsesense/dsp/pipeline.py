@@ -1,9 +1,12 @@
 """The five-stage processing chain: amplitude, DC removal, band extraction,
-shaping, segmentation/normalization.
+shaping, segmentation/normalization, in that fixed order.
 
-Stage order is fixed: amplitude -> remove_dc -> bandpass -> savgol ->
-segment -> standardize. All stages are pure; identical inputs give
-bit-identical segment matrices.
+FrontEnd drives stages 2-5 for batch and streaming alike, fed amplitude
+rows in blocks of any size: run_pipeline_config feeds it a whole recording
+in one block and labels the windows, the streaming predictor one packet per
+push. The stage functions remove_dc, filter_values, smooth_values (with
+mirror_pad) and segment compose the same chain over whole arrays: the
+reference that tests and the benchmark hold the front end to, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from ..errors import (
     EmptyStream,
     NonFiniteSample,
     SchemaMismatch,
+    SeriesTooShort,
     WindowLongerThanSeries,
 )
 from ..ingest import AlignedRecording, CsiStream
-from .filters import BiquadCascade, FilterSpec, design_bandpass, filter_values
-from .savgol import SavGolKernel, savgol_kernel, smooth_values
+from .filters import BiquadCascade, FilterSpec, FilterState, design_bandpass
+from .savgol import SavGolKernel, savgol_kernel, smooth_padded
 
 
 class Mode(NamedTuple):
@@ -75,12 +79,18 @@ class WindowSegment:
     duration_s: float
 
 
+def magnitude(values) -> np.ndarray:
+    """|values| as float64, np.hypot of their complex128 cast: the one input
+    conversion of batch, streaming pass one and every push."""
+    values = np.asarray(values, dtype=np.complex128)
+    return np.hypot(values.real, values.imag)
+
+
 def amplitude(stream: CsiStream) -> AmplitudeSeries:
     """|CSI| per packet and subcarrier: sqrt(re^2 + im^2)."""
     if stream.frame_count == 0:
         raise EmptyStream("cannot take amplitude of an empty stream")
-    values = np.hypot(stream.values.real, stream.values.imag)
-    return AmplitudeSeries(values, stream.sample_rate_hz)
+    return AmplitudeSeries(magnitude(stream.values), stream.sample_rate_hz)
 
 
 def column_means(blocks: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
@@ -272,6 +282,109 @@ class PipelineConfig:
         return cascade, kernel, w
 
 
+class FrontEnd:
+    """Stages 2-5 of one recording, fed its selected amplitude rows in blocks
+    of any size: DC subtraction against ``mu``, the band-pass, the near- and
+    far-edge mirrors, smoothing, windowing by stride and standardize.
+
+    feed returns each (start row, window) pair it completes: a window ending
+    on row e once row e + m is in, m being the smoothing half width. finish
+    mirrors the far edge and returns the rest. For any split into blocks the
+    windows are those of the stage functions, bit for bit, as FilterState and
+    smooth_padded give each row the same bits however many one call takes.
+
+    Two linear buffers hold the padded rows (packet j is padded row j + m)
+    and the smoothed rows still needed. A block is taken in pieces that fit
+    the free padded rows, so neither buffer grows: O(W + stride + m) rows.
+    Rows are band-passed when a window is due or the padded buffer is full,
+    and smoothed when a window is due; the rows still needed then move to
+    the front of their buffer (smoothed rows only when new ones do not fit).
+    """
+
+    def __init__(self, cfg: PipelineConfig, sample_rate_hz: float, mu: np.ndarray):
+        cascade, self.kernel, self.w = cfg.stages(sample_rate_hz)
+        # a (1, S) row: one packet's row subtracts it without broadcasting
+        self.m, self.stride, self.mu = self.kernel.half_width, cfg.stride, mu[None]
+        self.filter_state = FilterState(cascade, len(mu))
+        # padded row p is padded[p - p0]; rows up to p_end are stored, and
+        # those from n_filtered on are DC-removed but not yet band-passed
+        self.padded = np.empty((self.w + self.stride + 3 * self.m, len(mu)))
+        self.p0, self.p_end, self.n_filtered = 0, self.m, self.m
+        # smoothed row n is smoothed[n - s0]; rows below s_end are smoothed
+        # or lie before a window
+        self.smoothed = np.empty((2 * self.w + self.stride + self.m, len(mu)))
+        self.s0 = self.s_end = 0
+        self.start = 0  # the next window's first row
+
+    def feed(self, rows: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """Take a (n, S) block of amplitude rows; returns the (start row,
+        standardized window) pairs it completed, in order."""
+        out = []
+        while len(rows) > len(self.padded) - (self.p_end - self.p0):  # feed what fits first
+            self._compact()
+            n = len(self.padded) - (self.p_end - self.p0)
+            out += self.feed(rows[:n])
+            rows = rows[n:]
+        a = self.p_end - self.p0
+        np.subtract(rows, self.mu, out=self.padded[a:a + len(rows)])
+        self.p_end += len(rows)
+        ready = self.p_end - 2 * self.m  # rows whose look-ahead is in
+        if self.start + self.w <= ready:
+            out += self._windows(ready)
+        return out
+
+    def finish(self) -> List[Tuple[int, np.ndarray]]:
+        """Mirror the far edge and return the windows still due. A stream
+        shorter than the smoothing window (SeriesTooShort), then than a window
+        (WindowLongerThanSeries), is refused first, changing nothing."""
+        t_len = self.p_end - self.m
+        if t_len < self.kernel.window:
+            raise SeriesTooShort(
+                f"stream of {t_len} packets shorter than the smoothing window")
+        if t_len < self.w:
+            raise WindowLongerThanSeries(
+                f"window of {self.w} packets exceeds stream length {t_len}")
+        if self.start + self.w > t_len:
+            return []
+        self._compact()
+        # the far-edge mirror: row T-1-i again as padded row T-1+m+i
+        e, m = self.p_end - self.p0 - 1, self.m
+        self.padded[e + 1:e + 1 + m] = self.padded[e - m:e][::-1]
+        self.p_end = self.n_filtered = self.p_end + m
+        return self._windows(t_len)
+
+    def _compact(self) -> None:
+        """Band-pass the rows stored since the last call in one call (the
+        first also mirrors packets m .. 1 as padded rows 0 .. m-1), then move
+        the padded rows still needed to the front."""
+        a, b = self.n_filtered - self.p0, self.p_end - self.p0
+        if a < b:
+            self.padded[a:b] = self.filter_state.process(self.padded[a:b])
+            if self.n_filtered == self.m:
+                self.padded[:self.m] = self.padded[self.m + 1:2 * self.m + 1][::-1]
+            self.n_filtered = self.p_end
+        keep = min(max(self.s_end, self.start), self.p_end)
+        self.padded[:self.p_end - keep] = self.padded[keep - self.p0:self.p_end - self.p0]
+        self.p0 = keep
+
+    def _windows(self, ready: int) -> List[Tuple[int, np.ndarray]]:
+        """Smooth the rows of every window within the first ``ready`` rows
+        in one smooth_padded call and return them standardized."""
+        self._compact()  # padded row lo is now padded[0]
+        w = self.w
+        last = self.start + (ready - w - self.start) // self.stride * self.stride
+        lo, hi = max(self.s_end, self.start), last + w
+        if hi - self.s0 > len(self.smoothed):  # keep the next window's rows
+            self.smoothed[:lo - self.start] = self.smoothed[self.start - self.s0:lo - self.s0]
+            self.s0 = self.start
+        self.smoothed[lo - self.s0:hi - self.s0] = smooth_padded(
+            self.kernel, self.padded[:hi - lo + 2 * self.m])
+        out = [(start, standardize(self.smoothed[start - self.s0:start - self.s0 + w]))
+               for start in range(self.start, last + 1, self.stride)]
+        self.start, self.s_end = last + self.stride, hi
+        return out
+
+
 def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
                  stride: int = 1) -> List[WindowSegment]:
     """run_pipeline_config with the mode's default band and smoothing."""
@@ -280,25 +393,16 @@ def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
 
 def run_pipeline_config(recording: AlignedRecording,
                         cfg: PipelineConfig) -> List[WindowSegment]:
-    """Run all five stages over an aligned recording in the fixed order."""
-    fs = recording.stream.sample_rate_hz
-    cascade, kernel, w = cfg.stages(fs)
-    index = subcarrier_index(cfg.subcarriers, recording.stream.subcarrier_count)
-    series = amplitude(recording.stream)
-    series = remove_dc(AmplitudeSeries(series.values[:, index], fs))
-    filtered = filter_values(cascade, series.values)
-    series = AmplitudeSeries(smooth_values(kernel, filtered), fs)
-    raw_windows = segment(series, cfg.window_s, cfg.stride)
-    segments = []
-    for i, win in enumerate(raw_windows):
-        start = i * cfg.stride
-        segments.append(WindowSegment(
-            values=standardize(win),
-            label=window_label(recording.alignment, start, w, cfg.mode),
-            start_index=start,
-            duration_s=w / series.sample_rate_hz,
-        ))
-    return segments
+    """Run all five stages over an aligned recording: its selected
+    amplitudes, fed to a FrontEnd in one block, each window labelled."""
+    stream = recording.stream
+    index = subcarrier_index(cfg.subcarriers, stream.subcarrier_count)
+    values = amplitude(stream).values[:, index]
+    front = FrontEnd(cfg, stream.sample_rate_hz, column_means([values])[0])
+    windows = front.feed(values) + front.finish()
+    return [WindowSegment(window, window_label(recording.alignment, start, front.w, cfg.mode),
+                          start, front.w / stream.sample_rate_hz)
+            for start, window in windows]
 
 
 def segments_to_arrays(segments: Sequence[WindowSegment]) -> Tuple[np.ndarray, np.ndarray]:

@@ -80,8 +80,8 @@ def smooth_padded(kernel: SavGolKernel, padded: np.ndarray) -> np.ndarray:
     """The T smoothed rows of an already padded (T + 2m, S) matrix.
 
     This is the one Savitzky-Golay accumulation, for smooth_values and for
-    the streaming predictor, which calls it on the padded rows of the rows
-    it has waiting, one row or a few dozen. The output goes in chunks of
+    FrontEnd, which calls it on the rows of the windows due, from a stride
+    of rows to a padded buffer's worth. The output goes in chunks of
     SMOOTH_CHUNK // S rows. One multiply over a strided (2m+1, rows, S) view
     of ``padded`` forms all of a chunk's products, which are then added in
     coefficient order, c0 p0 + c1 p1 + ... + c2m p2m, so each row gets the

@@ -82,11 +82,6 @@ class CsiStream:
     def frame_count(self) -> int:
         return self.values.shape[0]
 
-    def slice_time(self, start_s: float, end_s: float) -> "CsiStream":
-        """Frames with start_s <= t < end_s."""
-        mask = (self.timestamps >= start_s) & (self.timestamps < end_s)
-        return CsiStream(self.timestamps[mask], self.values[mask], self.sample_rate_hz)
-
 
 @dataclass
 class LabelSeries:

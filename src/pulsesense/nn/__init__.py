@@ -12,11 +12,11 @@ from .model import (
     init_params,
     predict_batch,
 )
-from .serialize import load_model, quantize_params, save_model
+from .serialize import load_model, save_model
 
 __all__ = [
     "AdamState", "InferencePlan", "ModelConfig", "ModelParams", "adam_step",
     "adam_update", "backward", "backward_batch", "bce_loss", "count_parameters", "forward",
     "forward_batch", "init_params", "load_model", "mse_loss",
-    "predict_batch", "quantize_params", "save_model",
+    "predict_batch", "save_model",
 ]

@@ -295,9 +295,9 @@ class _Layer:
         """The (B, T, H) view of the hidden states."""
         return self.h_seq.transpose(1, 0, 2)
 
-    def recur(self) -> np.ndarray:
+    def recur(self, out=None) -> np.ndarray:
         """Walk the step loop over the projected gates from a zero state;
-        returns the (B, T, H) hidden states."""
+        returns the (B, T, H) hidden states, copied into ``out`` if given."""
         if not self.keep:
             self.cell.fill(0.0)
         units, keep = self.shape[2], self.keep
@@ -320,7 +320,10 @@ class _Layer:
             add(c_t, ig, c_t)
             tanh(c_t, h_t)
             multiply(h_t, o, h_t)
-        return self.h
+        if out is None:
+            return self.h
+        np.copyto(out, self.h)
+        return out
 
 
 def _kept_layer(w, u, b, x) -> _LayerCache:
@@ -456,7 +459,9 @@ class InferencePlan:
     gate buffer, adds the bias, zeroes the cell state and walks the step
     loop, so nothing carries over from one run to the next. Its predictions
     are bit for bit those of predict_batch and of
-    forward_batch(training=False).
+    forward_batch(training=False). At B > 1 a run copies layer 1's states,
+    a transposed view, into one C-ordered buffer of the plan for layer 2's
+    projection, which would otherwise copy them; at B = 1 the view is C-ordered.
     """
 
     def __init__(self, params: ModelParams, shape: Tuple[int, ...]):
@@ -467,6 +472,7 @@ class InferencePlan:
         p, (batch, t_len, _) = self.params, shape
         self.layers = (_Layer(p.w1, p.u1, p.b1, batch, t_len, keep=False),
                        _Layer(p.w2, p.u2, p.b2, batch, t_len, keep=False))
+        self.h1 = np.empty((batch, t_len, p.config.lstm1_units)) if batch > 1 else None
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Predictions over ``x``, which must have the plan's shape; widened
@@ -474,9 +480,9 @@ class InferencePlan:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.shape:
             raise ShapeMismatch(f"a plan for {self.shape} input got {x.shape}")
-        for layer in self.layers:
+        for layer, out in zip(self.layers, (self.h1, None)):
             layer.project(x)
-            x = layer.recur()
+            x = layer.recur(out)
         return _dense_head(self.params, x[:, -1, :])[-1]
 
 

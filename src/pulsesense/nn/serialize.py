@@ -94,12 +94,3 @@ def load_model(data: bytes) -> Tuple[ModelParams, Optional[dict]]:
         offset += n * 4
     return ModelParams.from_tensors(config, tensors), extra
 
-
-def quantize_params(params: ModelParams) -> ModelParams:
-    """Round every tensor to its float32 representation (still float64 dtype).
-
-    After this, save/load round-trips the parameters bit-for-bit.
-    """
-    return ModelParams.from_tensors(
-        params.config,
-        [t.astype(np.float32).astype(np.float64) for t in params.tensors()])

@@ -8,25 +8,12 @@ once, into complex blocks of PACKET_BLOCK, checks each block as it reads it
 and takes its amplitudes in one call, so its per-packet Python is only the
 copy into the block.
 
-Pass two pushes packets through the batch stages on bounded buffers. A push
-checks its timestamp (a finite number after the previous one) and its
-packet (numbers, width, finite selected samples) before it changes any
-state, then stores the DC-removed amplitude row in a ring of the
-mirror-padded rows that the rows not yet smoothed need. A row is ready once
-its m look-ahead rows have arrived. The ready rows are smoothed together, in
-one smooth_padded call, when a window ends on the newest of them or when
-SMOOTH_BATCH of them wait, and go into a ring of the newest W smoothed rows
-for standardize and the model. Right before that call, and in finish before
-the far edge is mirrored, the rows waiting in the padded ring are
-band-passed in one FilterState.process call and written back in place, so
-the biquad cascade runs once per smoothing batch, not once per packet. Both
-rings hold each row twice, at i % n and i % n + n in a ring of n rows, so
-the rows a step reads are always one contiguous slice and nothing is copied
-to gather them. Memory is independent of stream length, and predictions are
-bit-identical to processing the same recording offline: FilterState gives
-each sample the same bits however the stream is split into blocks, and
-smooth_padded gives each row the same bits however many rows one call
-smooths.
+Pass two pushes one packet at a time. A push checks its timestamp and its
+packet before it changes any state, then feeds the amplitude row to the
+FrontEnd that run_pipeline_config feeds a whole recording in one block, and
+runs the model on each window it returns. So predictions are bit for bit
+those of processing the recording offline, and memory is independent of
+stream length.
 """
 
 from __future__ import annotations
@@ -38,40 +25,22 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsp.filters import FilterState
 from .dsp.pipeline import (
+    FrontEnd,
     PipelineConfig,
     column_means,
-    standardize,
+    magnitude,
     subcarrier_index,
 )
-from .dsp.savgol import smooth_padded
 from .errors import (
     NonFiniteSample,
     NonMonotonicTimestamp,
-    SeriesTooShort,
     ShapeMismatch,
     StreamFinished,
-    WindowLongerThanSeries,
 )
 from .nn.model import InferencePlan, ModelParams
 
 PACKET_BLOCK = 256  # packets per block of pass one
-# rows smoothed in one call when no window ends sooner
-SMOOTH_BATCH = 32
-
-
-def _put(ring: np.ndarray, i: int, rows: np.ndarray) -> None:
-    """Store ``rows`` (at most n) as rows i, i + 1, ... of ``ring``, a ring
-    of n = len(ring) // 2 rows that holds row i at i % n and i % n + n."""
-    n = len(ring) // 2
-    k = i % n
-    # the first `below` rows land under n and are copied up by n, the rest
-    # land from n on and are copied down
-    below = min(len(rows), n - k)
-    ring[k:k + len(rows)] = rows
-    ring[k + n:k + n + below] = rows[:below]
-    ring[:len(rows) - below] = rows[below:]
 
 
 class StreamingPredictor:
@@ -102,67 +71,23 @@ class StreamingPredictor:
                                 f"fit a model of {width} inputs")
         if not np.isfinite(self.mu).all():
             raise NonFiniteSample("column means hold a non-finite value")
-        cascade, self.kernel, self.w = cfg.stages(sample_rate_hz)
-        self.filter_state = FilterState(cascade, width)
-        self.m = self.kernel.half_width
-        self.stride = cfg.stride
+        self.front = FrontEnd(cfg, sample_rate_hz, self.mu)
+        self.w, self.m = self.front.w, self.front.m
         self.index = subcarrier_index(cfg.subcarriers, None)
-        # the padded rows the rows not yet smoothed need (padded row i at
-        # i % span and i % span + span; band-passed up to packet n_filtered,
-        # DC-removed only from there on), the smoothed rows (row n at n % W
-        # and n % W + W), and the timestamps of the rows whose look-ahead has
-        # not arrived
-        self.span = SMOOTH_BATCH + 2 * self.m
-        self.filt = np.empty((2 * self.span, width))
-        self.ring = np.empty((2 * self.w, width))
-        self.times = deque()
-        self.t_last = -math.inf  # the newest packet's timestamp
-        self.n_filtered = 0  # packets band-passed
-        self.n_ready = 0  # rows whose 2m+1 padded rows have arrived
-        self.n_smoothed = 0  # rows in the ring
+        # the newest m + 1 timestamps: a window ending on packet j is
+        # returned by the push of packet j + m or by finish
+        self.times = deque(maxlen=self.m + 1)
+        self.count = 0  # packets pushed
         self.finished = False  # finish has run: the stream takes nothing more
         self.plan = None  # the B=1 InferencePlan, built at the first emission
 
-    def _next_ready(self) -> List[Tuple[float, float]]:
-        """Row n_ready has its look-ahead: smooth the ready rows if a window
-        ends on it or SMOOTH_BATCH are waiting, and predict if one ends."""
-        t_end = self.times.popleft()
-        self.n_ready += 1
-        start = self.n_ready - self.w
-        due = start >= 0 and start % self.stride == 0
-        if due or self.n_ready - self.n_smoothed == SMOOTH_BATCH:
-            self._smooth_ready()
-        if not due:
-            return []
-        k = start % self.w
-        window = standardize(self.ring[k:k + self.w])
-        if self.plan is None:
-            self.plan = InferencePlan(self.params, (1,) + window.shape)
-        return [(t_end, float(self.plan.run(window[None])[0]))]
-
-    def _filter_waiting(self) -> None:
-        """Band-pass the packets stored since the last call in one
-        FilterState.process call and put the filtered rows back in their
-        padded rows; the first call also fills the near-edge mirror."""
-        a = self.n_filtered
-        n = self.n_ready + len(self.times) - a
-        if n == 0:
-            return
-        lo = (a + self.m) % self.span  # packet a is padded row a + m
-        rows = self.filter_state.process(self.filt[lo:lo + n])
-        _put(self.filt, a + self.m, rows)
-        if a == 0:  # the near-edge mirror: rows m .. 1 again as padded rows 0 .. m-1
-            _put(self.filt, 0, rows[self.m:0:-1])
-        self.n_filtered += n
-
-    def _smooth_ready(self) -> None:
-        """Smooth rows n_smoothed .. n_ready-1 in one smooth_padded call and
-        put the newest W of them in the ring."""
-        self._filter_waiting()
-        lo, n = self.n_smoothed % self.span, self.n_ready - self.n_smoothed
-        rows = smooth_padded(self.kernel, self.filt[lo:lo + n + 2 * self.m])[-self.w:]
-        _put(self.ring, self.n_ready - len(rows), rows)
-        self.n_smoothed = self.n_ready
+    def _predict(self, windows) -> List[Tuple[float, float]]:
+        """(t_end, prediction) of each (start, window) pair; t_end is the
+        timestamp of the window's last packet, counted from the newest."""
+        if windows and self.plan is None:
+            self.plan = InferencePlan(self.params, (1,) + windows[0][1].shape)
+        return [(self.times[start + self.w - 1 - self.count],
+                 float(self.plan.run(window[None])[0])) for start, window in windows]
 
     def push(self, timestamp: float, packet: np.ndarray) -> List[Tuple[float, float]]:
         """Feed one packet; returns any (t_end, prediction) pairs now ready.
@@ -174,20 +99,20 @@ class StreamingPredictor:
         match the means in number (ShapeMismatch); a packet with a
         non-finite selected amplitude (NonFiniteSample). A push after finish
         is a StreamFinished. The selected samples are taken as complex128
-        whatever the packet's numeric dtype, so a stream of complex64 or
-        integer packets predicts as its complex128 copy does.
+        whatever the packet's numeric dtype (magnitude), so a stream of
+        complex64 or integer packets predicts as its complex128 copy does.
         """
         if self.finished:
             raise StreamFinished("push after finish: the stream has ended")
-        j = self.n_ready + len(self.times)  # this packet's index
         try:
             t = math.nan if isinstance(timestamp, (str, bytes)) else float(timestamp)
         except (TypeError, ValueError, OverflowError):
             t = math.nan
-        if not self.t_last < t < math.inf:
-            after = f" after {self.t_last!r}" if j else ""
+        t_last = self.times[-1] if self.times else -math.inf
+        if not t_last < t < math.inf:
+            after = f" after {t_last!r}" if self.count else ""
             raise NonMonotonicTimestamp(
-                f"packet {j}: timestamp {timestamp!r} is not a finite number{after}")
+                f"packet {self.count}: timestamp {timestamp!r} is not a finite number{after}")
         try:
             packet = np.asarray(packet)
             picked = packet[self.index] if packet.dtype.kind in "iufc" else None
@@ -197,23 +122,16 @@ class StreamingPredictor:
             what = (f"of shape {packet.shape} and dtype {packet.dtype}"
                     if isinstance(packet, np.ndarray) else "of ragged rows")
             raise ShapeMismatch(
-                f"packet {j} {what} does not give the {self.mu.shape[0]} "
+                f"packet {self.count} {what} does not give the {self.mu.shape[0]} "
                 f"numeric selected subcarriers the means have")
-        # in complex128 whatever the packet's dtype, as pass one and the
-        # batch pipeline take it: a complex64 hypot rounds otherwise
-        picked = picked.astype(np.complex128, copy=False)
-        amp = np.hypot(picked.real, picked.imag)
+        amp = magnitude(picked)
         # amplitudes are >= 0 or NaN, so the maximum is finite only if all are
-        if not amp.max() < np.inf:
-            raise NonFiniteSample(f"packet {j} has a non-finite CSI sample")
-        k = (j + self.m) % self.span  # packet j is padded row j + m
-        np.subtract(amp, self.mu, out=self.filt[k])
-        self.filt[k + self.span] = self.filt[k]
+        if not np.maximum.reduce(amp) < math.inf:
+            raise NonFiniteSample(f"packet {self.count} has a non-finite CSI sample")
         self.times.append(t)
-        self.t_last = t
-        if j < self.m:
-            return []
-        return self._next_ready()
+        self.count += 1
+        windows = self.front.feed(amp[None])
+        return self._predict(windows) if windows else []
 
     def finish(self) -> List[Tuple[float, float]]:
         """Flush the tail once the stream ends (mirror-pads the far edge).
@@ -224,23 +142,9 @@ class StreamingPredictor:
         """
         if self.finished:
             raise StreamFinished("finish after finish: the stream has ended")
-        t_total = self.n_ready + len(self.times)
-        if t_total < self.kernel.window:
-            raise SeriesTooShort(
-                f"stream of {t_total} packets shorter than the smoothing window")
-        if t_total < self.w:
-            raise WindowLongerThanSeries(
-                f"window of {self.w} packets exceeds stream length {t_total}")
+        windows = self.front.finish()
         self.finished = True
-        self._filter_waiting()
-        out = []
-        # the far-edge mirror: row T-1-i again as padded row T-1+m+i, each
-        # the look-ahead of one more row
-        last = t_total - 1 + self.m  # padded index of row T-1
-        for i in range(1, self.m + 1):
-            _put(self.filt, last + i, self.filt[(last - i) % self.span][None])
-            out.extend(self._next_ready())
-        return out
+        return self._predict(windows)
 
 
 def streaming_column_means(packets: Iterable[np.ndarray],
@@ -273,7 +177,6 @@ def streaming_column_means(packets: Iterable[np.ndarray],
                             f"a row of {shape[0]} values like packet 0") from None
                 raise
             start += len(block)
-            block = block[:, index]
-            yield np.hypot(block.real, block.imag)
+            yield magnitude(block[:, index])
 
     return column_means(blocks())

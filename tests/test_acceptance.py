@@ -23,7 +23,7 @@ from pulsesense.dsp import (
     segments_to_arrays,
     smooth_values,
 )
-from pulsesense.ingest import align
+from pulsesense.ingest import CsiStream, align
 from pulsesense.metrics import classification_metrics, regression_metrics
 from pulsesense.nn import (
     AdamState,
@@ -302,7 +302,10 @@ def test_criterion_10_protocol_plumbing(scenario_a):
         assert sum(r.n for r in reports) == 60
 
         # streaming inference == batch inference, bit for bit, on scenario (a)
-        sliced = scenario_a.stream.slice_time(0.0, 40.0)
+        stream = scenario_a.stream
+        first_40s = int(np.searchsorted(stream.timestamps, 40.0))  # frames with t < 40 s
+        sliced = CsiStream(stream.timestamps[:first_40s], stream.values[:first_40s],
+                           stream.sample_rate_hz)
         recording = align(sliced, scenario_a.heart)
         cfg = PipelineConfig(mode="heart", window_s=5.0, stride=40)
         params = init_params(ModelConfig(input_dim=64), seed=4)

@@ -844,6 +844,33 @@ def test_canonical_header_types_exit_3(workdir, capsys, field, value):
     assert "SchemaMismatch: header sample_rate_hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subs", [None, [0, 2]])
+def test_huge_header_width_exits_3(workdir, capsys, subs):
+    """A header claiming 2**50 subcarriers is measured from the subcarrier
+    index, not from an array of that width: a misfit (exit 3), and no
+    --out is opened."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["subcarriers"] = 2 ** 50
+    lines[0] = json.dumps(header)
+    (out / "stream.jsonl").write_text("\n".join(lines) + "\n")
+    block = {"mode": "heart", "window_s": 5.0}
+    if subs is not None:
+        block["subcarriers"] = subs
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": block}))
+    preds = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 3
+    width = 2 ** 50 if subs is None else 2
+    assert (f"SchemaMismatch: model takes 3 subcarriers; the stream at 20.0 Hz "
+            f"gives {width}") in capsys.readouterr().err
+    assert not preds.exists()
+
+
 @pytest.mark.parametrize("command", ["eval"])
 def test_non_finite_segment_dump_exits_3(workdir, capsys, command):
     tmp_path, out, cfg_path = workdir

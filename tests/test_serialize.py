@@ -24,7 +24,6 @@ from pulsesense.nn import (
     count_parameters,
     init_params,
     load_model,
-    quantize_params,
     save_model,
 )
 
@@ -32,7 +31,8 @@ from pulsesense.nn import (
 def small_params(seed=0, head="regression"):
     cfg = ModelConfig(input_dim=3, lstm1_units=4, lstm2_units=3,
                       dense_units=5, head=head)
-    return quantize_params(init_params(cfg, seed))
+    # float32-representable weights, which save/load keeps bit for bit
+    return load_model(save_model(init_params(cfg, seed)))[0]
 
 
 class TestRoundTrip:
@@ -62,7 +62,7 @@ class TestRoundTrip:
                               lstm2_units=int(rng.integers(1, 10)),
                               dense_units=int(rng.integers(1, 10)),
                               head="binary" if rng.random() < 0.5 else "regression")
-            params = quantize_params(init_params(cfg, int(rng.integers(0, 100))))
+            params = load_model(save_model(init_params(cfg, int(rng.integers(0, 100)))))[0]
             loaded, _ = load_model(save_model(params))
             for a, b in zip(params.tensors(), loaded.tensors()):
                 assert np.array_equal(a, b)
@@ -238,6 +238,6 @@ class TestSize:
         """45,985 float32 weights plus a small header: expect the file inside
         [0.9, 1.3]x the raw tensor bytes + 4 KiB."""
         cfg = ModelConfig(input_dim=64)
-        data = save_model(quantize_params(init_params(cfg, 0)))
+        data = save_model(load_model(save_model(init_params(cfg, 0)))[0])
         raw = count_parameters(cfg) * 4
         assert 0.9 * raw <= len(data) <= 1.3 * raw + 4096

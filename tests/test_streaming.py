@@ -10,13 +10,19 @@ import pytest
 
 from pulsesense.dsp import (
     MODES,
+    AmplitudeSeries,
     PipelineConfig,
     Savgol,
     amplitude,
+    filter_values,
     remove_dc,
     run_pipeline_config,
+    segment,
+    smooth_values,
+    standardize,
 )
-from pulsesense.dsp.pipeline import column_means
+from pulsesense.dsp import pipeline
+from pulsesense.dsp.pipeline import FrontEnd, column_means
 from pulsesense import streaming
 from pulsesense.errors import (
     NonFiniteSample,
@@ -30,7 +36,6 @@ from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
 from pulsesense.streaming import (
     PACKET_BLOCK,
-    SMOOTH_BATCH,
     StreamingPredictor,
     streaming_column_means,
 )
@@ -199,19 +204,39 @@ class TestBoundedMemory:
         rec = small_recording(duration_s=60.0, fs=fs)
         mu, _ = streaming_column_means(iter(rec.stream.values))
         predictor = StreamingPredictor(params, cfg, fs, mu)
-        w = predictor.w
+        front = predictor.front
+        w, m = predictor.w, predictor.m
+        padded, smoothed = front.padded, front.smoothed
+        # O(W + stride + m) rows: W + stride + 3m padded, 2W + stride + m smoothed
+        assert len(front.padded) + len(front.smoothed) == 3 * w + 2 * cfg.stride + 4 * m
         for t, row in zip(rec.stream.timestamps, rec.stream.values):
             predictor.push(float(t), row)
-            assert predictor.ring.shape == (2 * w, 3)  # each row held twice
-            assert predictor.filt.shape == (2 * (SMOOTH_BATCH + 2 * predictor.m), 3)
-            assert len(predictor.times) <= w + predictor.m
+            assert front.padded is padded and front.smoothed is smoothed
+            assert len(predictor.times) <= m + 1
+
+    def test_one_block_of_a_whole_recording_takes_no_larger_buffers(self):
+        """run_pipeline_config's single feed is taken in pieces of the free
+        padded rows: the buffers stay the size they were built at."""
+        rec = small_recording(duration_s=60.0)
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=3)
+        amp = amplitude(rec.stream).values
+        front = FrontEnd(cfg, 20.0, column_means([amp])[0])
+        padded, smoothed = front.padded, front.smoothed
+        shapes = padded.shape, smoothed.shape
+        windows = front.feed(amp) + front.finish()
+        assert len(windows) == (len(amp) - front.w) // 3 + 1
+        assert front.padded is padded and front.smoothed is smoothed
+        assert (padded.shape, smoothed.shape) == shapes
+        assert len(padded) + len(smoothed) < len(amp) // 2
 
 
 class TestBlockFiltering:
-    def test_cascade_runs_once_per_smoothing_batch_and_once_in_finish(self, monkeypatch):
+    def test_cascade_runs_when_a_window_is_due_and_once_in_finish(self, monkeypatch):
         """A push stores its DC-removed row; the waiting rows are band-passed
-        in one FilterState.process call per smoothing batch, and finish
-        band-passes the rest in one more, each packet exactly once."""
+        in one FilterState.process call when a window is due (a stream fed
+        one packet at a time never fills the padded buffer), and finish
+        band-passes the rest in one more, each packet exactly once. Each
+        window's new rows are smoothed in one smooth_padded call."""
         fs = 20.0
         rec = small_recording(duration_s=30.0, fs=fs)
         cfg = PipelineConfig(mode="heart", window_s=5.0, stride=7)
@@ -219,20 +244,21 @@ class TestBlockFiltering:
         mu, _ = streaming_column_means(rec.stream.values)
         predictor = StreamingPredictor(params, cfg, fs, mu)
         blocks, batches = [], []
-        process, smooth = predictor.filter_state.process, streaming.smooth_padded
-        monkeypatch.setattr(predictor.filter_state, "process",
-                            lambda x: blocks.append(len(x)) or process(x))
-        monkeypatch.setattr(streaming, "smooth_padded",
+        state = predictor.front.filter_state
+        process, smooth = state.process, pipeline.smooth_padded
+        monkeypatch.setattr(state, "process", lambda x: blocks.append(len(x)) or process(x))
+        monkeypatch.setattr(pipeline, "smooth_padded",
                             lambda kernel, padded: batches.append(len(padded))
                             or smooth(kernel, padded))
+        emitted = 0
         for t, row in zip(rec.stream.timestamps, rec.stream.values):
-            predictor.push(float(t), row)
-        assert len(blocks) == len(batches) > 0
-        pushed_batches = len(batches)
-        predictor.finish()
-        assert len(blocks) == pushed_batches + 1
-        assert sum(blocks) == rec.stream.frame_count
+            emitted += len(predictor.push(float(t), row))
+        assert len(blocks) == len(batches) == emitted > 0
         assert len(blocks) < rec.stream.frame_count // 4
+        pushed_blocks = len(blocks)
+        assert predictor.finish()
+        assert len(blocks) == pushed_blocks + 1 and len(batches) == emitted + 1
+        assert sum(blocks) == rec.stream.frame_count
 
 
 # (mode, savgol window, order, window_s, stride, T, subcarriers) at 20 Hz
@@ -249,9 +275,21 @@ SWEEP = [
     ("heart", 3, 1, 1.0, 100, 60, None),      # stride beyond the window count
     ("heart", 15, 3, 1.0, 6, 80, [3, 0]),     # subcarrier subset, reordered
     ("apnea", 31, 4, 1.5, 2, 90, [1]),        # one subcarrier
-    # W = 10 < SMOOTH_BATCH < stride: more ready rows than the ring holds
+    # W = 10 < stride: windows apart, rows between them never smoothed
     ("heart", 3, 1, 0.5, 45, 120, None),
 ]
+
+
+def sweep_recording(mode, sg_window, sg_order, window_s, stride, t_len, subs):
+    """A SWEEP case at 20 Hz: its aligned recording and pipeline config."""
+    fs = 20.0
+    rng = np.random.default_rng(t_len * 100 + sg_window)
+    values = 3 + rng.standard_normal((t_len, 4)) + 1j * rng.standard_normal((t_len, 4))
+    stream = CsiStream(np.arange(t_len) / fs, values, fs)
+    labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
+    cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
+                         savgol=Savgol(sg_window, sg_order), subcarriers=subs)
+    return AlignedRecording(stream, labels, np.zeros(t_len)), cfg
 
 
 def check_emissions_against_batch(mode, sg_window, sg_order, window_s, stride,
@@ -260,19 +298,15 @@ def check_emissions_against_batch(mode, sg_window, sg_order, window_s, stride,
     and comes from the push of packet end + m, or from finish when the
     stream ends sooner."""
     fs, m = 20.0, sg_window // 2
-    rng = np.random.default_rng(t_len * 100 + sg_window)
-    values = 3 + rng.standard_normal((t_len, 4)) + 1j * rng.standard_normal((t_len, 4))
-    stream = CsiStream(np.arange(t_len) / fs, values, fs)
-    labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
-    cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
-                         savgol=Savgol(sg_window, sg_order),
-                         subcarriers=subs)
+    recording, cfg = sweep_recording(mode, sg_window, sg_order, window_s, stride,
+                                     t_len, subs)
+    stream = recording.stream
+    values = stream.values
     params = init_params(ModelConfig(input_dim=4 if subs is None else len(subs),
                                      lstm1_units=4, lstm2_units=3, dense_units=2,
                                      head=MODES[mode].head), seed=3)
 
-    segments = run_pipeline_config(
-        AlignedRecording(stream, labels, np.zeros(t_len)), cfg)
+    segments = run_pipeline_config(recording, cfg)
     w = segments[0].values.shape[0]
     expected = []
     for seg in segments:
@@ -282,10 +316,12 @@ def check_emissions_against_batch(mode, sg_window, sg_order, window_s, stride,
 
     mu, _ = streaming_column_means(values, subs)
     predictor = StreamingPredictor(params, cfg, fs, mu)
+    front = predictor.front
+    padded, smoothed = front.padded, front.smoothed
     got = []
     for k in range(t_len):
         got.extend((k, t, p) for t, p in predictor.push(stream.timestamps[k], values[k]))
-        assert predictor.filt.shape == (2 * (SMOOTH_BATCH + 2 * m), len(mu))
+        assert front.padded is padded and front.smoothed is smoothed
         assert len(predictor.times) <= m + 1
     got.extend((t_len, t, p) for t, p in predictor.finish())
     assert len(expected) >= 1 and got == expected
@@ -307,14 +343,68 @@ class TestSweep:
         ("breath", 15, 3, 2.0, 5, 40),   # W = 40 > 2m+1
         ("apnea", 3, 1, 1.0, 3, 20),     # m = 1
     ])
-    def test_stop_at_every_offset_within_one_smoothing_batch(
+    def test_stop_at_every_offset_within_one_compaction_span(
             self, mode, sg_window, sg_order, window_s, stride, t_first):
-        """Streams of each length from t_first to one smoothing batch more, so
-        finish meets every count of rows still waiting to be band-passed and
-        smoothed."""
-        for t_len in range(t_first, t_first + SMOOTH_BATCH + 1):
+        """Streams of each length from t_first to t_first plus one padded
+        buffer, the longest span between two moves of its live rows to the
+        front, so finish meets every count of rows still waiting to be
+        band-passed and smoothed, at every position of those rows."""
+        cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
+                             savgol=Savgol(sg_window, sg_order))
+        span = len(FrontEnd(cfg, 20.0, np.zeros(4)).padded)
+        for t_len in range(t_first, t_first + span + 1):
             check_emissions_against_batch(mode, sg_window, sg_order, window_s,
                                           stride, t_len, None)
+
+
+def composed_windows(recording, cfg):
+    """The reference chain: the stage functions over whole arrays."""
+    fs = recording.stream.sample_rate_hz
+    cascade, kernel, _ = cfg.stages(fs)
+    series = amplitude(recording.stream)
+    if cfg.subcarriers is not None:
+        series = AmplitudeSeries(series.values[:, cfg.subcarriers], fs)
+    series = remove_dc(series)
+    smoothed = smooth_values(kernel, filter_values(cascade, series.values))
+    return [standardize(raw) for raw in
+            segment(AmplitudeSeries(smoothed, fs), cfg.window_s, cfg.stride)]
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("case", SWEEP)
+    def test_run_pipeline_config_equals_the_stage_functions(self, case):
+        """The oracle the front end answers to: the stage functions composed
+        over whole arrays, window for window and bit for bit."""
+        recording, cfg = sweep_recording(*case)
+        expected = composed_windows(recording, cfg)
+        segments = run_pipeline_config(recording, cfg)
+        assert len(segments) == len(expected) >= 1
+        for k, (seg, window) in enumerate(zip(segments, expected)):
+            assert seg.start_index == k * cfg.stride
+            assert seg.values.tobytes() == window.tobytes()
+
+    @pytest.mark.parametrize("case", SWEEP)
+    def test_any_block_split_gives_the_same_windows(self, case):
+        """Blocks of 1, 2, 7, 33 and T rows, with an empty block among them,
+        give the windows of the stage functions in the same order."""
+        recording, cfg = sweep_recording(*case)
+        expected = composed_windows(recording, cfg)
+        amp = amplitude(recording.stream).values
+        if cfg.subcarriers is not None:
+            amp = amp[:, cfg.subcarriers]
+        mu, t_len = column_means([amp])
+        for size in (1, 2, 7, 33, t_len):
+            front = FrontEnd(cfg, 20.0, mu)
+            got = front.feed(amp[:0])
+            for lo in range(0, t_len, size):
+                got += front.feed(amp[lo:lo + size])
+                if lo == 0:
+                    got += front.feed(amp[:0])
+            got += front.finish()
+            assert [start for start, _ in got] == [
+                k * cfg.stride for k in range(len(expected))]
+            assert [window.tobytes() for _, window in got] == [
+                window.tobytes() for window in expected]
 
 
 class TestNonFinite:
@@ -550,8 +640,12 @@ class TestRefusals:
 
 
 def state_of(predictor):
-    """Everything of a predictor that a push or finish changes, comparable."""
-    return ({name: value.tobytes() if isinstance(value, np.ndarray)
-             else tuple(value) if isinstance(value, deque) else value
-             for name, value in vars(predictor).items() if name != "filter_state"},
-            predictor.filter_state._pipe.tobytes(), predictor.filter_state._phase)
+    """Everything of a predictor and its front end that a push or finish
+    changes, comparable."""
+    def fields(obj, skip):
+        return {name: value.tobytes() if isinstance(value, np.ndarray)
+                else tuple(value) if isinstance(value, deque) else value
+                for name, value in vars(obj).items() if name != skip}
+    front = predictor.front
+    return (fields(predictor, "front"), fields(front, "filter_state"),
+            front.filter_state._pipe.tobytes(), front.filter_state._phase)
