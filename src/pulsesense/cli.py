@@ -3,7 +3,7 @@
 Subcommands: synth, process, train, eval, cv, infer, bench. Config-driven
 commands take one JSON document plus ``--set path.key=value`` overrides and
 write only into the configured output directory. Exit codes: 0 ok,
-2 config error, 3 data error, 4 runtime error.
+2 config error, 3 data error, 4 runtime error (out of memory included).
 """
 
 from __future__ import annotations
@@ -232,38 +232,53 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _iter_canonical_packets(path: str):
-    """Yield (timestamp, complex row) pairs without materializing the file."""
-    with open(path, "rb") as fh:
-        _, _, frames = iter_canonical(utf8_lines(fh))
-        for t, re, im in frames:
-            yield t, complex_values(re, im)
+def _packets(fh):
+    """Read the canonical stream in ``fh`` from the start of the file: yield
+    its header's (sample_rate_hz, subcarriers), then a (timestamp, complex
+    row) pair per frame."""
+    fh.seek(0)
+    fs, n_sub, frames = iter_canonical(utf8_lines(fh))
+    yield fs, n_sub
+    for t, re, im in frames:
+        yield t, complex_values(re, im)
+
+
+def _changed(count: int, seen: str) -> DataError:
+    return DataError(f"the stream changed between the passes: pass one read "
+                     f"{count} packets, pass two {seen}")
 
 
 def cmd_infer(args) -> int:
     params, pipeline_cfg, trained_w = _load_trained(args.model)
-    # the header and pass one share one open of the stream; pass two opens it again
+    # one open of the stream; each pass reads it from the start of the file
     with open(args.stream, "rb") as fh:
-        fs, n_sub, frames = iter_canonical(utf8_lines(fh))
+        packets = _packets(fh)
+        fs, n_sub = next(packets)
         with _stored_in(args.model):
             _, _, w = pipeline_cfg.stages(fs)
         index = subcarrier_index(pipeline_cfg.subcarriers, n_sub)
         width = n_sub if isinstance(index, slice) else len(index)
         _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
-        mu, _count = streaming_column_means(
-            (complex_values(re, im) for _, re, im in frames), pipeline_cfg.subcarriers)
-    predictor = StreamingPredictor(params, pipeline_cfg, fs, mu)
+        mu, count = streaming_column_means((row for _, row in packets),
+                                           pipeline_cfg.subcarriers)
+        predictor = StreamingPredictor(params, pipeline_cfg, fs, mu)
+        packets = _packets(fh)
+        next(packets)  # the header, whose values pass one took
 
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for t, row in _iter_canonical_packets(args.stream):
-            for t_end, pred in predictor.push(t, row):
+        sink = open(args.out, "w") if args.out else sys.stdout
+        try:
+            for t, row in packets:
+                if predictor.count == count:
+                    raise _changed(count, f"at least {count + 1}")
+                for t_end, pred in predictor.push(t, row):
+                    sink.write(f"{t_end!r},{pred!r}\n")
+            if predictor.count != count:
+                raise _changed(count, str(predictor.count))
+            for t_end, pred in predictor.finish():
                 sink.write(f"{t_end!r},{pred!r}\n")
-        for t_end, pred in predictor.finish():
-            sink.write(f"{t_end!r},{pred!r}\n")
-    finally:
-        if args.out:
-            sink.close()
+        finally:
+            if args.out:
+                sink.close()
     return 0
 
 
@@ -361,6 +376,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     except PulseSenseError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

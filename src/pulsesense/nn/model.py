@@ -52,10 +52,16 @@ the halved kernels, the scale/offset rows, the gate, state and work
 buffers and the per-step lists. A run writes each layer's input
 projection into its gate buffer, adds the bias, zeroes the cell state and
 walks the step loop, so per call only the arithmetic and the dispatch of
-the steps remain. Streaming holds one B=1 plan per predictor, predict and
-the validation loss one plan for their full chunks, and the throughput
-bench one; predict_batch is a one-shot plan. forward_batch builds layers
+the steps remain. A plan is the only inference set-up: streaming builds
+one B=1 plan per predictor, predict and the validation loss one plan per
+chunk shape, and the throughput bench one. forward_batch builds layers
 with ``keep`` per call, since their buffers become the cache.
+
+_check_batch is the one place where the network's input is checked and
+widened to float64: forward, forward_batch and InferencePlan.run all pass
+through it. Integer and floating-point input is widened exactly; any other
+dtype (complex, strings, objects, booleans) is a ShapeMismatch, since
+casting it would drop an imaginary part or parse text.
 
 Backward consumes its cache: BPTT writes each step's dz over the gate row
 it has just read and the shifted hidden states over the spent cell states,
@@ -401,10 +407,13 @@ def _check_shape(cfg: ModelConfig, shape: Tuple[int, ...]) -> None:
 
 
 def _check_batch(cfg: ModelConfig, x) -> np.ndarray:
-    """The (B, T, S) input as float64, refused unless it fits ``cfg``."""
-    x = np.asarray(x, dtype=np.float64)
+    """The (B, T, S) input widened to float64, refused unless it holds
+    integers or floating-point numbers and fits ``cfg``."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ShapeMismatch(f"expected integer or floating-point input, got {x.dtype}")
     _check_shape(cfg, x.shape)
-    return x
+    return x.astype(np.float64, copy=False)
 
 
 def _dense_head(params: ModelParams, h2_last):
@@ -420,7 +429,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, training: bool = False,
                   rng_seed: Optional[int] = None) -> Tuple[np.ndarray, ForwardCache]:
     """Forward pass over a (B, T, S) batch; returns per-window predictions
     and the cache that backward_batch takes. For predictions alone, use
-    predict_batch, which builds no cache."""
+    an InferencePlan, which builds no cache."""
     cfg = params.config
     x = _check_batch(cfg, x)
     p = cfg.dropout_rate
@@ -458,10 +467,11 @@ class InferencePlan:
     plan predicts. A run writes each layer's input projection into its
     gate buffer, adds the bias, zeroes the cell state and walks the step
     loop, so nothing carries over from one run to the next. Its predictions
-    are bit for bit those of predict_batch and of
-    forward_batch(training=False). At B > 1 a run copies layer 1's states,
-    a transposed view, into one C-ordered buffer of the plan for layer 2's
-    projection, which would otherwise copy them; at B = 1 the view is C-ordered.
+    are bit for bit those of forward_batch(training=False), with no cache
+    built: no gate row is written back and one cell state is kept per
+    layer. At B > 1 a run copies layer 1's states, a transposed view, into
+    one C-ordered buffer of the plan for layer 2's projection, which would
+    otherwise copy them; at B = 1 the view is C-ordered.
     """
 
     def __init__(self, params: ModelParams, shape: Tuple[int, ...]):
@@ -475,9 +485,9 @@ class InferencePlan:
         self.h1 = np.empty((batch, t_len, p.config.lstm1_units)) if batch > 1 else None
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Predictions over ``x``, which must have the plan's shape; widened
-        to float64 first."""
-        x = np.asarray(x, dtype=np.float64)
+        """Predictions over ``x``, which must have the plan's shape; checked
+        and widened by _check_batch first."""
+        x = _check_batch(self.params.config, x)
         if x.shape != self.shape:
             raise ShapeMismatch(f"a plan for {self.shape} input got {x.shape}")
         for layer, out in zip(self.layers, (self.h1, None)):
@@ -486,19 +496,10 @@ class InferencePlan:
         return _dense_head(self.params, x[:, -1, :])[-1]
 
 
-def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Inference-mode predictions over a (B, T, S) batch, bit for bit those
-    of forward_batch(training=False), without building the BPTT cache: no
-    gate row is written back and one cell state is kept per layer. A one-shot
-    InferencePlan; a caller that predicts at one shape many times keeps one."""
-    x = _check_batch(params.config, x)
-    return InferencePlan(params, x.shape).run(x)
-
-
 def forward(params: ModelParams, segment: np.ndarray, training: bool = False,
             rng_seed: Optional[int] = None) -> Tuple[float, ForwardCache]:
     """Single-window forward pass; ``segment`` is a (W, S) matrix."""
-    segment = np.asarray(segment, dtype=np.float64)
+    segment = np.asarray(segment)
     if segment.ndim != 2:
         raise ShapeMismatch(f"expected a (W, S) matrix, got shape {segment.shape}")
     preds, cache = forward_batch(params, segment[None, :, :], training, rng_seed)

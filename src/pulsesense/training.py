@@ -40,7 +40,6 @@ from .nn import (
     forward_batch,
     init_params,
     mse_loss,
-    predict_batch,
 )
 
 Arrays = Tuple[np.ndarray, np.ndarray]  # (x, y): (N, W, S) windows, N labels
@@ -113,7 +112,7 @@ def _no_training_window(f: float, n: int) -> ConfigInvalidValue:
 
 def _float_labels(data: Arrays) -> Arrays:
     """``(x, y)`` with ``y`` widened to float64. ``x`` stays as given:
-    forward_batch and predict_batch widen each batch exactly, so a float32
+    forward_batch and InferencePlan.run widen each batch exactly, so a float32
     ``x`` trains and scores as its float64 copy would."""
     x, y = data
     return np.asarray(x), np.asarray(y, dtype=np.float64)
@@ -163,17 +162,14 @@ def split_segments(n: int, config: TrainingConfig,
 
 def _chunk_predictions(params, x):
     """Yield (lo, predictions) for each PREDICT_CHUNK-window chunk of ``x``
-    in turn: one InferencePlan runs every full chunk, and predict_batch the
-    ragged last one."""
+    in turn, run on one InferencePlan per chunk shape: one for every full
+    chunk, and one for the ragged last chunk."""
     plan = None
     for lo in range(0, x.shape[0], PREDICT_CHUNK):
         chunk = x[lo:lo + PREDICT_CHUNK]
-        if len(chunk) < PREDICT_CHUNK:
-            yield lo, predict_batch(params, chunk)
-        else:
-            if plan is None:
-                plan = InferencePlan(params, chunk.shape)
-            yield lo, plan.run(chunk)
+        if plan is None or plan.shape != chunk.shape:
+            plan = InferencePlan(params, chunk.shape)
+        yield lo, plan.run(chunk)
 
 
 def _batch_losses(params, x, y, head):

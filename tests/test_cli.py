@@ -9,7 +9,8 @@ import zlib
 import numpy as np
 import pytest
 
-from pulsesense.cli import _iter_canonical_packets, main
+from pulsesense import cli
+from pulsesense.cli import _packets, main
 from pulsesense.ingest import CsiStream, parse_canonical, write_canonical
 
 
@@ -300,8 +301,8 @@ def test_non_finite_sample_exits_3_before_any_output(workdir, capsys):
 
 def test_infer_opens_its_stream_twice_and_once_when_pass_one_refuses(
         workdir, capsys, monkeypatch):
-    """The header and pass one share one open of the stream and pass two
-    opens it again; a stream that pass one refuses is opened once."""
+    """Both passes read the stream through one open, for a good stream as
+    for one that pass one refuses."""
     tmp_path, out, cfg_path = workdir
     assert main(["synth", "--config", str(cfg_path)]) == 0
     good = out / "stream.jsonl"
@@ -325,7 +326,7 @@ def test_infer_opens_its_stream_twice_and_once_when_pass_one_refuses(
     capsys.readouterr()
     assert main(["infer", "--model", str(model), "--stream", str(good),
                  "--out", str(preds)]) == 0
-    assert opened.count(str(good)) == 2
+    assert opened.count(str(good)) == 1
     assert main(["infer", "--model", str(model), "--stream", str(bad)]) == 3
     assert "NonFiniteSample: packet 200 " in capsys.readouterr().err
     assert opened.count(str(bad)) == 1
@@ -479,8 +480,65 @@ def test_infer_packets_equal_parse_canonical_bitwise(tmp_path):
     expected = parse_canonical(path.read_bytes()).values
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.stack([row for _, row in _iter_canonical_packets(str(path))])
+        with open(path, "rb") as fh:
+            packets = list(_packets(fh))
+    assert packets[0] == (80.0, 4)  # the header
+    rows = np.stack([row for _, row in packets[1:]])
     assert rows.tobytes() == expected.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("change,seen", [("append", "at least 1201"), ("truncate", "1190")])
+def test_infer_refuses_a_stream_that_changes_between_the_passes(
+        workdir, capsys, monkeypatch, change, seen):
+    """Pass two refuses a stream whose packet count is not pass one's, at
+    the first surplus packet or after the last one, before finish writes
+    the tail: the rows written are a strict prefix of the unchanged run's."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    stream = out / "stream.jsonl"
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    good, preds = tmp_path / "good.csv", tmp_path / "preds.csv"
+    argv = ["infer", "--model", str(model), "--stream", str(stream)]
+    assert main(argv + ["--out", str(good)]) == 0
+    lines = stream.read_text().splitlines()
+
+    first_pass = cli.streaming_column_means
+
+    def then_edit(packets, subcarriers):  # pass one, then the edit
+        means = first_pass(packets, subcarriers)
+        if change == "append":
+            frame = json.loads(lines[-1])
+            frame["t"] += 1.0
+            stream.write_text("\n".join(lines + [json.dumps(frame)]) + "\n")
+        else:
+            stream.write_text("\n".join(lines[:-10]) + "\n")
+        return means
+
+    monkeypatch.setattr(cli, "streaming_column_means", then_edit)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(preds)]) == 3
+    err = capsys.readouterr().err
+    assert f"DataError: the stream changed between the passes: pass one read 1200 " \
+           f"packets, pass two {seen}" in err
+    written, want = preds.read_text(), good.read_text()
+    assert len(written) < len(want) and want.startswith(written)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--set", "synth.scenario.duration_s=1e13"],
+    ["bench", "--seq-len", "1000000000000", "--batch", "64", "--n-preds", "64"],
+], ids=["synth", "bench"])
+def test_memory_error_exits_4(workdir, capsys, argv):
+    """An array past the address space is a runtime error with a one-line
+    message, not a traceback; numpy refuses it before allocating."""
+    tmp_path, out, cfg_path = workdir
+    if argv[0] == "synth":
+        argv = argv[:1] + ["--config", str(cfg_path)] + argv[1:]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: Unable to allocate") and err.count("\n") == 1
 
 
 def test_runtime_error_exits_4(workdir, capsys):

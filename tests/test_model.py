@@ -26,7 +26,6 @@ from pulsesense.nn import (
     forward_batch,
     init_params,
     mse_loss,
-    predict_batch,
 )
 from pulsesense.nn import model
 from pulsesense.nn.model import _sigmoid
@@ -36,6 +35,11 @@ SMALL = dict(input_dim=3, lstm1_units=4, lstm2_units=3, dense_units=5)
 
 def small_config(head="regression", dropout=0.0):
     return ModelConfig(head=head, dropout_rate=dropout, **SMALL)
+
+
+def one_shot(params, x):
+    """Predictions of a plan built for ``x`` alone."""
+    return InferencePlan(params, x.shape).run(x)
 
 
 def finite_difference_check(head, dropout=0.0, seed=3, rng_seed=99,
@@ -445,7 +449,7 @@ class TestTimeMajorKernels:
     """The kernels with time-major cell and hidden states and halved sigmoid
     rows compute what the batch-major ones did, bit for bit: halving is
     exact, and every BLAS call keeps its shape, row order and column order.
-    So does predict_batch, which runs the same kernels without their cache;
+    So does an InferencePlan, which runs the same kernels without their cache;
     at B=1 their element-wise calls take 1-D rows."""
 
     @pytest.mark.parametrize("head", ["regression", "binary"])
@@ -476,7 +480,7 @@ class TestTimeMajorKernels:
         for got, want in zip(grads.tensors(), ref_grads):
             assert got.shape == want.shape and np.array_equal(got, want)
         if dropout == 0.0:  # preds come from forward_batch(training=False)
-            assert predict_batch(params, x).tobytes() == preds.tobytes()
+            assert one_shot(params, x).tobytes() == preds.tobytes()
 
 
 PLAN_CASES = ([(PAPER_STACK, 200, b) for b in (1, 3, 17, 64)]
@@ -484,7 +488,7 @@ PLAN_CASES = ([(PAPER_STACK, 200, b) for b in (1, 3, 17, 64)]
 
 
 class TestInferencePlan:
-    """A plan built once for (params, B, T) predicts what predict_batch and
+    """A plan built once for (params, B, T) predicts what a one-shot plan and
     forward_batch(training=False) do, bit for bit, on every run."""
 
     @pytest.mark.parametrize("head", ["regression", "binary"])
@@ -496,7 +500,7 @@ class TestInferencePlan:
         params = init_params(cfg, 5)
         x = np.random.default_rng(batch).standard_normal((batch, t_len, cfg.input_dim))
         want = forward_batch(params, x)[0].tobytes()
-        assert predict_batch(params, x).tobytes() == want
+        assert one_shot(params, x).tobytes() == want
         plan = InferencePlan(params, x.shape)
         assert plan.run(x).tobytes() == want
         assert plan.run(x).tobytes() == want
@@ -529,7 +533,7 @@ class TestInferencePlan:
         inputs = (a, nan, b, a)
         got = [plan.run(v) for v in inputs]
         for v, preds in zip(inputs, got):
-            assert preds.tobytes() == predict_batch(params, v).tobytes()
+            assert preds.tobytes() == one_shot(params, v).tobytes()
         assert np.isnan(got[1][0]) and np.isfinite(got[1][1:]).all()
         assert np.isfinite(got[2]).all() and got[3].tobytes() == got[0].tobytes()
 
@@ -541,7 +545,7 @@ class TestInferencePlan:
         for tensor in params.tensors():
             tensor *= 2.0
         assert plan.run(x).tobytes() == before
-        assert predict_batch(params, x).tobytes() != before
+        assert one_shot(params, x).tobytes() != before
 
     def test_plan_refuses_other_shapes(self):
         params = init_params(small_config(), 0)
@@ -552,6 +556,21 @@ class TestInferencePlan:
         for shape in [(0, 9, 3), (2, 0, 3), (2, 9, 4), (9, 3)]:
             with pytest.raises(ShapeMismatch):
                 InferencePlan(params, shape)
+
+    @pytest.mark.parametrize("values", [np.full((1, 5, 3), 1 + 2j),
+                                        np.array([[["1", "2", "1"]] * 5]),
+                                        np.ones((1, 5, 3), dtype=bool)],
+                             ids=["complex", "string", "bool"])
+    def test_non_real_input_refused(self, values):
+        """Only integer and floating-point input is widened to float64: a
+        cast would drop an imaginary part or parse text. The plan run,
+        forward_batch and forward all refuse the rest by one check."""
+        params = init_params(small_config(), 0)
+        plan = InferencePlan(params, values.shape)
+        for call in (plan.run, lambda v: forward_batch(params, v),
+                     lambda v: forward(params, v[0])):
+            with pytest.raises(ShapeMismatch, match="floating-point"):
+                call(values)
 
     def test_warm_run_allocates_no_copy_of_layer_one_states(self):
         """At B > 1 layer 2 reads layer 1's states from a buffer the plan

@@ -14,7 +14,7 @@ from pulsesense.errors import (
     TooFewSegments,
 )
 from pulsesense import training
-from pulsesense.nn import InferencePlan, ModelConfig, init_params, mse_loss, predict_batch
+from pulsesense.nn import InferencePlan, ModelConfig, init_params, mse_loss
 from pulsesense.training import (
     PREDICT_CHUNK,
     TrainingConfig,
@@ -313,7 +313,7 @@ def test_float32_dump_view_scores_as_its_float64_widening(head):
 
 @pytest.mark.parametrize("head", ["regression", "binary"])
 def test_float32_x_trains_as_its_float64_widening(head):
-    """train and kfold_cv widen only y; forward_batch and predict_batch widen
+    """train and kfold_cv widen only y; forward_batch and InferencePlan.run widen
     each batch of x, so a float32 x gives the params, history and reports of
     its float64 copy, bit for bit."""
     x, y = tiny_dataset(n=30, binary=head == "binary")
@@ -349,8 +349,8 @@ def test_predict_holds_no_cache_between_chunks():
 
 def test_predict_and_validation_build_one_plan_per_chunk_shape(monkeypatch):
     """predict and the validation loss run one InferencePlan over every full
-    chunk and a one-shot predict_batch over the ragged last one, with the
-    predictions of predict_batch on each chunk."""
+    chunk and one more over the ragged last one, with the predictions of a
+    one-shot plan on each chunk."""
     shapes = []
     init = InferencePlan.__init__
 
@@ -362,8 +362,8 @@ def test_predict_and_validation_build_one_plan_per_chunk_shape(monkeypatch):
     params = init_params(TINY_MODEL, 1)
     n = 3 * PREDICT_CHUNK + 5
     x, y = tiny_dataset(n=n)
-    want = [predict_batch(params, x[lo:lo + PREDICT_CHUNK])
-            for lo in range(0, n, PREDICT_CHUNK)]
+    chunks = [x[lo:lo + PREDICT_CHUNK] for lo in range(0, n, PREDICT_CHUNK)]
+    want = [InferencePlan(params, chunk.shape).run(chunk) for chunk in chunks]
     chunk_shapes = [(PREDICT_CHUNK, 10, 2), (5, 10, 2)]
     assert shapes == [(PREDICT_CHUNK, 10, 2)] * 3 + [(5, 10, 2)]
     shapes.clear()
