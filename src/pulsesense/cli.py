@@ -22,6 +22,7 @@ from .bench import CSV_HEADER, bench_inference
 from .dsp.pipeline import (
     MODES,
     PipelineConfig,
+    check_smoothable,
     mode_spec,
     read_segment_dump,
     run_pipeline_config,
@@ -140,14 +141,16 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
     training_cfg, model_cfg, pipeline_cfg, x, y = _training_inputs(cfg)
     idx = split_segments(x.shape[0], training_cfg)
-    params, history = train((x[idx.train], y[idx.train]), model_cfg, training_cfg,
-                            val_segments=(x[idx.val], y[idx.val]))
-    report = evaluate(params, (x[idx.test], y[idx.test]),
-                      threshold=mode_spec(pipeline_cfg.mode).threshold)
+    window_packets = x.shape[1]
+    # the parts are copies: drop the stack so it is not held twice in training
+    train_set, val_set, test_set = [(x[i], y[i]) for i in (idx.train, idx.val, idx.test)]
+    del x
+    params, history = train(train_set, model_cfg, training_cfg, val_segments=val_set)
+    report = evaluate(params, test_set, threshold=mode_spec(pipeline_cfg.mode).threshold)
 
     _write(os.path.join(out, "model.psnn"),
            save_model(params, extra={"pipeline": pipeline_cfg.to_dict(),
-                                     "window_packets": x.shape[1]}))
+                                     "window_packets": window_packets}))
     _write(os.path.join(out, "history.csv"), history.to_csv())
     _write(os.path.join(out, "metrics.json"), report.to_json() + "\n")
     print(f"trained {history.stopped_epoch} epochs "
@@ -255,12 +258,13 @@ def cmd_infer(args) -> int:
         packets = _packets(fh)
         fs, n_sub = next(packets)
         with _stored_in(args.model):
-            _, _, w = pipeline_cfg.stages(fs)
+            _, w = pipeline_cfg.stages(fs)
         index = subcarrier_index(pipeline_cfg.subcarriers, n_sub)
         width = n_sub if isinstance(index, slice) else len(index)
         _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
         mu, count = streaming_column_means((row for _, row in packets),
                                            pipeline_cfg.subcarriers)
+        check_smoothable(count, pipeline_cfg.savgol.window)
         predictor = StreamingPredictor(params, pipeline_cfg, fs, mu)
         packets = _packets(fh)
         next(packets)  # the header, whose values pass one took

@@ -78,6 +78,8 @@ class BiquadCascade:
         for sec in self.sections:
             if not sec.is_stable():
                 raise InvalidBand(f"unstable section {sec}")
+        if not math.isfinite(self.overall_gain):
+            raise InvalidBand(f"overall gain {self.overall_gain} is not finite")
 
     def poles(self) -> np.ndarray:
         out = []
@@ -125,8 +127,11 @@ def design_bandpass(spec: FilterSpec) -> BiquadCascade:
         # no finite analog zeros; all digital zeros sit at z = -1
         digital = [_bilinear_pole(p, fs2) for p in analog_poles]
         gain_num = 1.0
-        gain_den = np.prod([fs2 - p for p in analog_poles])
-        gain = gain_a * (gain_num / gain_den).real
+        # at rates so high that this overflows, the poles have rounded onto
+        # the unit circle: BiquadCascade refuses the design, so no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain_den = np.prod([fs2 - p for p in analog_poles])
+            gain = gain_a * (gain_num / gain_den).real
 
         sections = []
         complex_poles = [p for p in digital if p.imag > 1e-14]
@@ -169,7 +174,12 @@ def design_bandpass(spec: FilterSpec) -> BiquadCascade:
             pole_pairs.append((q2, q2.conjugate()))
     gain_a = bw ** order
     # N analog zeros at s = 0
-    gain = gain_a * ((fs2 ** order) / np.prod([fs2 - p for p in analog_poles])).real
+    try:
+        zeros_gain = fs2 ** order
+    except OverflowError:  # as above, BiquadCascade refuses the design
+        zeros_gain = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = gain_a * (zeros_gain / np.prod([fs2 - p for p in analog_poles])).real
 
     sections = []
     for q1, q2 in pole_pairs:

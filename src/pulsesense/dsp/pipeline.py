@@ -28,7 +28,7 @@ from ..errors import (
 )
 from ..ingest import AlignedRecording, CsiStream
 from .filters import BiquadCascade, FilterSpec, FilterState, design_bandpass
-from .savgol import SavGolKernel, savgol_kernel, smooth_padded
+from .savgol import kernel_spec, savgol_kernel, smooth_padded
 
 
 class Mode(NamedTuple):
@@ -264,13 +264,16 @@ class PipelineConfig:
             return mode_spec(self.mode).band
         return self.band.low_hz, self.band.high_hz
 
-    def stages(self, sample_rate_hz: float) -> Tuple[BiquadCascade, SavGolKernel, int]:
-        """(band-pass cascade, smoothing kernel, window length in packets) at
-        ``sample_rate_hz``: the one place batch, streaming and infer take their
-        stage parameters from. Values that cannot run at this rate raise."""
+    def stages(self, sample_rate_hz: float) -> Tuple[BiquadCascade, int]:
+        """(band-pass cascade, window length in packets) at ``sample_rate_hz``:
+        the one place batch, streaming and infer take their stage parameters
+        from. Values that cannot run at this rate raise. The smoothing window
+        is checked (kernel_spec) but its kernel not designed, since the design
+        grows with the window: FrontEnd designs it, and its callers first
+        measure the stream against the window (check_smoothable)."""
         low, high = self.effective_band()
         cascade = design_bandpass(FilterSpec(low, high, BANDPASS_ORDER, sample_rate_hz))
-        kernel = savgol_kernel(self.savgol.window, self.savgol.order)
+        kernel_spec(self.savgol.window, self.savgol.order)
         finite = math.isfinite(self.window_s * sample_rate_hz)
         w = window_length(self.window_s, sample_rate_hz) if finite else 0
         if w < 1:
@@ -279,7 +282,15 @@ class PipelineConfig:
                 f"{self.window_s} s at {sample_rate_hz} Hz does not")
         if self.stride < 1:
             raise ConfigInvalidValue("pipeline.stride must be a positive packet count")
-        return cascade, kernel, w
+        return cascade, w
+
+
+def check_smoothable(n_packets: int, window: int) -> None:
+    """SeriesTooShort when a stream of ``n_packets`` is shorter than the
+    smoothing ``window``."""
+    if n_packets < window:
+        raise SeriesTooShort(
+            f"stream of {n_packets} packets shorter than the smoothing window")
 
 
 class FrontEnd:
@@ -302,7 +313,8 @@ class FrontEnd:
     """
 
     def __init__(self, cfg: PipelineConfig, sample_rate_hz: float, mu: np.ndarray):
-        cascade, self.kernel, self.w = cfg.stages(sample_rate_hz)
+        cascade, self.w = cfg.stages(sample_rate_hz)
+        self.kernel = savgol_kernel(cfg.savgol.window, cfg.savgol.order)
         # a (1, S) row: one packet's row subtracts it without broadcasting
         self.m, self.stride, self.mu = self.kernel.half_width, cfg.stride, mu[None]
         self.filter_state = FilterState(cascade, len(mu))
@@ -338,9 +350,7 @@ class FrontEnd:
         shorter than the smoothing window (SeriesTooShort), then than a window
         (WindowLongerThanSeries), is refused first, changing nothing."""
         t_len = self.p_end - self.m
-        if t_len < self.kernel.window:
-            raise SeriesTooShort(
-                f"stream of {t_len} packets shorter than the smoothing window")
+        check_smoothable(t_len, self.kernel.window)
         if t_len < self.w:
             raise WindowLongerThanSeries(
                 f"window of {self.w} packets exceeds stream length {t_len}")
@@ -394,11 +404,16 @@ def run_pipeline(recording: AlignedRecording, mode: str, window_s: float,
 def run_pipeline_config(recording: AlignedRecording,
                         cfg: PipelineConfig) -> List[WindowSegment]:
     """Run all five stages over an aligned recording: its selected
-    amplitudes, fed to a FrontEnd in one block, each window labelled."""
+    amplitudes, fed to a FrontEnd in one block, each window labelled. The
+    stage parameters are checked, then the stream against the smoothing
+    window, before the FrontEnd designs the kernel."""
     stream = recording.stream
     index = subcarrier_index(cfg.subcarriers, stream.subcarrier_count)
     values = amplitude(stream).values[:, index]
-    front = FrontEnd(cfg, stream.sample_rate_hz, column_means([values])[0])
+    mu, _ = column_means([values])
+    cfg.stages(stream.sample_rate_hz)
+    check_smoothable(len(values), cfg.savgol.window)
+    front = FrontEnd(cfg, stream.sample_rate_hz, mu)
     windows = front.feed(values) + front.finish()
     return [WindowSegment(window, window_label(recording.alignment, start, front.w, cfg.mode),
                           start, front.w / stream.sample_rate_hz)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -39,8 +40,10 @@ class SavGolKernel:
         return weights
 
 
-def savgol_kernel(window: int, poly_order: int) -> SavGolKernel:
-    """Compute smoothing coefficients for an odd window and polynomial order."""
+def kernel_spec(window: int, poly_order: int) -> Tuple[int, int]:
+    """(window, poly_order) as integers once checked: an odd positive window
+    and 0 <= poly_order < window, else InvalidKernelSpec. This is the check
+    of savgol_kernel without the design, whose cost grows with the window."""
     window = int(window)
     poly_order = int(poly_order)
     if window < 1 or window % 2 == 0:
@@ -48,6 +51,12 @@ def savgol_kernel(window: int, poly_order: int) -> SavGolKernel:
     if not 0 <= poly_order < window:
         raise InvalidKernelSpec(
             f"poly_order must satisfy 0 <= order < window, got {poly_order}")
+    return window, poly_order
+
+
+def savgol_kernel(window: int, poly_order: int) -> SavGolKernel:
+    """Compute smoothing coefficients for an odd window and polynomial order."""
+    window, poly_order = kernel_spec(window, poly_order)
     m = window // 2
     # offsets scaled to [-1, 1]: the fitted centre value is invariant to the
     # basis scale, and the scaled Vandermonde stays well conditioned even for

@@ -99,6 +99,13 @@ class Scenario:
                 and self.subcarriers >= 1):
             raise InvalidScenario(
                 "duration and rate must be positive and finite, subcarriers positive")
+        # the complex128 (packets, subcarriers) values must be an array numpy
+        # can index; a larger one is refused here, before any array is made
+        packets = self.duration_s * self.sample_rate_hz
+        if not packets * 16 <= np.iinfo(np.intp).max / self.subcarriers:
+            raise InvalidScenario(
+                f"{packets:.3g} packets of {self.subcarriers} subcarriers at 16 bytes "
+                f"a value exceed the largest array numpy can index")
         for sched, (lo, hi), what in ((self.hr_bpm, HR_SCHEDULE_RANGE, "heart"),
                                       (self.br_brpm, BR_SCHEDULE_RANGE, "breathing")):
             if any(not lo <= v <= hi for v in sched.values):  # NaN too

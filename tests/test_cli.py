@@ -4,12 +4,14 @@ import builtins
 import json
 import struct
 import warnings
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from pulsesense import cli
+from pulsesense.dsp import pipeline
 from pulsesense.cli import _packets, main
 from pulsesense.ingest import CsiStream, parse_canonical, write_canonical
 
@@ -552,6 +554,121 @@ def test_runtime_error_exits_4(workdir, capsys):
     assert main(["process", "--config", str(cfg_path)]) == 4
     assert "SeriesTooShort" in capsys.readouterr().err
     assert not (out / "segments.psseg").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "synth.scenario.duration_s=1e17", "synth.scenario.duration_s=1e300",
+    "synth.scenario.sample_rate_hz=1e20",
+])
+def test_synth_past_the_largest_array_exits_2(workdir, capsys, monkeypatch, override):
+    """A scenario whose complex128 values no array can index is refused as
+    an InvalidScenario before generate makes any array."""
+    tmp_path, out, cfg_path = workdir
+
+    def generate(scenario):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    assert main(["synth", "--config", str(cfg_path), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidScenario: ") and err.count("\n") == 1
+    assert "exceed the largest array numpy can index" in err
+
+
+def test_huge_header_rate_refused_as_an_invalid_band(workdir, capsys):
+    """A header rate whose filter design overflows is an InvalidBand, as a
+    1e30 Hz one is: exit 2 in process, a SchemaMismatch naming the model
+    (exit 3) in infer, with no numpy warning on the way and no --out opened."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    lines = (out / "stream.jsonl").read_text().splitlines()
+    lines[0] = lines[0].replace('"sample_rate_hz": 20.0', '"sample_rate_hz": 1e300')
+    (out / "stream.jsonl").write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    preds = tmp_path / "preds.csv"
+    capsys.readouterr()
+    for mode in ("heart", "apnea"):  # band-pass and low-pass designs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["process", "--config", str(cfg_path),
+                         "--set", f"pipeline.mode={mode}",
+                         "--set", f"ingest.labels={out / f'labels_{mode}.csv'}"]) == 2
+        assert capsys.readouterr().err.startswith("InvalidBand: ")
+    assert not (out / "segments.psseg").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                     "--out", str(preds)]) == 3
+    assert f"SchemaMismatch: model {model} stores InvalidBand: " in capsys.readouterr().err
+    assert not preds.exists()
+
+
+def test_huge_esp32_rate_refused_as_an_invalid_band(workdir, capsys):
+    tmp_path, out, cfg_path = workdir
+    capture = tmp_path / "capture.csv"
+    capture.write_text("".join(f"{i / 20.0},1,2,3,4\n" for i in range(200)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0.0,72\n5.0,72\n10.0,72\n")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["ingest"] = {"format": "esp32", "path": str(capture), "sample_rate_hz": 1e300,
+                     "labels": str(labels)}
+    esp_cfg = tmp_path / "esp.json"
+    esp_cfg.write_text(json.dumps(cfg))
+    assert main(["process", "--config", str(esp_cfg)]) == 2
+    assert capsys.readouterr().err.startswith("InvalidBand: ")
+
+
+def test_smoothing_window_past_the_stream_refused_before_its_kernel(workdir, capsys,
+                                                                    monkeypatch):
+    """A smoothing window longer than the stream is a SeriesTooShort (exit 4)
+    in process and, after pass one, in infer; neither designs the kernel, and
+    infer opens no --out."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+
+    def savgol_kernel(window, order):
+        raise AssertionError(f"a {window}-point kernel was designed")
+
+    monkeypatch.setattr(pipeline, "savgol_kernel", savgol_kernel)
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path),
+                 "--set", "pipeline.savgol.window=1000000001"]) == 4
+    assert ("SeriesTooShort: stream of 1200 packets shorter than the smoothing window"
+            in capsys.readouterr().err)
+    assert not (out / "segments.psseg").exists()
+    block = {"mode": "heart", "window_s": 5.0, "savgol": {"window": 1000000001, "order": 3}}
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3, {"pipeline": block, "window_packets": 100}))
+    preds = tmp_path / "preds.csv"
+    assert main(["infer", "--model", str(model), "--stream", str(out / "stream.jsonl"),
+                 "--out", str(preds)]) == 4
+    assert ("SeriesTooShort: stream of 1200 packets shorter than the smoothing window"
+            in capsys.readouterr().err)
+    assert not preds.exists()
+
+
+def test_train_drops_the_window_stack_before_training(workdir, monkeypatch):
+    """cmd_train trains on copies of the split parts, so the (N, W, S) stack
+    they were taken from is gone by the time train starts."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    stacks, gone = [], []
+    training_inputs, train = cli._training_inputs, cli.train
+
+    def watched_inputs(cfg):
+        inputs = training_inputs(cfg)
+        stacks.append(weakref.ref(inputs[3]))
+        return inputs
+
+    def watched_train(*args, **kwargs):
+        gone.append(stacks[-1]() is None)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_training_inputs", watched_inputs)
+    monkeypatch.setattr(cli, "train", watched_train)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert gone == [True]
 
 
 @pytest.mark.parametrize("extra,window_s,error", [

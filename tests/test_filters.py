@@ -1,5 +1,7 @@
 """Butterworth design and application, checked against analytic responses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,18 @@ class TestDesign:
             FilterSpec(0.1, 0.5, 0, 80.0)
         with pytest.raises(InvalidBand):
             FilterSpec(0.1, 0.5, 9, 80.0)
+
+    @pytest.mark.parametrize("fs", [1e30, 1e103, 1e300, 1.7e308])
+    @pytest.mark.parametrize("low,high", [(0.8, 2.17), (0.1, 0.5), (0.0, 0.5)])
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_rates_past_every_design_refused_without_warnings(self, fs, low, high, order):
+        """At rates where the poles round onto the unit circle and the gain
+        overflows (or 2 fs does), the design is an InvalidBand: no
+        OverflowError, no numpy warning, no cascade without sections."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBand):
+                design_bandpass(FilterSpec(low, high, order, fs))
 
     def test_random_specs_always_stable(self):
         """Every designed cascade keeps all poles strictly inside the unit

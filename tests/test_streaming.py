@@ -17,6 +17,7 @@ from pulsesense.dsp import (
     filter_values,
     remove_dc,
     run_pipeline_config,
+    savgol_kernel,
     segment,
     smooth_values,
     standardize,
@@ -360,7 +361,8 @@ class TestSweep:
 def composed_windows(recording, cfg):
     """The reference chain: the stage functions over whole arrays."""
     fs = recording.stream.sample_rate_hz
-    cascade, kernel, _ = cfg.stages(fs)
+    cascade, _ = cfg.stages(fs)
+    kernel = savgol_kernel(cfg.savgol.window, cfg.savgol.order)
     series = amplitude(recording.stream)
     if cfg.subcarriers is not None:
         series = AmplitudeSeries(series.values[:, cfg.subcarriers], fs)
