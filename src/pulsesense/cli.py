@@ -269,19 +269,27 @@ def cmd_infer(args) -> int:
         packets = _packets(fh)
         next(packets)  # the header, whose values pass one took
 
-        sink = open(args.out, "w") if args.out else sys.stdout
+        # --out is opened at the first prediction, so a stream refused before
+        # it (a window too large to standardize, say) leaves no file
+        sink = None if args.out else sys.stdout
+
+        def write(rows):
+            nonlocal sink
+            if rows and sink is None:
+                sink = open(args.out, "w")
+            for t_end, pred in rows:
+                sink.write(f"{t_end!r},{pred!r}\n")
+
         try:
             for t, row in packets:
                 if predictor.count == count:
                     raise _changed(count, f"at least {count + 1}")
-                for t_end, pred in predictor.push(t, row):
-                    sink.write(f"{t_end!r},{pred!r}\n")
+                write(predictor.push(t, row))
             if predictor.count != count:
                 raise _changed(count, str(predictor.count))
-            for t_end, pred in predictor.finish():
-                sink.write(f"{t_end!r},{pred!r}\n")
+            write(predictor.finish())
         finally:
-            if args.out:
+            if args.out and sink is not None:
                 sink.close()
     return 0
 

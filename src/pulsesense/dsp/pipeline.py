@@ -24,6 +24,7 @@ from ..errors import (
     NonFiniteSample,
     SchemaMismatch,
     SeriesTooShort,
+    ValueOutOfRange,
     WindowLongerThanSeries,
 )
 from ..ingest import AlignedRecording, CsiStream
@@ -80,14 +81,22 @@ class WindowSegment:
 
 
 def magnitude(values) -> np.ndarray:
-    """|values| as float64, np.hypot of their complex128 cast: the one input
-    conversion of batch, streaming pass one and every push."""
-    values = np.asarray(values, dtype=np.complex128)
-    return np.hypot(values.real, values.imag)
+    """|values| as float64, np.abs of their complex128 cast: the one input
+    conversion of batch, streaming pass one and every push.
+
+    numpy's vectorized complex absolute is within 2 ulp of the exactly
+    rounded |z| and about ten times faster than np.hypot's scalar libm call
+    per element. Each element's bits depend only on that element, however
+    many rows one call takes and whatever their memory order. It keeps C99
+    hypot's special values: an infinite part gives inf even beside a NaN,
+    any other NaN gives NaN, so an amplitude is >= 0 or NaN; it does not
+    overflow while |z| is finite and keeps subnormals.
+    """
+    return np.abs(np.asarray(values, dtype=np.complex128))
 
 
 def amplitude(stream: CsiStream) -> AmplitudeSeries:
-    """|CSI| per packet and subcarrier: sqrt(re^2 + im^2)."""
+    """|CSI| per packet and subcarrier: numpy's complex absolute |re + i im|."""
     if stream.frame_count == 0:
         raise EmptyStream("cannot take amplitude of an empty stream")
     return AmplitudeSeries(magnitude(stream.values), stream.sample_rate_hz)
@@ -192,12 +201,20 @@ def segment(series: AmplitudeSeries, window_s: float,
 def standardize(window: np.ndarray) -> np.ndarray:
     """Column z-score with the window's own mean and population std.
 
-    Columns whose std is below 1e-12 come out identically zero.
+    Columns whose std is below 1e-12 come out identically zero. A window
+    whose std is not finite, its squared deviations overflowing float64
+    (deviations of about 1e154 / sqrt(W) and up), is a ValueOutOfRange:
+    divided by an infinite std every value would come out zero.
     """
     window = np.asarray(window, dtype=np.float64)
-    out = window - window.mean(axis=0)
-    # np.std's own steps on the array centred once: mean of squares, sqrt
-    sigma = np.sqrt(np.add.reduce(out * out, axis=0) / window.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = window - window.mean(axis=0)
+        # np.std's own steps on the array centred once: mean of squares, sqrt
+        sigma = np.sqrt(np.add.reduce(out * out, axis=0) / window.shape[0])
+    # sigma is >= 0 or NaN, so its maximum is finite only if all are
+    if not sigma.max() < np.inf:
+        raise ValueOutOfRange("window values too large to standardize: "
+                              "their squared deviations overflow float64")
     degenerate = sigma < 1e-12
     sigma_safe = np.where(degenerate, 1.0, sigma)
     out /= sigma_safe

@@ -11,9 +11,12 @@ copy into the block.
 Pass two pushes one packet at a time. A push checks its timestamp and its
 packet before it changes any state, then feeds the amplitude row to the
 FrontEnd that run_pipeline_config feeds a whole recording in one block, and
-runs the model on each window it returns. So predictions are bit for bit
-those of processing the recording offline, and memory is independent of
-stream length.
+runs the model on each window it returns. Batch, pass one and every push
+take amplitudes by one function, magnitude (numpy's complex absolute),
+whose bits per element do not depend on how many rows one call takes. So
+predictions are bit for bit those of processing the recording offline, a
+window refused there is refused here, and memory is independent of stream
+length.
 """
 
 from __future__ import annotations
@@ -101,6 +104,9 @@ class StreamingPredictor:
         is a StreamFinished. The selected samples are taken as complex128
         whatever the packet's numeric dtype (magnitude), so a stream of
         complex64 or integer packets predicts as its complex128 copy does.
+        A window the packet completes whose values are too large to
+        standardize is a ValueOutOfRange, as in batch; the stream cannot go
+        on past it.
         """
         if self.finished:
             raise StreamFinished("push after finish: the stream has ended")
@@ -139,6 +145,7 @@ class StreamingPredictor:
         A stream too short for the smoothing window or the model window is
         refused before any state changes and stays open; otherwise the
         stream is closed, and a further push or finish is a StreamFinished.
+        A window too large to standardize is a ValueOutOfRange, as in push.
         """
         if self.finished:
             raise StreamFinished("finish after finish: the stream has ended")

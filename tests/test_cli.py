@@ -604,6 +604,34 @@ def test_huge_header_rate_refused_as_an_invalid_band(workdir, capsys):
     assert not preds.exists()
 
 
+def test_stream_too_large_to_standardize_exits_3_before_any_output(workdir, capsys):
+    """Scaled by 1e200 the stream's windows overflow standardize: process
+    and infer refuse them (ValueOutOfRange, exit 3) with no warning, and
+    write no dump and no --out; scaled by 1e150 both run."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    stream = parse_canonical((out / "stream.jsonl").read_bytes())
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    for scale in (1e200, 1e150):
+        (out / "stream.jsonl").write_bytes(write_canonical(CsiStream(
+            stream.timestamps, stream.values * scale, stream.sample_rate_hz)))
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [main(["process", "--config", str(cfg_path)]),
+                     main(["infer", "--model", str(model), "--stream",
+                           str(out / "stream.jsonl"), "--out", str(preds)])]
+        err = capsys.readouterr().err
+        if scale == 1e200:
+            assert codes == [3, 3]
+            assert err.count("ValueOutOfRange: window values too large to standardize") == 2
+            assert not (out / "segments.psseg").exists() and not preds.exists()
+        else:
+            assert codes == [0, 0] and err == "" and preds.exists()
+
+
 def test_huge_esp32_rate_refused_as_an_invalid_band(workdir, capsys):
     tmp_path, out, cfg_path = workdir
     capture = tmp_path / "capture.csv"

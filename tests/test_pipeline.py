@@ -1,7 +1,11 @@
 """Pipeline stages and the assembled five-stage chain."""
 
+import dataclasses
+import math
 import struct
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,15 +23,17 @@ from pulsesense.dsp import (
     standardize,
     write_segment_dump,
 )
+from pulsesense.dsp.pipeline import magnitude
 from pulsesense.errors import (
     BadMagic,
     EmptyStream,
     MalformedLine,
     NonFiniteSample,
+    ValueOutOfRange,
     WindowLongerThanSeries,
 )
 from pulsesense.ingest import CsiStream, align
-from pulsesense.synth import Scenario, Schedule, generate
+from pulsesense.synth import Scenario, Schedule, generate, scenario_by_name
 
 
 def make_stream(values, fs=80.0):
@@ -58,6 +64,85 @@ class TestAmplitude:
         stream = CsiStream(np.empty(0), np.empty((0, 4), dtype=complex), 80.0)
         with pytest.raises(EmptyStream):
             amplitude(stream)
+
+    @staticmethod
+    def block(seed=30, shape=(97, 233)):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-6, 6, shape)
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def test_row_alone_gives_its_bits_inside_the_block(self):
+        values = self.block()
+        whole = magnitude(values)
+        for i, row in enumerate(values):
+            assert magnitude(row).tobytes() == whole[i].tobytes()
+
+    def test_column_subset_strided_view_and_fortran_order_give_the_block_bits(self):
+        values = self.block()
+        whole = magnitude(values)
+        # a subset taken by fancy indexing can come out F-ordered
+        picked = [200, 3, 17, 100, 4]
+        assert magnitude(values[:, picked]).tobytes() == whole[:, picked].tobytes()
+        assert magnitude(values[::3, 1::2]).tobytes() == whole[::3, 1::2].tobytes()
+        assert magnitude(np.asfortranarray(values)).tobytes() == whole.tobytes()
+
+    def test_every_width_gives_the_block_bits(self):
+        """Widths 1..S cover every tail a vector loop leaves."""
+        values = self.block()
+        whole = magnitude(values)
+        for width in range(1, values.shape[1] + 1):
+            assert magnitude(values[:, :width]).tobytes() == whole[:, :width].tobytes()
+            assert magnitude(values[5, :width]).tobytes() == whole[5, :width].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float32, np.int16])
+    def test_narrow_dtypes_give_the_bits_of_their_complex128_copy(self, dtype):
+        values = self.block(shape=(40, 37)) * 1e-3
+        if np.dtype(dtype).kind == "c":
+            narrow = values.astype(dtype)
+        else:
+            narrow = np.clip(values.real * 1e4, -3e4, 3e4).astype(dtype)
+        wide = narrow.astype(np.complex128)
+        assert magnitude(narrow).tobytes() == magnitude(wide).tobytes()
+
+    def test_within_two_ulp_of_the_exact_modulus(self):
+        """|z| exactly from fractions: sqrt(re^2 + im^2) to 120 bits."""
+        rng = np.random.default_rng(31)
+        n = 2000
+        modulus = 10.0 ** rng.uniform(-300, 300, n)
+        angle = rng.uniform(0, 2 * np.pi, n)
+        values = modulus * (np.cos(angle) + 1j * np.sin(angle) * 10.0 ** rng.uniform(-20, 0, n))
+        for z, got in zip(values, magnitude(values)):
+            square = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+            p, q = square.numerator, square.denominator
+            k = 120 - (p.bit_length() - q.bit_length()) // 2
+            exact = (Fraction(math.isqrt((p << 2 * k) // q), 1 << k) if k >= 0
+                     else Fraction(math.isqrt(p // (q << -2 * k)) << -k))
+            assert abs(Fraction(float(got)) - exact) <= 2 * Fraction(math.ulp(float(exact))), z
+
+    @pytest.mark.parametrize("z, expected", [
+        (complex(np.inf, np.nan), np.inf), (complex(np.nan, -np.inf), np.inf),
+        (complex(-np.inf, 0.0), np.inf), (complex(0.0, np.inf), np.inf),
+        (complex(np.nan, 0.0), np.nan), (complex(1.0, np.nan), np.nan),
+        (complex(np.nan, np.nan), np.nan),
+        (complex(0.0, 0.0), 0.0), (complex(-0.0, -0.0), 0.0), (complex(-0.0, 0.0), 0.0),
+        (complex(1e308, 1e308), 1.4142135623730951e308),
+        (complex(-1e308, 1e308), 1.4142135623730951e308),
+        (complex(3e-320, 4e-320), 5e-320), (complex(5e-324, 5e-324), 5e-324),
+        (complex(2.2e-308, 0.0), 2.2e-308), (complex(0.0, -5e-324), 5e-324),
+    ])
+    def test_c99_special_values(self, z, expected):
+        """inf beats NaN, NaN stays NaN, zeros give +0, no overflow while
+        |z| is finite, subnormals kept: amplitudes are >= 0 or NaN."""
+        # alone and as one lane of a vector with finite neighbours
+        values = np.full(10, 1 + 2j)
+        values[5] = z
+        for got in (magnitude(np.array([z]))[0], magnitude(values)[5]):
+            if 0 < expected < np.inf:
+                # finite moduli hold to the kernel's 2 ulp, not to its last bit
+                assert abs(got - expected) <= 2 * math.ulp(expected)
+            else:
+                np.testing.assert_array_equal(got, expected)
+            assert not np.signbit(got)
 
 
 class TestRemoveDc:
@@ -182,6 +267,20 @@ class TestStandardize:
             expected[:, sd < 1e-12] = 0.0
             assert standardize(x).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_window_whose_squares_overflow_is_refused_without_warnings(self, scale):
+        """Divided by an infinite std every value would come out zero."""
+        window = np.random.default_rng(9).standard_normal((400, 4))
+        one_column = window.copy()
+        one_column[:, 2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (window * scale, one_column):
+                with pytest.raises(ValueOutOfRange, match="too large to standardize"):
+                    standardize(bad)
+            out = standardize(window * 1e150)
+        assert np.abs(out.std(axis=0) - 1.0).max() < 1e-9
+
 
 def heart_recording(duration_s=60.0, fs=80.0, n_sub=4, seed=0):
     scenario = Scenario(name="unit", duration_s=duration_s, sample_rate_hz=fs,
@@ -192,7 +291,30 @@ def heart_recording(duration_s=60.0, fs=80.0, n_sub=4, seed=0):
     return align(rec.stream, rec.heart), rec
 
 
+def scaled_esp32_capture(scale):
+    """The first 20 s of fixed_easy_esp32 (1600 packets x 64 at 80 Hz) with
+    its CSI multiplied by ``scale``, aligned to its heart labels."""
+    scenario = dataclasses.replace(scenario_by_name("fixed_easy_esp32"), duration_s=20.0)
+    rec = generate(scenario)
+    stream = CsiStream(rec.stream.timestamps, rec.stream.values * scale,
+                       rec.stream.sample_rate_hz)
+    return align(stream, rec.heart)
+
+
 class TestRunPipeline:
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_capture_too_large_to_standardize_is_refused(self, scale):
+        """Scaled by 1e200 its 76 windows used to come out all zeros, with
+        only a RuntimeWarning; scaled by 1e150 it still runs."""
+        cfg = PipelineConfig(mode="heart", window_s=5.0, stride=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOutOfRange, match="too large to standardize"):
+                run_pipeline_config(scaled_esp32_capture(scale), cfg)
+            segments = run_pipeline_config(scaled_esp32_capture(1e150), cfg)
+        assert len(segments) == 76
+        assert all(np.abs(seg.values.std(axis=0) - 1.0).max() < 1e-9 for seg in segments)
+
     def test_segment_count_60s(self):
         recording, _ = heart_recording()
         segments = run_pipeline(recording, "heart", 5.0, 1)

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -32,6 +33,7 @@ from pulsesense.errors import (
     SeriesTooShort,
     ShapeMismatch,
     StreamFinished,
+    ValueOutOfRange,
 )
 from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
 from pulsesense.nn import ModelConfig, forward, init_params
@@ -40,7 +42,7 @@ from pulsesense.streaming import (
     StreamingPredictor,
     streaming_column_means,
 )
-from pulsesense.synth import Scenario, Schedule, generate
+from pulsesense.synth import Scenario, Schedule, generate, scenario_by_name
 
 
 def small_recording(duration_s=30.0, fs=20.0, n_sub=3, seed=5):
@@ -462,7 +464,7 @@ def row_by_row_means(values, subcarriers=None):
     at a time."""
     acc = None
     for packet in values:
-        amp = np.hypot(packet.real, packet.imag)
+        amp = np.abs(packet)
         if subcarriers is not None:
             amp = amp[subcarriers]
         if acc is None:
@@ -495,7 +497,8 @@ class TestPassOneBlocks:
     def test_any_split_into_blocks_gives_the_same_bits(self):
         rng = np.random.default_rng(23)
         for n_sub in (2, 3, 64, 234):
-            amp = np.hypot(*rng.standard_normal((2, 300, n_sub))) * 1e3
+            re, im = rng.standard_normal((2, 300, n_sub))
+            amp = np.abs(re + 1j * im) * 1e3
             expected = row_by_row_means(amp.astype(complex)).tobytes()
             for sizes in ([300], [1] * 300, [7, 0, 93, 200], [299, 1]):
                 edges = np.cumsum([0] + sizes)
@@ -639,6 +642,60 @@ class TestRefusals:
         refused(StreamFinished, "push after finish", predictor.push,
                 float(times[-1]) + 1.0, values[0])
         refused(StreamFinished, "finish after finish", predictor.finish)
+
+
+def scaled_esp32_capture(scale):
+    """The first 20 s of fixed_easy_esp32 (1600 packets x 64 at 80 Hz) with
+    its CSI multiplied by ``scale``."""
+    scenario = dataclasses.replace(scenario_by_name("fixed_easy_esp32"), duration_s=20.0)
+    rec = generate(scenario)
+    stream = CsiStream(rec.stream.timestamps, rec.stream.values * scale,
+                       rec.stream.sample_rate_hz)
+    return dataclasses.replace(rec, stream=stream)
+
+
+class TestTooLargeToStandardize:
+    """A window whose squared deviations overflow is a ValueOutOfRange in
+    push and finish, as in batch, with no warning on the way."""
+
+    cfg = PipelineConfig(mode="heart", window_s=5.0, stride=16)  # W = 400, m = 7
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_push_refuses_the_first_window(self, scale):
+        rec = scaled_esp32_capture(scale)
+        values, times = rec.stream.values, rec.stream.timestamps
+        params = init_params(ModelConfig(input_dim=64), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, _ = streaming_column_means(values)
+            predictor = StreamingPredictor(params, self.cfg, 80.0, mu)
+            for t, row in zip(times[:406], values[:406]):
+                assert predictor.push(float(t), row) == []
+            # packet 406 completes the window ending on packet 399
+            with pytest.raises(ValueOutOfRange, match="too large to standardize"):
+                predictor.push(float(times[406]), values[406])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_finish_refuses_the_last_windows(self, scale):
+        values = scaled_esp32_capture(scale).stream.values[:403]
+        params = init_params(ModelConfig(input_dim=64), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            predictor = StreamingPredictor(params, self.cfg, 80.0,
+                                           streaming_column_means(values)[0])
+            for k, row in enumerate(values):
+                assert predictor.push(k / 80.0, row) == []
+            with pytest.raises(ValueOutOfRange, match="too large to standardize"):
+                predictor.finish()
+
+    def test_a_capture_scaled_by_1e150_still_streams_as_batch(self):
+        rec = scaled_esp32_capture(1e150)
+        params = init_params(ModelConfig(input_dim=64), seed=3)
+        batch = batch_predictions(params, align(rec.stream, rec.heart), self.cfg, 80.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = stream_predictions(params, rec, self.cfg, 80.0)
+        assert len(batch) == 76 and stream == batch
 
 
 def state_of(predictor):
