@@ -257,10 +257,10 @@ def cmd_infer(args) -> int:
     with open(args.stream, "rb") as fh:
         packets = _packets(fh)
         fs, n_sub = next(packets)
-        with _stored_in(args.model):
-            _, w = pipeline_cfg.stages(fs)
         index = subcarrier_index(pipeline_cfg.subcarriers, n_sub)
         width = n_sub if isinstance(index, slice) else len(index)
+        with _stored_in(args.model):
+            _, w = pipeline_cfg.stages(fs, width)
         _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
         mu, count = streaming_column_means((row for _, row in packets),
                                            pipeline_cfg.subcarriers)

@@ -281,16 +281,19 @@ class PipelineConfig:
             return mode_spec(self.mode).band
         return self.band.low_hz, self.band.high_hz
 
-    def stages(self, sample_rate_hz: float) -> Tuple[BiquadCascade, int]:
+    def stages(self, sample_rate_hz: float,
+               width: int = 1) -> Tuple[BiquadCascade, int]:
         """(band-pass cascade, window length in packets) at ``sample_rate_hz``:
         the one place batch, streaming and infer take their stage parameters
         from. Values that cannot run at this rate raise. The smoothing window
         is checked (kernel_spec) but its kernel not designed, since the design
         grows with the window: FrontEnd designs it, and its callers first
-        measure the stream against the window (check_smoothable)."""
+        measure the stream against the window (check_smoothable). A window or
+        stride whose FrontEnd buffers, rows of ``width`` float64 values, would
+        be past the largest array numpy can index is a ConfigInvalidValue."""
         low, high = self.effective_band()
         cascade = design_bandpass(FilterSpec(low, high, BANDPASS_ORDER, sample_rate_hz))
-        kernel_spec(self.savgol.window, self.savgol.order)
+        m = kernel_spec(self.savgol.window, self.savgol.order)[0] // 2
         finite = math.isfinite(self.window_s * sample_rate_hz)
         w = window_length(self.window_s, sample_rate_hz) if finite else 0
         if w < 1:
@@ -299,6 +302,13 @@ class PipelineConfig:
                 f"{self.window_s} s at {sample_rate_hz} Hz does not")
         if self.stride < 1:
             raise ConfigInvalidValue("pipeline.stride must be a positive packet count")
+        # FrontEnd's padded and smoothed buffers, in integer arithmetic
+        rows = max(w + self.stride + 3 * m, 2 * w + self.stride + m)
+        if rows * width * 8 > np.iinfo(np.intp).max:
+            raise ConfigInvalidValue(
+                f"pipeline.window_s of {self.window_s} s and pipeline.stride of "
+                f"{self.stride} need {rows}-row buffers of {width} values at "
+                f"{sample_rate_hz} Hz, past the largest array numpy can index")
         return cascade, w
 
 
@@ -330,7 +340,7 @@ class FrontEnd:
     """
 
     def __init__(self, cfg: PipelineConfig, sample_rate_hz: float, mu: np.ndarray):
-        cascade, self.w = cfg.stages(sample_rate_hz)
+        cascade, self.w = cfg.stages(sample_rate_hz, len(mu))
         self.kernel = savgol_kernel(cfg.savgol.window, cfg.savgol.order)
         # a (1, S) row: one packet's row subtracts it without broadcasting
         self.m, self.stride, self.mu = self.kernel.half_width, cfg.stride, mu[None]
@@ -428,7 +438,7 @@ def run_pipeline_config(recording: AlignedRecording,
     index = subcarrier_index(cfg.subcarriers, stream.subcarrier_count)
     values = amplitude(stream).values[:, index]
     mu, _ = column_means([values])
-    cfg.stages(stream.sample_rate_hz)
+    cfg.stages(stream.sample_rate_hz, values.shape[1])
     check_smoothable(len(values), cfg.savgol.window)
     front = FrontEnd(cfg, stream.sample_rate_hz, mu)
     windows = front.feed(values) + front.finish()

@@ -73,22 +73,41 @@ casting it would drop an imaginary part or parse text.
 
 Backward consumes its cache: BPTT writes each step's dz over the gate row
 it has just read and the shifted hidden states over the spent cell states,
-then drops ``gates`` and ``c``. A second backward on that cache raises
-CacheMismatch; layer 1's ``x``, both ``h``, the masks and the head values
-stay readable. Under dropout the cache holds no layer-2 input (its ``x`` is
-None): backward rebuilds it from layer 1's ``h`` and the mask for layer 2's
-BPTT, forms dW2 from it and writes layer 2's dx over it. Without dropout,
-layer 2's ``x`` is a view of layer 1's ``h``.
+and drops a layer's ``gates`` and ``c`` as its step loop starts. A second
+backward on that cache raises CacheMismatch; layer 1's ``x``, both ``h``,
+the masks and the head values stay readable. Under dropout the cache holds
+no layer-2 input (its ``x`` is None): backward rebuilds it from layer 1's
+``h`` and the mask for layer 2's BPTT, forms dW2 from it and writes layer
+2's dx over it. Without dropout, layer 2's ``x`` is a view of layer 1's
+``h``.
+
+Backward uses a second core when there is one. A layer's input-kernel
+gradient dW = dz^T x waits on nothing but the layer's step loop, and
+nothing in the recurrence waits on it. So backward_batch starts one helper
+thread and joins it before it returns or raises: after layer 2's step loop
+the helper forms dW2 while this thread forms dU2 and db2, and dW2 is
+finished before dx2 is written over layer 2's rebuilt input, which dW2
+reads; after layer 1's loop the helper forms dW1 while this thread forms
+dU1 and db1. Each BLAS call keeps its shape, operands, row order and
+thread count, and no two calls write the same memory, so the gradients are
+the bits of the serial order. The helper runs each task under the numpy
+error state of the thread that submitted it, read with np.geterr and
+np.geterrcall, since a new thread does not inherit it (numpy 2 keeps it in
+a context variable, older numpy per thread). The thread is made per call,
+not at import or in a module-level pool, so nothing outlives a call or has
+to survive a fork.
 """
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import CacheMismatch, ShapeMismatch
+from ..errors import CacheMismatch, ConfigInvalidValue, ShapeMismatch
 
 HEADS = ("regression", "binary")
 
@@ -152,6 +171,10 @@ def expected_shapes(config: ModelConfig) -> List[Tuple[int, ...]]:
             (nd, h2), (nd,), (1, nd), (1,)]
 
 
+# the most float64 values one array can hold: its bytes must fit np.intp
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
+
+
 def count_parameters(config: ModelConfig) -> int:
     """Analytic trainable-parameter count of the stack."""
     return sum(int(np.prod(s)) for s in expected_shapes(config))
@@ -172,7 +195,16 @@ def _orthogonal(rng, shape):
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Glorot-uniform input kernels, orthogonal recurrent kernels, zero biases
-    except the forget-gate slice which starts at 1. Deterministic per seed."""
+    except the forget-gate slice which starts at 1. Deterministic per seed.
+    A config with a tensor past the largest array numpy can index, its
+    float64 bytes past the np.intp range, is refused first in integer
+    arithmetic (ConfigInvalidValue); one numpy cannot allocate stays a
+    MemoryError."""
+    for name, shape in zip(TENSOR_NAMES, expected_shapes(config)):
+        if math.prod(shape) > _MAX_FLOAT64S:
+            raise ConfigInvalidValue(
+                f"model tensor {name} of shape {shape} is past the largest "
+                f"array numpy can index")
     rng = np.random.default_rng(seed)
     h1, h2 = config.lstm1_units, config.lstm2_units
 
@@ -349,17 +381,15 @@ def _kept_layer(w, u, b, x) -> _LayerCache:
     return _LayerCache(x, layer.gates.reshape(batch, t_len, -1), layer.c_seq, h)
 
 
-def _lstm_backward(u, cache: _LayerCache, dh_top, w=None, x=None):
-    """Exact BPTT over the full sequence. ``dh_top`` is the upstream gradient
-    of every output, (B, T, H), or of the last output only, (B, H). Returns
-    (dW, dU, db, dx_seq); dx_seq is computed only when the input kernel ``w``
-    is given. Consumes the layer cache: each step's dz goes over its gate row,
-    so the gates end as the (B, T, 4H) dz sequence, the spent cell states hold
-    the (B, T, H) previous hidden states, and both are then set to None.
-    ``x`` is the layer's input when the cache holds none; it is spent too,
-    dx_seq being written over it once dW is formed."""
-    spare, gates, c_seq = x, cache.gates, cache.c
-    x = cache.x if spare is None else spare
+def _lstm_dz(u, cache: _LayerCache, dh_top):
+    """The BPTT step loop of one layer over the full sequence. ``dh_top`` is
+    the upstream gradient of every output, (B, T, H), or of the last output
+    only, (B, H). Consumes the layer cache: ``gates`` and ``c`` are set to
+    None first, and each step's dz goes over its gate row. Returns the
+    (B*T, 4H) dz sequence, a view of the spent gates, and the spent (T, B, H)
+    cell states, free storage for the previous hidden states."""
+    gates, c_seq = cache.gates, cache.c
+    cache.gates = cache.c = None
     t_len, batch, units = c_seq.shape
     # this step's gate row and dz, each read from or written to the
     # batch-major gates in one pass
@@ -389,20 +419,35 @@ def _lstm_backward(u, cache: _LayerCache, dh_top, w=None, x=None):
         dh_carry = dz @ u
         dc_next = dc * f
         gates[:, t, :] = dz
-    flat_dz = gates.reshape(batch * t_len, 4 * units)
-    dw = flat_dz.T @ x.reshape(batch * t_len, -1)
-    h_prev = c_seq.reshape(batch, t_len, units)
+    return gates.reshape(batch * t_len, 4 * units), c_seq
+
+
+def _input_kernel_gradient(dz, x):
+    """dW, the (4H, D) product of the (B*T, 4H) ``dz`` and the layer's
+    (B, T, D) input ``x``, both with rows in (b, t) order."""
+    return dz.T @ x.reshape(len(dz), -1)
+
+
+def _recurrent_gradients(dz, spent, h):
+    """(dU, db) of one layer from its (B*T, 4H) ``dz``. The previous hidden
+    states, ``h`` (B, T, H) shifted one step with a zero first, are written
+    over the ``spent`` cell states."""
+    t_len, batch, units = spent.shape
+    h_prev = spent.reshape(batch, t_len, units)
     h_prev[:, 0, :] = 0.0
-    h_prev[:, 1:, :] = cache.h[:, :-1, :]
-    du = flat_dz.T @ h_prev.reshape(batch * t_len, units)
-    db = flat_dz.sum(axis=0)
-    if w is None:
-        dx = None
-    else:
-        out = None if spare is None else spare.reshape(batch * t_len, -1)
-        dx = np.matmul(flat_dz, w, out=out).reshape(x.shape)
-    cache.gates = cache.c = None
-    return dw, du, db, dx
+    h_prev[:, 1:, :] = h[:, :-1, :]
+    return dz.T @ h_prev.reshape(batch * t_len, units), dz.sum(axis=0)
+
+
+def _on_helper(helper: ThreadPoolExecutor, fn, *args) -> Future:
+    """fn(*args) submitted to ``helper`` under this thread's numpy error
+    state, which a new thread does not inherit."""
+    state = dict(np.geterr(), call=np.geterrcall())
+
+    def task():
+        with np.errstate(**state):
+            return fn(*args)
+    return helper.submit(task)
 
 
 def _check_shape(cfg: ModelConfig, shape: Tuple[int, ...]) -> None:
@@ -547,12 +592,20 @@ def backward_batch(params: ModelParams, cache: ForwardCache,
     if dropout:
         _drop(dh2_last, cache.mask2, p, out=dh2_last)
 
-    x2 = _drop(cache.layer1.h, cache.mask1, p) if dropout else None
-    dw2, du2, db2, dx2 = _lstm_backward(params.u2, cache.layer2, dh2_last,
-                                        w=params.w2, x=x2)
-    if dropout:
-        _drop(dx2, cache.mask1, p, out=dx2)
-    dw1, du1, db1, _ = _lstm_backward(params.u1, cache.layer1, dx2)
+    x2 = _drop(cache.layer1.h, cache.mask1, p) if dropout else cache.layer2.x
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        dz2, spent2 = _lstm_dz(params.u2, cache.layer2, dh2_last)
+        pending = _on_helper(helper, _input_kernel_gradient, dz2, x2)
+        du2, db2 = _recurrent_gradients(dz2, spent2, cache.layer2.h)
+        dw2 = pending.result()  # dx2 goes over the rebuilt x2, which dW2 reads
+        out = x2.reshape(len(dz2), -1) if dropout else None
+        dx2 = np.matmul(dz2, params.w2, out=out).reshape(x2.shape)
+        if dropout:
+            _drop(dx2, cache.mask1, p, out=dx2)
+        dz1, spent1 = _lstm_dz(params.u1, cache.layer1, dx2)
+        pending = _on_helper(helper, _input_kernel_gradient, dz1, cache.layer1.x)
+        du1, db1 = _recurrent_gradients(dz1, spent1, cache.layer1.h)
+        dw1 = pending.result()
 
     return ModelParams.from_tensors(cfg, [dw1, du1, db1, dw2, du2, db2,
                                           ddense_w, ddense_b, dhead_w, dhead_b])

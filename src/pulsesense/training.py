@@ -244,60 +244,64 @@ def train(segments: Arrays, model_config: ModelConfig,
     stop_counter = 0
     n_train = x_train.shape[0]
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = np.random.default_rng([config.seed, 1, epoch]).permutation(n_train)
-        loss_sum = 0.0
-        for b_idx, lo in enumerate(range(0, n_train, config.batch_size)):
-            sel = order[lo:lo + config.batch_size]
-            xb, yb = x_train[sel], yt[sel]
-            preds, cache = forward_batch(params, xb, training=True,
-                                         rng_seed=[config.seed, 2, epoch, b_idx])
-            if head == "binary":
-                losses, grads = bce_loss(preds, yb)
+    # an overflow in a step saturates a gate or turns the loss non-finite,
+    # which DivergedLoss reports at the epoch's end; numpy's warnings would
+    # only print before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            order = np.random.default_rng([config.seed, 1, epoch]).permutation(n_train)
+            loss_sum = 0.0
+            for b_idx, lo in enumerate(range(0, n_train, config.batch_size)):
+                sel = order[lo:lo + config.batch_size]
+                xb, yb = x_train[sel], yt[sel]
+                preds, cache = forward_batch(params, xb, training=True,
+                                             rng_seed=[config.seed, 2, epoch, b_idx])
+                if head == "binary":
+                    losses, grads = bce_loss(preds, yb)
+                else:
+                    losses, grads = mse_loss(preds, yb)
+                loss_sum += float(losses.sum())
+                dpred = grads / sel.size
+                grad_params = backward_batch(params, cache, dpred)
+                # backward_batch has consumed the cache's gates and cell states;
+                # this frees the rest (both layers' hidden states and the boolean
+                # masks, 20.3 MiB at the paper stack, B=64; the 12.5 MiB batch
+                # goes when xb is rebound) before the next forward_batch
+                del preds, cache
+                params, state = adam_step(state, params, grad_params)
+            train_loss = loss_sum / n_train * loss_unit
+
+            if val_loss_fn is not None:
+                val_loss = float(val_loss_fn(epoch, params))
+            elif x_val.shape[0]:
+                val_loss = _batch_losses(params, x_val, yv, head) * loss_unit
             else:
-                losses, grads = mse_loss(preds, yb)
-            loss_sum += float(losses.sum())
-            dpred = grads / sel.size
-            grad_params = backward_batch(params, cache, dpred)
-            # backward_batch has consumed the cache's gates and cell states;
-            # this frees the rest (both layers' hidden states and the boolean
-            # masks, 20.3 MiB at the paper stack, B=64; the 12.5 MiB batch
-            # goes when xb is rebound) before the next forward_batch
-            del preds, cache
-            params, state = adam_step(state, params, grad_params)
-        train_loss = loss_sum / n_train * loss_unit
+                val_loss = train_loss
 
-        if val_loss_fn is not None:
-            val_loss = float(val_loss_fn(epoch, params))
-        elif x_val.shape[0]:
-            val_loss = _batch_losses(params, x_val, yv, head) * loss_unit
-        else:
-            val_loss = train_loss
+            history.train_loss.append(train_loss)
+            history.val_loss.append(val_loss)
+            history.learning_rate.append(state.learning_rate)
+            history.stopped_epoch = epoch
 
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        history.learning_rate.append(state.learning_rate)
-        history.stopped_epoch = epoch
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                history.best_epoch = best_epoch
+                raise DivergedLoss(f"non-finite loss at epoch {epoch}", history)
 
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            history.best_epoch = best_epoch
-            raise DivergedLoss(f"non-finite loss at epoch {epoch}", history)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            best_epoch = epoch
-            plateau_counter = 0
-            stop_counter = 0
-        else:
-            plateau_counter += 1
-            stop_counter += 1
-            if plateau_counter >= config.lr_plateau_patience:
-                state = state.with_learning_rate(state.learning_rate * config.lr_factor)
-                history.lr_reductions.append(epoch)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = params.copy()
+                best_epoch = epoch
                 plateau_counter = 0
-            if stop_counter >= config.early_stop_patience:
-                break
+                stop_counter = 0
+            else:
+                plateau_counter += 1
+                stop_counter += 1
+                if plateau_counter >= config.lr_plateau_patience:
+                    state = state.with_learning_rate(state.learning_rate * config.lr_factor)
+                    history.lr_reductions.append(epoch)
+                    plateau_counter = 0
+                if stop_counter >= config.early_stop_patience:
+                    break
 
     history.best_epoch = best_epoch
     if head == "regression" and (offset != 0.0 or scale != 1.0):

@@ -2,7 +2,10 @@
 
 import builtins
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 import weakref
 import zlib
@@ -10,6 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
+import pulsesense
 from pulsesense import cli
 from pulsesense.dsp import pipeline
 from pulsesense.cli import _packets, main
@@ -1280,3 +1284,101 @@ def test_bench_flag_below_one_exits_2(tmp_path, capsys, flag):
         ["bench", "--out", str(out)] + [a for kv in argv.items() for a in kv], capsys)
     assert code == 2 and f"{flag}: must be an integer >= 1, got '0'" in err
     assert not out.exists()
+
+
+# the child's address space: far above what the desk-scale workdir needs and
+# far below what the sizes refused here would take
+CHILD_ADDRESS_SPACE = 3 * 2**30
+
+
+def run_limited(*argv):
+    """cli.main(argv) in a child process under CHILD_ADDRESS_SPACE and with
+    Python warnings as errors, so a size that slips past its check fails to
+    allocate instead of taking the machine's memory; returns (exit code,
+    stderr)."""
+    src = os.path.dirname(os.path.dirname(pulsesense.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2); "
+            "from pulsesense.cli import main; sys.exit(main(sys.argv[1:]))")
+    child = subprocess.run([sys.executable, "-W", "error", "-c", code, *map(str, argv)],
+                           env=env, capture_output=True, text=True, timeout=300)
+    return child.returncode, child.stderr
+
+
+def test_diverging_training_exits_4_with_one_line_and_no_warning(workdir, capsys):
+    """A learning rate of 1e300 overflows the first steps: DivergedLoss,
+    exit 4, with numpy's overflow and invalid-value warnings silenced on the
+    way, on the helper thread of backward too."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(cfg_path),
+                     "--set", "training.learning_rate=1e300"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("DivergedLoss: non-finite loss at epoch ") and err.count("\n") == 1
+    assert not (out / "model.psnn").exists()
+
+
+@pytest.mark.parametrize("units,code,error", [
+    (2**63, 2, "ConfigInvalidValue: model tensor w1 of shape (36893488147419103232, 3) "
+               "is past the largest array numpy can index"),
+    (2**62, 2, "ConfigInvalidValue: model tensor w1 of shape (18446744073709551616, 3) "
+               "is past the largest array numpy can index"),
+    # every tensor fits the index range; w1 alone would take 24 GiB
+    (2**28, 4, "MemoryError: Unable to allocate 24.0 GiB"),
+], ids=["2**63", "2**62", "unallocatable"])
+def test_unit_counts_past_the_largest_array(workdir, units, code, error):
+    """Unit counts whose tensors no array can hold are a config error (exit
+    2) before init_params allocates; a size numpy refuses to allocate stays
+    a MemoryError (exit 4). Each has one stderr line."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    status, err = run_limited("train", "--config", cfg_path,
+                              "--set", f"model.lstm1_units={units}")
+    assert (status, err.count("\n")) == (code, 1), err[-2000:]
+    assert err.startswith(error)
+
+
+@pytest.mark.parametrize("override", [
+    "pipeline.window_s=1e300", f"pipeline.window_s={2**63}",
+    # fewer rows than np.intp counts, but not their bytes at 3 subcarriers
+    "pipeline.window_s=1e17", f"pipeline.stride={2**63}",
+])
+def test_front_end_buffers_past_the_largest_array_exit_2(workdir, override):
+    """A window or stride whose front-end buffers no array can hold is
+    refused by PipelineConfig.stages before they are allocated: a config
+    error in process (exit 2), a data error naming the model in infer
+    (exit 3), one stderr line each and no output file."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    status, err = run_limited("process", "--config", cfg_path, "--set", override)
+    assert (status, err.count("\n")) == (2, 1), err[-2000:]
+    assert err.startswith("ConfigInvalidValue: pipeline.window_s of ")
+    assert "past the largest array numpy can index" in err
+    assert not (out / "segments.psseg").exists()
+
+    key, _, value = override.partition("=")
+    block = {"mode": "heart", "window_s": 5.0, "stride": 10, key.split(".")[1]: json.loads(value)}
+    model, preds = tmp_path / "m.psnn", tmp_path / "preds.csv"
+    model.write_bytes(_model_bytes(3, {"pipeline": block}))
+    status, err = run_limited("infer", "--model", model, "--stream", out / "stream.jsonl",
+                              "--out", preds)
+    assert (status, err.count("\n")) == (3, 1), err[-2000:]
+    assert err.startswith(f"SchemaMismatch: model {model} stores ConfigInvalidValue: "
+                          f"pipeline.window_s of ")
+    assert not preds.exists()
+
+
+def test_front_end_buffers_numpy_cannot_allocate_exit_4(workdir):
+    """A 1e9 s window fits the index range and fails to allocate: a
+    MemoryError (exit 4) with one stderr line, as before."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    status, err = run_limited("process", "--config", cfg_path,
+                              "--set", "pipeline.window_s=1e9")
+    assert (status, err.count("\n")) == (4, 1), err[-2000:]
+    assert err.startswith("MemoryError: Unable to allocate")

@@ -7,7 +7,9 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +261,97 @@ class TestBackward:
         for name_idx, g in enumerate(batch_grads.tensors()):
             total = sum(s.tensors()[name_idx] for s in singles)
             np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12)
+
+
+
+class TestHelperThread:
+    """backward_batch forms each layer's dW on a helper thread that it
+    starts and joins itself; the bit-for-bit oracle is
+    TestTimeMajorKernels."""
+
+    @staticmethod
+    def cache_and_upstream(dropout=0.25, batch=4):
+        params = init_params(small_config(dropout=dropout), 8)
+        x = np.random.default_rng(8).standard_normal((batch, 10, 3))
+        _, cache = forward_batch(params, x, training=dropout > 0, rng_seed=3)
+        return params, cache, np.ones(batch)
+
+    def test_no_thread_outlives_a_call(self):
+        params, cache, up = self.cache_and_upstream()
+        before = threading.active_count()
+        backward_batch(params, cache, up)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("raiser", ["_input_kernel_gradient", "_recurrent_gradients"],
+                             ids=["helper", "caller"])
+    def test_an_exception_is_raised_after_the_join(self, monkeypatch, raiser):
+        """A MemoryError from the helper's GEMM comes out of backward_batch,
+        and so does one from this thread's part while the helper runs; no
+        thread is left either way."""
+        params, cache, up = self.cache_and_upstream()
+
+        def fail(*args):
+            raise MemoryError("no room for the gradient")
+
+        monkeypatch.setattr(model, raiser, fail)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for the gradient"):
+            backward_batch(params, cache, up)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_the_serial_bits(self):
+        """Three callers at once, with their helpers more threads than cores,
+        under a short switch interval: each gets the gradients of the frozen
+        serial kernels, bit for bit."""
+        params = init_params(ModelConfig(dropout_rate=0.2, **ODD_STACKS[1]), 12)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 17, 30, params.config.input_dim))
+        dpred = rng.standard_normal((3, 17))
+        got = [None] * 3
+
+        def call(k):
+            _, cache = forward_batch(params, x[k], training=True, rng_seed=[k, 7])
+            got[k] = backward_batch(params, cache, dpred[k]).tensors()
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(3):
+            want = batch_major_stack(params, x[k], [k, 7], dpred[k])[3]
+            assert got[k] is not None
+            assert all(np.array_equal(a, b) for a, b in zip(got[k], want))
+
+    def test_helper_runs_under_the_callers_error_state(self):
+        """With a zero W1 and an input of 1e308 (and a bias that makes layer
+        1's states non-zero), the only overflow of the backward pass is
+        dW1 = dz1^T x, which the helper forms: the caller's
+        errstate(over="raise") makes it a FloatingPointError, and under
+        errstate(over="ignore", invalid="ignore") no warning is issued, even
+        one turned into an error. (BLAS may add an infinite partial sum to one
+        of the other sign, an invalid operation.)"""
+        params, _, _ = self.cache_and_upstream(dropout=0.0)
+        params.w1[...] = 0.0
+        params.b1[...] = 0.5
+        up = np.full(4, 100.0)
+        x = np.full((4, 10, 3), 1e308)
+        with np.errstate(over="ignore"):
+            _, cache = forward_batch(params, x)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = backward_batch(params, cache, up)
+        assert not np.isfinite(grads.w1).all()
+        assert all(np.isfinite(g).all() for g in grads.tensors()[1:])
+        _, cache = forward_batch(params, x)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            backward_batch(params, cache, up)
 
 
 def reference_logistic(z):
