@@ -21,13 +21,12 @@ from . import config as cfgmod
 from .bench import CSV_HEADER, bench_inference
 from .dsp.pipeline import (
     MODES,
-    PipelineConfig,
     check_smoothable,
     mode_spec,
     read_segment_dump,
     run_pipeline_config,
     segments_to_arrays,
-    subcarrier_index,
+    selected_width,
     write_segment_dump,
 )
 from .errors import (
@@ -39,15 +38,13 @@ from .errors import (
 )
 from .ingest import (
     align,
-    complex_values,
-    iter_canonical,
+    canonical_packets,
     parse_canonical,
     parse_esp32_csv,
     parse_labels,
-    utf8_lines,
     write_canonical,
 )
-from .nn.model import ModelConfig, init_params
+from .nn.model import ModelConfig, check_size, init_params
 from .nn.serialize import load_model, save_model
 from .streaming import StreamingPredictor, streaming_column_means
 from .synth import generate
@@ -103,15 +100,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _process_segments(cfg: dict, pipeline_cfg: PipelineConfig):
-    return run_pipeline_config(_load_recording(cfg, pipeline_cfg.mode), pipeline_cfg)
-
-
 def cmd_process(args) -> int:
     cfg = cfgmod.load_config(args.config, args.set)
     out = _out_dir(cfg)
     pipeline_cfg = cfgmod.read_pipeline(cfg.get("pipeline", {}))
-    segments = _process_segments(cfg, pipeline_cfg)
+    segments = run_pipeline_config(_load_recording(cfg, pipeline_cfg.mode), pipeline_cfg)
     _write(os.path.join(out, "segments.psseg"), write_segment_dump(segments))
     w, s = segments[0].values.shape
     summary = {"count": len(segments), "window_packets": w, "subcarriers": s,
@@ -125,15 +118,19 @@ def _training_inputs(cfg: dict):
     """Configs and the (x, y) pair for train and cv: the configured
     recording run through the configured pipeline, so the pipeline a model
     stores is the one that made its windows. Every block is read before any
-    data is: the model's ``input_dim``, which the data sets, is filled in
-    last."""
+    data is. The model's ``input_dim`` is the recording's selected width, and
+    a model no array can hold is refused before the pipeline runs."""
     training_cfg = cfgmod.read_block("training", cfg.get("training", {}), TrainingConfig)
     pipeline_cfg = cfgmod.read_pipeline(cfg.get("pipeline", {}))
     model_cfg = cfgmod.read_block("model", cfg.get("model", {}), ModelConfig,
                                   input_dim=1, head=mode_spec(pipeline_cfg.mode).head)
-    x, y = segments_to_arrays(_process_segments(cfg, pipeline_cfg))
-    model_cfg = dataclasses.replace(model_cfg, input_dim=x.shape[2])
-    return training_cfg, model_cfg, pipeline_cfg, x, y
+    recording = _load_recording(cfg, pipeline_cfg.mode)
+    width = selected_width(pipeline_cfg.subcarriers, recording.stream.subcarrier_count)
+    model_cfg = dataclasses.replace(model_cfg, input_dim=width)
+    check_size(model_cfg)
+    segments = run_pipeline_config(recording, pipeline_cfg)
+    del recording  # not held while the windows are stacked
+    return (training_cfg, model_cfg, pipeline_cfg) + segments_to_arrays(segments)
 
 
 def cmd_train(args) -> int:
@@ -235,17 +232,6 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _packets(fh):
-    """Read the canonical stream in ``fh`` from the start of the file: yield
-    its header's (sample_rate_hz, subcarriers), then a (timestamp, complex
-    row) pair per frame."""
-    fh.seek(0)
-    fs, n_sub, frames = iter_canonical(utf8_lines(fh))
-    yield fs, n_sub
-    for t, re, im in frames:
-        yield t, complex_values(re, im)
-
-
 def _changed(count: int, seen: str) -> DataError:
     return DataError(f"the stream changed between the passes: pass one read "
                      f"{count} packets, pass two {seen}")
@@ -255,10 +241,9 @@ def cmd_infer(args) -> int:
     params, pipeline_cfg, trained_w = _load_trained(args.model)
     # one open of the stream; each pass reads it from the start of the file
     with open(args.stream, "rb") as fh:
-        packets = _packets(fh)
+        packets = canonical_packets(fh)
         fs, n_sub = next(packets)
-        index = subcarrier_index(pipeline_cfg.subcarriers, n_sub)
-        width = n_sub if isinstance(index, slice) else len(index)
+        width = selected_width(pipeline_cfg.subcarriers, n_sub)
         with _stored_in(args.model):
             _, w = pipeline_cfg.stages(fs, width)
         _check_fit(params, trained_w, w, width, f"the stream at {fs} Hz")
@@ -266,7 +251,7 @@ def cmd_infer(args) -> int:
                                            pipeline_cfg.subcarriers)
         check_smoothable(count, pipeline_cfg.savgol.window)
         predictor = StreamingPredictor(params, pipeline_cfg, fs, mu)
-        packets = _packets(fh)
+        packets = canonical_packets(fh)
         next(packets)  # the header, whose values pass one took
 
         # --out is opened at the first prediction, so a stream refused before

@@ -182,6 +182,12 @@ def subcarrier_index(subcarriers: Optional[Sequence[int]], width: Optional[int])
     return np.asarray(subcarriers, dtype=np.intp)
 
 
+def selected_width(subcarriers: Optional[Sequence[int]], width: int) -> int:
+    """How many columns ``subcarriers`` picks from rows of ``width`` values,
+    checked as subcarrier_index checks them."""
+    return width if subcarriers is None else len(subcarrier_index(subcarriers, width))
+
+
 def segment(series: AmplitudeSeries, window_s: float,
             stride_packets: int = 1) -> List[np.ndarray]:
     """Overlapping raw windows starting at 0, stride, 2*stride, ..."""

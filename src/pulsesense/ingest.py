@@ -45,7 +45,7 @@ _LABEL_RANGES = {
 }
 
 TextSource = Union[bytes, str, IO[bytes], IO[str]]
-Frame = Tuple[float, np.ndarray, np.ndarray]  # one canonical line: t, re, im
+Frame = Tuple[float, np.ndarray]  # one canonical line: t, complex row
 
 
 @dataclass
@@ -127,28 +127,24 @@ class AlignedRecording:
             raise ValueError("alignment length must equal frame count")
 
 
-def _utf8_error(line_no: int, exc: UnicodeDecodeError) -> MalformedLine:
-    return MalformedLine(line_no, f"not UTF-8: {exc.reason}")
-
-
 def utf8_lines(lines: Iterable[bytes]) -> Iterator[str]:
-    """Decode each of ``lines``; an undecodable one is a MalformedLine."""
+    """Decode each of ``lines`` without the LF that ends it, if one does: the
+    one UTF-8 rule of every text reader. An undecodable line is a
+    MalformedLine naming it (1-based)."""
     for line_no, raw in enumerate(lines, start=1):
         try:
-            yield raw.decode("utf-8")
+            yield raw.removesuffix(b"\n").decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise _utf8_error(line_no, exc) from None
+            raise MalformedLine(line_no, f"not UTF-8: {exc.reason}") from None
 
 
 def _iter_text_lines(source: TextSource) -> List[str]:
-    """The text's lines, split at LF only (as io.StringIO would split them)."""
+    """The text's lines, split at LF only (as io.StringIO would split them);
+    bytes are split first and decoded a line at a time by utf8_lines."""
     data = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _utf8_error(data.count(b"\n", 0, exc.start) + 1, exc) from None
-    return data.split("\n")
+    if isinstance(data, str):
+        return data.split("\n")
+    return list(utf8_lines(data.split(b"\n")))
 
 
 def complex_values(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -277,11 +273,11 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
     """Read the canonical JSONL header from ``lines``.
 
     Returns ``(sample_rate_hz, subcarriers, frames)``. ``frames`` lazily
-    yields ``(t, re, im)`` per data line, ``re`` and ``im`` as float64 arrays,
-    after checking that the line is a JSON object with a numeric ``t``, ``re``
-    and ``im`` lists of JSON numbers of the header's width, and a finite
-    timestamp after the previous one. Frame errors name the 1-based line
-    number.
+    yields ``(t, row)`` per data line, ``row`` the complex128 values whose
+    parts are the line's ``re`` and ``im``, after checking that the line is a
+    JSON object with a numeric ``t``, ``re`` and ``im`` lists of JSON numbers
+    of the header's width, and a finite timestamp after the previous one.
+    Frame errors name the 1-based line number.
     """
     numbered = enumerate(lines, start=1)
     header_raw = None
@@ -302,9 +298,11 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
     if type(fs) not in (int, float) or type(n_sub) is not int:  # bool is no number
         raise SchemaMismatch(f"header sample_rate_hz {fs!r} must be a JSON number "
                              f"and subcarriers {n_sub!r} a JSON integer")
-    if not (0 < fs <= sys.float_info.max and n_sub >= 1):  # NaN, inf, huge ints too
+    # NaN, inf and huge ints too; a row of complex128 must fit numpy's index range
+    if not (0 < fs <= sys.float_info.max and 1 <= n_sub <= np.iinfo(np.intp).max // 16):
         raise SchemaMismatch(f"header sample_rate_hz {fs} must be positive and "
-                             f"finite, subcarriers {n_sub} at least 1")
+                             f"finite, subcarriers {n_sub} at least 1 and a row "
+                             f"of them an array numpy can index")
     fs = float(fs)
 
     def numbers(line_no: int, key: str, items) -> np.ndarray:
@@ -350,7 +348,7 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
                 raise NonMonotonicTimestamp(
                     f"line {line_no}: timestamp {t} not after {t_prev}")
             t_prev = t
-            yield t, re, im
+            yield t, complex_values(re, im)
 
     return fs, n_sub, frames()
 
@@ -359,17 +357,22 @@ def parse_canonical(source: TextSource) -> CsiStream:
     """Parse the canonical JSONL format (lossless round trip)."""
     fs, n_sub, frames = iter_canonical(_iter_text_lines(source))
     timestamps = []
-    re_rows = []
-    im_rows = []
-    for t, re, im in frames:
+    rows = []
+    for t, row in frames:
         timestamps.append(t)
-        re_rows.append(re)
-        im_rows.append(im)
-    if re_rows:
-        values = complex_values(np.array(re_rows), np.array(im_rows))
-    else:
-        values = np.empty((0, n_sub), dtype=np.complex128)
+        rows.append(row)
+    values = np.array(rows, dtype=np.complex128).reshape(len(rows), n_sub)
     return CsiStream(np.asarray(timestamps), values, fs)
+
+
+def canonical_packets(fh: IO[bytes]) -> Iterator[tuple]:
+    """Read the canonical stream in the binary file ``fh`` from its start, as
+    each of ``infer``'s passes does: yield its header's (sample_rate_hz,
+    subcarriers), then the (timestamp, complex row) of each frame."""
+    fh.seek(0)
+    fs, n_sub, frames = iter_canonical(utf8_lines(fh))
+    yield fs, n_sub
+    yield from frames
 
 
 def write_canonical(stream: CsiStream) -> bytes:

@@ -4,7 +4,6 @@ from .model import (
     InferencePlan,
     ModelConfig,
     ModelParams,
-    backward,
     backward_batch,
     count_parameters,
     forward,
@@ -15,6 +14,6 @@ from .serialize import load_model, save_model
 
 __all__ = [
     "AdamState", "InferencePlan", "ModelConfig", "ModelParams", "adam_step",
-    "adam_update", "backward", "backward_batch", "bce_loss", "count_parameters", "forward",
+    "adam_update", "backward_batch", "bce_loss", "count_parameters", "forward",
     "forward_batch", "init_params", "load_model", "mse_loss", "save_model",
 ]

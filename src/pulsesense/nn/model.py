@@ -193,18 +193,23 @@ def _orthogonal(rng, shape):
     return q
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Glorot-uniform input kernels, orthogonal recurrent kernels, zero biases
-    except the forget-gate slice which starts at 1. Deterministic per seed.
-    A config with a tensor past the largest array numpy can index, its
-    float64 bytes past the np.intp range, is refused first in integer
-    arithmetic (ConfigInvalidValue); one numpy cannot allocate stays a
-    MemoryError."""
+def check_size(config: ModelConfig) -> None:
+    """ConfigInvalidValue for a config with a tensor past the largest array
+    numpy can index, its float64 bytes past the np.intp range, found in
+    integer arithmetic without allocating."""
     for name, shape in zip(TENSOR_NAMES, expected_shapes(config)):
         if math.prod(shape) > _MAX_FLOAT64S:
             raise ConfigInvalidValue(
                 f"model tensor {name} of shape {shape} is past the largest "
                 f"array numpy can index")
+
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Glorot-uniform input kernels, orthogonal recurrent kernels, zero biases
+    except the forget-gate slice which starts at 1. Deterministic per seed.
+    A config check_size refuses is refused first; one numpy cannot allocate
+    stays a MemoryError."""
+    check_size(config)
     rng = np.random.default_rng(seed)
     h1, h2 = config.lstm1_units, config.lstm2_units
 
@@ -265,7 +270,7 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs; produced by the matching forward call.
+    """Everything backward_batch() needs; produced by the matching forward call.
     Backward consumes it: the layers' ``gates`` and ``c`` become its work
     storage and are then dropped; every other field stays readable."""
 
@@ -609,8 +614,3 @@ def backward_batch(params: ModelParams, cache: ForwardCache,
 
     return ModelParams.from_tensors(cfg, [dw1, du1, db1, dw2, du2, db2,
                                           ddense_w, ddense_b, dhead_w, dhead_b])
-
-
-def backward(params: ModelParams, cache: ForwardCache, dpred: float) -> ModelParams:
-    """Single-window BPTT matching a forward() call."""
-    return backward_batch(params, cache, np.array([float(dpred)]))

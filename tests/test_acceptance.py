@@ -29,7 +29,7 @@ from pulsesense.nn import (
     AdamState,
     ModelConfig,
     adam_update,
-    backward,
+    backward_batch,
     bce_loss,
     count_parameters,
     forward,
@@ -128,7 +128,7 @@ def test_criterion_3_gradient_check():
 
             pred, cache = forward(params, x)
             _, up = loss_fn(pred, target)
-            grads = backward(params, cache, float(up))
+            grads = backward_batch(params, cache, np.array([float(up)]))
 
             eps = 1e-5
             worst = 0.0

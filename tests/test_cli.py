@@ -16,8 +16,16 @@ import pytest
 import pulsesense
 from pulsesense import cli
 from pulsesense.dsp import pipeline
-from pulsesense.cli import _packets, main
-from pulsesense.ingest import CsiStream, parse_canonical, write_canonical
+from pulsesense.cli import main
+from pulsesense.errors import MalformedLine
+from pulsesense.ingest import (
+    CsiStream,
+    canonical_packets,
+    parse_canonical,
+    parse_esp32_csv,
+    parse_labels,
+    write_canonical,
+)
 
 
 @pytest.fixture()
@@ -487,7 +495,7 @@ def test_infer_packets_equal_parse_canonical_bitwise(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with open(path, "rb") as fh:
-            packets = list(_packets(fh))
+            packets = list(canonical_packets(fh))
     assert packets[0] == (80.0, 4)  # the header
     rows = np.stack([row for _, row in packets[1:]])
     assert rows.tobytes() == expected.tobytes() == values.tobytes()
@@ -1029,6 +1037,51 @@ def test_invalid_utf8_recording_exits_3(workdir, capsys, target):
         assert "MalformedLine: line 7: not UTF-8" in capsys.readouterr().err
 
 
+# Ways six lines can fail to decode: (damage, the line named, the reason)
+UTF8_DAMAGE = {
+    # a three-byte sequence cut short by line 2's LF
+    "cut_by_lf": (lambda lines: b"\n".join(lines[:1] + [lines[1] + b"\xe2\x82"] + lines[2:])
+                  + b"\n", 2, "unexpected end of data"),
+    # the same cut on the last line, which has no LF
+    "cut_at_end": (lambda lines: b"\n".join(lines) + b"\xe2\x82", 6, "unexpected end of data"),
+    # a stray 0xff inside line 3
+    "stray_ff": (lambda lines: b"\n".join(lines[:2] + [lines[2][:4] + b"\xff" + lines[2][4:]]
+                                          + lines[3:]) + b"\n", 3, "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(UTF8_DAMAGE))
+def test_one_utf8_rule_in_every_reader(workdir, capsys, damage):
+    """Every reader decodes a line without its LF, so the same damage is
+    the same MalformedLine in the three parsers, and in process and infer
+    on the same damaged stream."""
+    tmp_path, out, cfg_path = workdir
+    damaged, line_no, reason = UTF8_DAMAGE[damage]
+    expected = f"line {line_no}: not UTF-8: {reason}"
+    t = (np.arange(5) / 20.0).tolist()
+    texts = {
+        parse_canonical: write_canonical(CsiStream(t, np.full((5, 3), 1 + 2j), 20.0)),
+        parse_esp32_csv: b"timestamp,im0,re0\n" + b"".join(b"%r,2,1\n" % v for v in t),
+        (lambda data: parse_labels(data, "heart_rate_bpm")):
+            b"timestamp,bpm\n" + b"".join(b"%r,72\n" % v for v in t),
+    }
+    for reader, text in texts.items():
+        with pytest.raises(MalformedLine) as err:
+            reader(damaged(text.split(b"\n")[:-1]))
+        assert (str(err.value), err.value.line_no) == (expected, line_no)
+
+    out.mkdir()
+    stream = out / "stream.jsonl"
+    stream.write_bytes(damaged(texts[parse_canonical].split(b"\n")[:-1]))
+    model = tmp_path / "m.psnn"
+    model.write_bytes(_model_bytes(3))
+    capsys.readouterr()
+    assert main(["process", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"MalformedLine: {expected}\n"
+    assert main(["infer", "--model", str(model), "--stream", str(stream)]) == 3
+    assert capsys.readouterr().err == f"MalformedLine: {expected}\n"
+
+
 @pytest.mark.parametrize("field,value", [
     ("sample_rate_hz", '"20"'), ("sample_rate_hz", "true"),
     ("subcarriers", "1.9"), ("subcarriers", "true"),
@@ -1341,6 +1394,19 @@ def test_unit_counts_past_the_largest_array(workdir, units, code, error):
                               "--set", f"model.lstm1_units={units}")
     assert (status, err.count("\n")) == (code, 1), err[-2000:]
     assert err.startswith(error)
+
+
+def test_impossible_model_refused_before_the_pipeline(workdir, capsys):
+    """The model block is checked once the recording's width is known and
+    before the DSP chain runs: a 1000 s window, which the pipeline would
+    refuse as longer than the 60 s recording, is never reached."""
+    tmp_path, out, cfg_path = workdir
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--set", "pipeline.window_s=1000",
+                 "--set", f"model.lstm1_units={2**63}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigInvalidValue: model tensor w1 ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("override", [

@@ -414,6 +414,13 @@ class TestCanonicalHeader:
         with pytest.raises(SchemaMismatch, match="positive and finite"):
             parse_canonical(text)
 
+    @pytest.mark.parametrize("count", [2**59 + 1, 2**62, 2**63, 2**70])
+    def test_subcarrier_count_past_the_largest_row_refused(self, count):
+        """A header-only stream too: its (0, S) complex128 array cannot be made."""
+        text = CANONICAL_HEADER.replace('"subcarriers":1', f'"subcarriers":{count}') + "\n"
+        with pytest.raises(SchemaMismatch, match="an array numpy can index"):
+            parse_canonical(text)
+
     def test_integer_rate_accepted(self):
         stream = parse_canonical(CANONICAL_HEADER.replace("80.0", "80")
                                  + '\n{"t":0.0,"re":[1.0],"im":[2.0]}\n')

@@ -20,7 +20,6 @@ from pulsesense.nn import (
     InferencePlan,
     ModelConfig,
     ModelParams,
-    backward,
     backward_batch,
     bce_loss,
     count_parameters,
@@ -63,7 +62,7 @@ def finite_difference_check(head, dropout=0.0, seed=3, rng_seed=99,
 
     pred, cache = forward(params, x, training=training, rng_seed=rng_seed)
     _, up = loss_fn(pred, target)
-    grads = backward(params, cache, float(up))
+    grads = backward_batch(params, cache, np.array([float(up)]))
 
     worst = 0.0
     for tensor, grad in zip(params.tensors(), grads.tensors()):
@@ -154,7 +153,7 @@ class TestBackward:
         params = init_params(small_config(), 5)
         x = np.random.default_rng(5).standard_normal((7, 3))
         _, cache = forward(params, x)
-        grads = backward(params, cache, 0.0)
+        grads = backward_batch(params, cache, np.array([0.0]))
         for g in grads.tensors():
             assert np.all(g == 0.0)
 
@@ -165,7 +164,7 @@ class TestBackward:
         x = np.random.default_rng(6).standard_normal((7, 3))
         pred, cache = forward(params, x)
         assert cache.dense_act[0, 2] == 0.0
-        grads = backward(params, cache, 1.0)
+        grads = backward_batch(params, cache, np.array([1.0]))
         assert grads.head_w[0, 2] == 0.0
 
     def test_cache_mismatch(self):
@@ -174,7 +173,7 @@ class TestBackward:
         x = np.random.default_rng(1).standard_normal((5, 3))
         _, cache = forward(params_a, x)
         with pytest.raises(CacheMismatch):
-            backward(params_b, cache, 1.0)
+            backward_batch(params_b, cache, np.array([1.0]))
 
     def test_consumed_cache_refused(self):
         params = init_params(small_config(dropout=0.25), 2)
@@ -184,9 +183,9 @@ class TestBackward:
         with pytest.raises(CacheMismatch, match="consumed"):
             backward_batch(params, cache, np.ones(2))
         _, single = forward(params, x[0])
-        backward(params, single, 1.0)
+        backward_batch(params, single, np.array([1.0]))
         with pytest.raises(CacheMismatch, match="consumed"):
-            backward(params, single, 1.0)
+            backward_batch(params, single, np.array([1.0]))
 
     def test_backward_keeps_outputs_masks_and_input(self):
         """Backward writes only the gates and cell states it consumes: the
@@ -256,7 +255,7 @@ class TestBackward:
         ups = np.array([0.5, -1.0, 2.0])
         preds, cache = forward_batch(params, xs)
         batch_grads = backward_batch(params, cache, ups)
-        singles = [backward(params, forward(params, xs[i])[1], float(ups[i]))
+        singles = [backward_batch(params, forward(params, xs[i])[1], np.array([float(ups[i])]))
                    for i in range(3)]
         for name_idx, g in enumerate(batch_grads.tensors()):
             total = sum(s.tensors()[name_idx] for s in singles)
