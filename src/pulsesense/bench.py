@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigInvalidValue, fits_one_array
 from .nn.model import InferencePlan, ModelParams
 
 CSV_HEADER = "model,seq_len,batch,cold_start_s,total_s,n_preds,preds_per_s,batch_mean_ms"
@@ -41,10 +42,15 @@ def bench_inference(params: ModelParams, seq_len: int, batch_size: int = 64,
                     n_preds_target: int = 2048,
                     model_name: str = "model") -> ThroughputReport:
     """Time steady-state batched inference on synthetic standardized inputs."""
+    input_dim = params.config.input_dim
+    if not fits_one_array(batch_size * seq_len * input_dim, 8):
+        raise ConfigInvalidValue(
+            f"bench input of batch {batch_size} x seq_len {seq_len} x input_dim "
+            f"{input_dim} float64 values is past the largest array numpy can index")
     n_batches = max(2, -(-int(n_preds_target) // batch_size) + 1)
     rng = np.random.default_rng(0)
     # a few distinct batches cycled; allocation happens before the clock starts
-    pool = [rng.standard_normal((batch_size, seq_len, params.config.input_dim))
+    pool = [rng.standard_normal((batch_size, seq_len, input_dim))
             for _ in range(min(4, n_batches))]
 
     t0 = time.perf_counter()

@@ -81,12 +81,6 @@ class BiquadCascade:
         if not math.isfinite(self.overall_gain):
             raise InvalidBand(f"overall gain {self.overall_gain} is not finite")
 
-    def poles(self) -> np.ndarray:
-        out = []
-        for sec in self.sections:
-            out.extend(np.roots([1.0, sec.a1, sec.a2]))
-        return np.asarray(out)
-
 
 def _prototype_poles(order: int):
     """Left-half-plane poles of the unit-cutoff analog Butterworth filter."""
@@ -265,11 +259,8 @@ class FilterState:
         return plan
 
     def process(self, block: np.ndarray) -> np.ndarray:
-        """Filter a (T, S) block (or a single (S,) packet), advancing state."""
+        """Filter a (T, S) block, advancing state."""
         x = np.asarray(block, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None]
         y = np.empty(x.shape)  # C order even for an F-ordered x
         t, k = x.shape[0], len(self._pipe) - 1
         pipe = self._pipe
@@ -287,7 +278,7 @@ class FilterState:
                 y[j - k + 1] = pipe[k]
         self._phase ^= t & 1
         y *= self.cascade.overall_gain
-        return y[0] if single else y
+        return y
 
 
 def filter_values(cascade: BiquadCascade, values: np.ndarray) -> np.ndarray:

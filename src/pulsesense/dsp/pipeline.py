@@ -4,9 +4,9 @@ shaping, segmentation/normalization, in that fixed order.
 FrontEnd drives stages 2-5 for batch and streaming alike, fed amplitude
 rows in blocks of any size: run_pipeline_config feeds it a whole recording
 in one block and labels the windows, the streaming predictor one packet per
-push. The stage functions remove_dc, filter_values, smooth_values (with
-mirror_pad) and segment compose the same chain over whole arrays: the
-reference that tests and the benchmark hold the front end to, bit for bit.
+push. The stage functions remove_dc, filter_values, smooth_values and
+segment compose the same chain over whole arrays: the reference that tests
+and the benchmark hold the front end to, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from ..errors import (
     SeriesTooShort,
     ValueOutOfRange,
     WindowLongerThanSeries,
+    fits_one_array,
 )
 from ..ingest import AlignedRecording, CsiStream
 from .filters import BiquadCascade, FilterSpec, FilterState, design_bandpass
@@ -308,9 +309,9 @@ class PipelineConfig:
                 f"{self.window_s} s at {sample_rate_hz} Hz does not")
         if self.stride < 1:
             raise ConfigInvalidValue("pipeline.stride must be a positive packet count")
-        # FrontEnd's padded and smoothed buffers, in integer arithmetic
+        # FrontEnd's padded and smoothed buffers
         rows = max(w + self.stride + 3 * m, 2 * w + self.stride + m)
-        if rows * width * 8 > np.iinfo(np.intp).max:
+        if not fits_one_array(rows * width, 8):
             raise ConfigInvalidValue(
                 f"pipeline.window_s of {self.window_s} s and pipeline.stride of "
                 f"{self.stride} need {rows}-row buffers of {width} values at "

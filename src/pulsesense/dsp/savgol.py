@@ -70,18 +70,14 @@ def savgol_kernel(window: int, poly_order: int) -> SavGolKernel:
     return SavGolKernel(tuple(float(c) for c in coeffs), window, poly_order)
 
 
-def mirror_pad(values: np.ndarray, m: int) -> np.ndarray:
-    """Reflect-pad the time axis by m samples on each side (edge not repeated)."""
-    return np.pad(values, ((m, m),) + ((0, 0),) * (values.ndim - 1), mode="reflect")
-
-
 def smooth_values(kernel: SavGolKernel, values: np.ndarray) -> np.ndarray:
     """Smooth each column of a (T, S) matrix; boundaries use mirror padding."""
     t_len = values.shape[0]
     if t_len < kernel.window:
         raise SeriesTooShort(
             f"series length {t_len} shorter than kernel window {kernel.window}")
-    padded = mirror_pad(np.asarray(values, dtype=np.float64), kernel.half_width)
+    m = kernel.half_width  # reflect the time axis, the edge not repeated
+    padded = np.pad(np.asarray(values, dtype=np.float64), ((m, m), (0, 0)), mode="reflect")
     return smooth_padded(kernel, padded)
 
 

@@ -1,8 +1,16 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one size rule its callers share.
 
 Three branches map onto the CLI exit codes: ConfigError -> 2,
 DataError -> 3, anything else under PulseSenseError -> 4.
 """
+
+import numpy as np
+
+
+def fits_one_array(count, itemsize: int) -> bool:
+    """Whether ``count`` values of ``itemsize`` bytes can be one numpy array, whose
+    bytes must fit np.intp: exact for ints of any size; NaN and inf never fit."""
+    return count <= np.iinfo(np.intp).max // itemsize
 
 
 class PulseSenseError(Exception):

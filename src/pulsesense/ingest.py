@@ -31,6 +31,7 @@ from .errors import (
     NonMonotonicTimestamp,
     SchemaMismatch,
     ValueOutOfRange,
+    fits_one_array,
 )
 
 CANONICAL_SCHEMA = "pulse-sense/csi/v1"
@@ -118,7 +119,6 @@ class AlignedRecording:
     """A stream plus a per-frame label value (nearest-label association)."""
 
     stream: CsiStream
-    labels: LabelSeries
     alignment: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -299,7 +299,7 @@ def iter_canonical(lines: Iterable[str]) -> Tuple[float, int, Iterator[Frame]]:
         raise SchemaMismatch(f"header sample_rate_hz {fs!r} must be a JSON number "
                              f"and subcarriers {n_sub!r} a JSON integer")
     # NaN, inf and huge ints too; a row of complex128 must fit numpy's index range
-    if not (0 < fs <= sys.float_info.max and 1 <= n_sub <= np.iinfo(np.intp).max // 16):
+    if not (0 < fs <= sys.float_info.max and 1 <= n_sub and fits_one_array(n_sub, 16)):
         raise SchemaMismatch(f"header sample_rate_hz {fs} must be positive and "
                              f"finite, subcarriers {n_sub} at least 1 and a row "
                              f"of them an array numpy can index")
@@ -436,4 +436,4 @@ def align(stream: CsiStream, labels: LabelSeries) -> AlignedRecording:
     # tie -> earlier label
     pick = np.where(d_right < d_left, right, left)
     alignment = labels.values[pick]
-    return AlignedRecording(stream, labels, alignment)
+    return AlignedRecording(stream, alignment)

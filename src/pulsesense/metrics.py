@@ -11,7 +11,7 @@ are flagged in the report so downstream consumers can tell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,20 +42,11 @@ class MetricsReport:
                       "specificity", "kappa")
 
     def to_json_dict(self) -> dict:
-        out = {"n": self.n}
-        if self.mae is not None:
-            out["mae"] = self.mae
-            out["mape_percent"] = self.mape_percent
-            out["mape_complement"] = self.mape_complement
-            out["threshold"] = self.threshold
-            out["frac_within_threshold"] = self.frac_within_threshold
-        if self.accuracy is not None:
-            out.update(accuracy=self.accuracy, sensitivity=self.sensitivity,
-                       specificity=self.specificity, kappa=self.kappa,
-                       tp=self.tp, fp=self.fp, tn=self.tn, fn=self.fn)
-        if self.conventions:
-            out["conventions"] = list(self.conventions)
-        return out
+        """Every field that is set, in field order: not None, and not an
+        empty ``conventions``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["conventions"] = list(self.conventions) or None
+        return {name: value for name, value in doc.items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -107,7 +107,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import CacheMismatch, ConfigInvalidValue, ShapeMismatch
+from ..errors import CacheMismatch, ConfigInvalidValue, ShapeMismatch, fits_one_array
 
 HEADS = ("regression", "binary")
 
@@ -171,10 +171,6 @@ def expected_shapes(config: ModelConfig) -> List[Tuple[int, ...]]:
             (nd, h2), (nd,), (1, nd), (1,)]
 
 
-# the most float64 values one array can hold: its bytes must fit np.intp
-_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
-
-
 def count_parameters(config: ModelConfig) -> int:
     """Analytic trainable-parameter count of the stack."""
     return sum(int(np.prod(s)) for s in expected_shapes(config))
@@ -194,11 +190,10 @@ def _orthogonal(rng, shape):
 
 
 def check_size(config: ModelConfig) -> None:
-    """ConfigInvalidValue for a config with a tensor past the largest array
-    numpy can index, its float64 bytes past the np.intp range, found in
-    integer arithmetic without allocating."""
+    """ConfigInvalidValue for a config with a tensor of float64 values past
+    the largest array numpy can index (fits_one_array), without allocating."""
     for name, shape in zip(TENSOR_NAMES, expected_shapes(config)):
-        if math.prod(shape) > _MAX_FLOAT64S:
+        if not fits_one_array(math.prod(shape), 8):
             raise ConfigInvalidValue(
                 f"model tensor {name} of shape {shape} is past the largest "
                 f"array numpy can index")

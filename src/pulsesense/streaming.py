@@ -4,7 +4,7 @@ The batch pipeline subtracts the whole-recording per-subcarrier mean, so a
 single pass cannot reproduce it; streaming therefore runs two passes over
 the source. Pass one takes the per-subcarrier amplitude means in O(S) memory
 from column_means, the function remove_dc calls too. It reads the source
-once, into complex blocks of PACKET_BLOCK, checks each block as it reads it
+once, into numeric blocks of PACKET_BLOCK, checks each block as it reads it
 and takes its amplitudes in one call, so its per-packet Python is only the
 copy into the block.
 
@@ -33,6 +33,7 @@ from .dsp.pipeline import (
     PipelineConfig,
     column_means,
     magnitude,
+    selected_width,
     subcarrier_index,
 )
 from .errors import (
@@ -44,6 +45,15 @@ from .errors import (
 from .nn.model import InferencePlan, ModelParams
 
 PACKET_BLOCK = 256  # packets per block of pass one
+
+
+def _unfit(k: int, packet, n: int) -> ShapeMismatch:
+    """The ShapeMismatch of packet ``k``, which does not give ``n`` numeric
+    selected subcarriers, in the words of push and pass one alike."""
+    what = (f"of shape {packet.shape} and dtype {packet.dtype}"
+            if isinstance(packet, np.ndarray) else "of ragged rows")
+    return ShapeMismatch(f"packet {k} {what} does not give the {n} numeric "
+                         f"selected subcarriers the means have")
 
 
 class StreamingPredictor:
@@ -125,11 +135,7 @@ class StreamingPredictor:
         except (IndexError, ValueError):  # too few dimensions or columns; ragged rows
             picked = None
         if picked is None or picked.shape != self.mu.shape:
-            what = (f"of shape {packet.shape} and dtype {packet.dtype}"
-                    if isinstance(packet, np.ndarray) else "of ragged rows")
-            raise ShapeMismatch(
-                f"packet {self.count} {what} does not give the {self.mu.shape[0]} "
-                f"numeric selected subcarriers the means have")
+            raise _unfit(self.count, packet, self.mu.shape[0])
         amp = magnitude(picked)
         # amplitudes are >= 0 or NaN, so the maximum is finite only if all are
         if not np.maximum.reduce(amp) < math.inf:
@@ -160,9 +166,10 @@ def streaming_column_means(packets: Iterable[np.ndarray],
     """Pass one: per-subcarrier amplitude means and the packet count from
     column_means, so they are remove_dc's means bit for bit, refused alike.
 
-    ``packets`` is read once, as complex128 blocks of PACKET_BLOCK. The first
-    packet's width checks ``subcarriers`` (subcarrier_index). A packet that is
-    not a row of that width is a ShapeMismatch naming its 0-based index.
+    ``packets`` is read once, in blocks of PACKET_BLOCK. The first packet's
+    width checks ``subcarriers`` (subcarrier_index). A packet that is not a
+    row of that width, or that numpy holds as text or objects, is a
+    ShapeMismatch naming its 0-based index, in push's words for the latter.
     """
     def blocks():
         stream, start = iter(packets), 0
@@ -173,15 +180,19 @@ def streaming_column_means(packets: Iterable[np.ndarray],
                     raise ShapeMismatch(f"packet 0 of shape {shape} is not a row")
                 index = subcarrier_index(subcarriers, shape[0])
             try:
-                block = np.array(chunk, dtype=np.complex128)
-                if block.shape[1:] != shape:  # the whole block shares another
+                block = np.asarray(chunk)
+                if block.shape[1:] != shape or block.dtype.kind not in "biufc":
                     raise ValueError
-            except ValueError:  # a packet of another shape makes the block ragged
+            except ValueError:  # a packet of another shape or not numbers
+                n = selected_width(subcarriers, shape[0])
                 for k, packet in enumerate(chunk):
-                    if np.shape(packet) != shape:
+                    packet = np.asarray(packet)
+                    if packet.shape != shape:
                         raise ShapeMismatch(
-                            f"packet {start + k} of shape {np.shape(packet)} is not "
+                            f"packet {start + k} of shape {packet.shape} is not "
                             f"a row of {shape[0]} values like packet 0") from None
+                    if packet.dtype.kind not in "biufc":
+                        raise _unfit(start + k, packet, n) from None
                 raise
             start += len(block)
             yield magnitude(block[:, index])

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .dsp.pipeline import mode_spec
-from .errors import InvalidScenario
+from .errors import InvalidScenario, fits_one_array
 from .ingest import CsiStream, LabelSeries
 
 HR_SCHEDULE_RANGE = (48.0, 130.0)
@@ -99,10 +99,9 @@ class Scenario:
                 and self.subcarriers >= 1):
             raise InvalidScenario(
                 "duration and rate must be positive and finite, subcarriers positive")
-        # the complex128 (packets, subcarriers) values must be an array numpy
-        # can index; a larger one is refused here, before any array is made
+        # packets of 16 bytes a subcarrier, refused before any array is made
         packets = self.duration_s * self.sample_rate_hz
-        if not packets * 16 <= np.iinfo(np.intp).max / self.subcarriers:
+        if not fits_one_array(packets, 16 * self.subcarriers):
             raise InvalidScenario(
                 f"{packets:.3g} packets of {self.subcarriers} subcarriers at 16 bytes "
                 f"a value exceed the largest array numpy can index")

@@ -1448,3 +1448,25 @@ def test_front_end_buffers_numpy_cannot_allocate_exit_4(workdir):
                               "--set", "pipeline.window_s=1e9")
     assert (status, err.count("\n")) == (4, 1), err[-2000:]
     assert err.startswith("MemoryError: Unable to allocate")
+
+
+@pytest.mark.parametrize("flag,value,code,error", [
+    ("--seq-len", 2**62, 2, "ConfigInvalidValue: bench input of batch 64 x seq_len "
+                            "4611686018427387904 x input_dim 64 float64 values is past "
+                            "the largest array numpy can index"),
+    ("--batch", 2**62, 2, "ConfigInvalidValue: bench input of batch 4611686018427387904 "
+                          "x seq_len 100 x input_dim 64 float64 values is past the "
+                          "largest array numpy can index"),
+    # fits the index range; numpy refuses to allocate its 29.1 PiB
+    ("--seq-len", 10**12, 4, "MemoryError: Unable to allocate"),
+], ids=["seq-len-2**62", "batch-2**62", "unallocatable"])
+def test_bench_input_past_the_largest_array(tmp_path, flag, value, code, error):
+    """A bench input pool no array can hold is a config error (exit 2),
+    refused before it is allocated; a size numpy refuses to allocate stays
+    a MemoryError (exit 4). Each has one stderr line and writes no --out."""
+    argv = {"--seq-len": "100", "--batch": "64", "--n-preds": "64", flag: str(value)}
+    out = tmp_path / "bench.csv"
+    status, err = run_limited("bench", "--out", out, *[a for kv in argv.items() for a in kv])
+    assert (status, err.count("\n")) == (code, 1), err[-2000:]
+    assert err.startswith(error)
+    assert not out.exists()

@@ -35,7 +35,7 @@ from pulsesense.errors import (
     StreamFinished,
     ValueOutOfRange,
 )
-from pulsesense.ingest import AlignedRecording, CsiStream, LabelSeries, align
+from pulsesense.ingest import AlignedRecording, CsiStream, align
 from pulsesense.nn import ModelConfig, forward, init_params
 from pulsesense.streaming import (
     PACKET_BLOCK,
@@ -289,10 +289,9 @@ def sweep_recording(mode, sg_window, sg_order, window_s, stride, t_len, subs):
     rng = np.random.default_rng(t_len * 100 + sg_window)
     values = 3 + rng.standard_normal((t_len, 4)) + 1j * rng.standard_normal((t_len, 4))
     stream = CsiStream(np.arange(t_len) / fs, values, fs)
-    labels = LabelSeries("heart_rate_bpm", np.array([0.0]), np.array([72.0]))
     cfg = PipelineConfig(mode=mode, window_s=window_s, stride=stride,
                          savgol=Savgol(sg_window, sg_order), subcarriers=subs)
-    return AlignedRecording(stream, labels, np.zeros(t_len)), cfg
+    return AlignedRecording(stream, np.zeros(t_len)), cfg
 
 
 def check_emissions_against_batch(mode, sg_window, sg_order, window_s, stride,
@@ -527,6 +526,25 @@ class TestPassOneBlocks:
             name = f"packet {bad} of shape {re.escape(str(shape))} "
             with pytest.raises(ShapeMismatch, match=name):
                 streaming_column_means(OneShot(packets), subs)
+
+    @pytest.mark.parametrize("packet", [np.array(["1", "2", "3"]), [None, None, None],
+                                        [1 + 1j, "x", "y"]], ids=["text", "none", "mixed"])
+    @pytest.mark.parametrize("bad", [0, 7, PACKET_BLOCK + 7])
+    def test_packet_that_is_not_numbers_is_refused_as_push_refuses_it(self, packet, bad):
+        """Text and objects are not parsed into numbers ('1' as 1+0j), taken
+        for a non-finite sample (None) or left to a bare ValueError: the
+        packet is a ShapeMismatch by its index, in block 0 or a later one, in
+        the words push refuses it with."""
+        packets = list(complex_packets(2 * PACKET_BLOCK, 3, seed=28))
+        packets[bad] = packet
+        for subs in (None, [2, 0]):
+            rec, params, cfg, mu = predictor_for(subcarriers=subs)
+            with pytest.raises(ShapeMismatch) as pushed:
+                StreamingPredictor(params, cfg, 20.0, mu).push(0.0, packet)
+            words = str(pushed.value).removeprefix("packet 0 ")
+            with pytest.raises(ShapeMismatch) as caught:
+                streaming_column_means(OneShot(packets), subs)
+            assert str(caught.value) == f"packet {bad} {words}"
 
     def test_first_packet_must_be_a_row(self):
         for first in (np.ones((2, 3), dtype=complex), np.complex128(1.0)):
