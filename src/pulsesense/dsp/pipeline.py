@@ -309,14 +309,19 @@ class PipelineConfig:
                 f"{self.window_s} s at {sample_rate_hz} Hz does not")
         if self.stride < 1:
             raise ConfigInvalidValue("pipeline.stride must be a positive packet count")
-        # FrontEnd's padded and smoothed buffers
-        rows = max(w + self.stride + 3 * m, 2 * w + self.stride + m)
+        rows = max(front_end_rows(w, self.stride, m))
         if not fits_one_array(rows * width, 8):
             raise ConfigInvalidValue(
                 f"pipeline.window_s of {self.window_s} s and pipeline.stride of "
                 f"{self.stride} need {rows}-row buffers of {width} values at "
                 f"{sample_rate_hz} Hz, past the largest array numpy can index")
         return cascade, w
+
+
+def front_end_rows(w: int, stride: int, m: int) -> Tuple[int, int]:
+    """The rows of FrontEnd's padded and smoothed buffers at windows of ``w``
+    packets, ``stride`` and smoothing half width ``m``: what stages checks."""
+    return w + stride + 3 * m, 2 * w + stride + m
 
 
 def check_smoothable(n_packets: int, window: int) -> None:
@@ -352,13 +357,13 @@ class FrontEnd:
         # a (1, S) row: one packet's row subtracts it without broadcasting
         self.m, self.stride, self.mu = self.kernel.half_width, cfg.stride, mu[None]
         self.filter_state = FilterState(cascade, len(mu))
+        self.padded, self.smoothed = (np.empty((rows, len(mu))) for rows in
+                                      front_end_rows(self.w, self.stride, self.m))
         # padded row p is padded[p - p0]; rows up to p_end are stored, and
         # those from n_filtered on are DC-removed but not yet band-passed
-        self.padded = np.empty((self.w + self.stride + 3 * self.m, len(mu)))
         self.p0, self.p_end, self.n_filtered = 0, self.m, self.m
         # smoothed row n is smoothed[n - s0]; rows below s_end are smoothed
         # or lie before a window
-        self.smoothed = np.empty((2 * self.w + self.stride + self.m, len(mu)))
         self.s0 = self.s_end = 0
         self.start = 0  # the next window's first row
 

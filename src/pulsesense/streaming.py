@@ -4,9 +4,9 @@ The batch pipeline subtracts the whole-recording per-subcarrier mean, so a
 single pass cannot reproduce it; streaming therefore runs two passes over
 the source. Pass one takes the per-subcarrier amplitude means in O(S) memory
 from column_means, the function remove_dc calls too. It reads the source
-once, into numeric blocks of PACKET_BLOCK, checks each block as it reads it
-and takes its amplitudes in one call, so its per-packet Python is only the
-copy into the block.
+once, in blocks of PACKET_BLOCK, and takes each block's amplitudes in one
+call. Both passes hold each packet to one rule, packet_row, and refuse the
+same packets in the same words.
 
 Pass two pushes one packet at a time. A push checks its timestamp and its
 packet before it changes any state, then feeds the amplitude row to the
@@ -33,7 +33,6 @@ from .dsp.pipeline import (
     PipelineConfig,
     column_means,
     magnitude,
-    selected_width,
     subcarrier_index,
 )
 from .errors import (
@@ -47,13 +46,24 @@ from .nn.model import InferencePlan, ModelParams
 PACKET_BLOCK = 256  # packets per block of pass one
 
 
-def _unfit(k: int, packet, n: int) -> ShapeMismatch:
-    """The ShapeMismatch of packet ``k``, which does not give ``n`` numeric
-    selected subcarriers, in the words of push and pass one alike."""
-    what = (f"of shape {packet.shape} and dtype {packet.dtype}"
-            if isinstance(packet, np.ndarray) else "of ragged rows")
-    return ShapeMismatch(f"packet {k} {what} does not give the {n} numeric "
-                         f"selected subcarriers the means have")
+def packet_row(k: int, packet, index, n: Optional[int],
+               width: Optional[int]) -> Tuple[int, np.ndarray]:
+    """Push's and pass one's one packet rule: the width and ``index`` columns
+    of packet ``k``, a 1-D row of integer, float or complex numbers, ``width``
+    wide (any width while None), whose ``index`` columns are ``n`` values; or
+    a ShapeMismatch naming ``k``, always for an ``n`` of None."""
+    row = picked = None
+    try:
+        row = np.asarray(packet)
+        if row.ndim == 1 and row.dtype.kind in "iufc" and width in (None, len(row)):
+            picked = row[index]
+    except (IndexError, ValueError):  # columns past the row; ragged rows
+        pass
+    if picked is None or len(picked) != n:
+        what = "of ragged rows" if row is None else f"of shape {row.shape} and dtype {row.dtype}"
+        fit = "" if n is None else f" giving the {n} selected subcarriers the means have"
+        raise ShapeMismatch(f"packet {k} {what} is not a row of numbers as wide as packet 0{fit}")
+    return len(row), picked
 
 
 class StreamingPredictor:
@@ -91,6 +101,7 @@ class StreamingPredictor:
         # returned by the push of packet j + m or by finish
         self.times = deque(maxlen=self.m + 1)
         self.count = 0  # packets pushed
+        self.width = None  # packet 0's width, every packet's once it is in
         self.finished = False  # finish has run: the stream takes nothing more
         self.plan = None  # the B=1 InferencePlan, built at the first emission
 
@@ -108,9 +119,10 @@ class StreamingPredictor:
         These are refused before any state changes, each naming the 0-based
         packet index: a timestamp that is not a finite number after the
         previous packet's (NonMonotonicTimestamp, as CsiStream refuses it);
-        a packet that is not numbers, or whose selected subcarriers do not
-        match the means in number (ShapeMismatch); a packet with a
-        non-finite selected amplitude (NonFiniteSample). A push after finish
+        a packet that is not a row of numbers as wide as packet 0 whose
+        selected subcarriers match the means in number (ShapeMismatch,
+        packet_row); a packet with a non-finite selected amplitude
+        (NonFiniteSample). A push after finish
         is a StreamFinished. The selected samples are taken as complex128
         whatever the packet's numeric dtype (magnitude), so a stream of
         complex64 or integer packets predicts as its complex128 copy does.
@@ -129,19 +141,14 @@ class StreamingPredictor:
             after = f" after {t_last!r}" if self.count else ""
             raise NonMonotonicTimestamp(
                 f"packet {self.count}: timestamp {timestamp!r} is not a finite number{after}")
-        try:
-            packet = np.asarray(packet)
-            picked = packet[self.index] if packet.dtype.kind in "iufc" else None
-        except (IndexError, ValueError):  # too few dimensions or columns; ragged rows
-            picked = None
-        if picked is None or picked.shape != self.mu.shape:
-            raise _unfit(self.count, packet, self.mu.shape[0])
+        width, picked = packet_row(self.count, packet, self.index, len(self.mu), self.width)
         amp = magnitude(picked)
         # amplitudes are >= 0 or NaN, so the maximum is finite only if all are
         if not np.maximum.reduce(amp) < math.inf:
             raise NonFiniteSample(f"packet {self.count} has a non-finite CSI sample")
         self.times.append(t)
         self.count += 1
+        self.width = width
         windows = self.front.feed(amp[None])
         return self._predict(windows) if windows else []
 
@@ -166,35 +173,36 @@ def streaming_column_means(packets: Iterable[np.ndarray],
     """Pass one: per-subcarrier amplitude means and the packet count from
     column_means, so they are remove_dc's means bit for bit, refused alike.
 
-    ``packets`` is read once, in blocks of PACKET_BLOCK. The first packet's
-    width checks ``subcarriers`` (subcarrier_index). A packet that is not a
-    row of that width, or that numpy holds as text or objects, is a
-    ShapeMismatch naming its 0-based index, in push's words for the latter.
+    ``packets`` is read once, in blocks of PACKET_BLOCK. Packet 0's width
+    checks ``subcarriers`` (subcarrier_index). A block of numeric, non-boolean
+    ndarrays that stack into one (n, width) array is taken in one conversion;
+    any other runs push's packet_row over its packets, so pass one refuses
+    the first packet push would refuse, in push's words.
     """
     def blocks():
         stream, start = iter(packets), 0
         while chunk := list(islice(stream, PACKET_BLOCK)):
-            if start == 0:
-                shape = np.shape(chunk[0])
-                if len(shape) != 1:
-                    raise ShapeMismatch(f"packet 0 of shape {shape} is not a row")
-                index = subcarrier_index(subcarriers, shape[0])
-            try:
-                block = np.asarray(chunk)
-                if block.shape[1:] != shape or block.dtype.kind not in "biufc":
-                    raise ValueError
-            except ValueError:  # a packet of another shape or not numbers
-                n = selected_width(subcarriers, shape[0])
-                for k, packet in enumerate(chunk):
-                    packet = np.asarray(packet)
-                    if packet.shape != shape:
-                        raise ShapeMismatch(
-                            f"packet {start + k} of shape {packet.shape} is not "
-                            f"a row of {shape[0]} values like packet 0") from None
-                    if packet.dtype.kind not in "biufc":
-                        raise _unfit(start + k, packet, n) from None
-                raise
+            if start == 0:  # packet_row refuses a packet 0 that is not a row
+                try:
+                    (width,) = np.shape(chunk[0])
+                except ValueError:  # not one dimension; ragged rows
+                    width = None
+                index = subcarrier_index(subcarriers, width)
+                n = width if subcarriers is None or width is None else len(index)
+            block = None
+            # a set of dtypes sees a boolean packet that numpy would promote
+            if set(map(type, chunk)) == {np.ndarray} and all(
+                    d.kind in "iufc" for d in {p.dtype for p in chunk}):
+                try:  # each packet cast to complex128 on its own
+                    block = np.asarray(chunk, dtype=np.complex128)
+                except ValueError:  # packets of other shapes
+                    pass
+            if block is not None and block.shape == (len(chunk), width):
+                block = block[:, index]
+            else:
+                block = [packet_row(start + k, p, index, n, width)[1]
+                         for k, p in enumerate(chunk)]
             start += len(block)
-            yield magnitude(block[:, index])
+            yield magnitude(block)
 
     return column_means(blocks())

@@ -100,7 +100,10 @@ class Scenario:
             raise InvalidScenario(
                 "duration and rate must be positive and finite, subcarriers positive")
         # packets of 16 bytes a subcarrier, refused before any array is made
-        packets = self.duration_s * self.sample_rate_hz
+        try:  # an int past the float range is inf packets, not an OverflowError
+            packets = float(self.duration_s) * float(self.sample_rate_hz)
+        except OverflowError:
+            packets = np.inf
         if not fits_one_array(packets, 16 * self.subcarriers):
             raise InvalidScenario(
                 f"{packets:.3g} packets of {self.subcarriers} subcarriers at 16 bytes "

@@ -17,7 +17,7 @@ predictions come out in label units and no side-car state is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -359,22 +359,6 @@ def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateReport:
         means[name] = float(arr.mean())
         stds[name] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return AggregateReport(list(reports), means, stds)
-
-
-def repeat_runs(segments: Arrays, model_config: ModelConfig,
-                config: TrainingConfig, n: int = 3, *,
-                threshold: Optional[float] = 1.5) -> AggregateReport:
-    """n independent seeded runs (seed, seed+1, ...) with fresh shuffles."""
-    x, y = _float_labels(segments)
-    reports = []
-    for run in range(n):
-        cfg = replace(config, seed=config.seed + run)
-        idx = split_segments(x.shape[0], cfg)
-        params, _ = train((x[idx.train], y[idx.train]), model_config, cfg,
-                          val_segments=(x[idx.val], y[idx.val]))
-        reports.append(evaluate(params, (x[idx.test], y[idx.test]),
-                                threshold=threshold))
-    return aggregate_reports(reports)
 
 
 def kfold_cv(segments: Arrays, model_config: ModelConfig,

@@ -42,7 +42,6 @@ from pulsesense.training import (
     TrainingConfig,
     evaluate,
     kfold_cv,
-    repeat_runs,
     split_segments,
     train,
 )
@@ -283,23 +282,20 @@ def test_criterion_10_protocol_plumbing(scenario_a):
         assert abs(len(idx.train) - 0.64 * 97) <= 1
         assert abs(len(idx.val) - 0.16 * 97) <= 1
 
-        # repeat runs and k-fold on a small learnable set
+        # k-fold on a small learnable set, its folds aggregated
         rng = np.random.default_rng(1)
         x = rng.standard_normal((60, 10, 2))
         y = 70.0 + 5.0 * np.tanh(x[:, :, 0].mean(axis=1))
         model_cfg = ModelConfig(input_dim=2, lstm1_units=4, lstm2_units=3,
                                 dense_units=4, dropout_rate=0.0)
         train_cfg = TrainingConfig(seed=5, batch_size=16, max_epochs=2)
-        agg = repeat_runs((x, y), model_cfg, train_cfg, n=3)
-        assert len(agg.runs) == 3
-        assert "mae" in agg.means and "mae" in agg.stds
-        maes = [r.mae for r in agg.runs]
-        assert agg.means["mae"] == pytest.approx(float(np.mean(maes)))
-        assert agg.stds["mae"] == pytest.approx(float(np.std(maes, ddof=1)))
-
-        reports, _ = kfold_cv((x, y), model_cfg, train_cfg, k=10)
+        reports, agg = kfold_cv((x, y), model_cfg, train_cfg, k=10)
         assert len(reports) == 10
         assert sum(r.n for r in reports) == 60
+        assert agg.runs == reports
+        maes = [r.mae for r in reports]
+        assert agg.means["mae"] == pytest.approx(float(np.mean(maes)))
+        assert agg.stds["mae"] == pytest.approx(float(np.std(maes, ddof=1)))
 
         # streaming inference == batch inference, bit for bit, on scenario (a)
         stream = scenario_a.stream

@@ -23,7 +23,8 @@ from pulsesense.dsp import (
     standardize,
     write_segment_dump,
 )
-from pulsesense.dsp.pipeline import magnitude
+from pulsesense.dsp import pipeline
+from pulsesense.dsp.pipeline import FrontEnd, Savgol, front_end_rows, magnitude
 from pulsesense.errors import (
     BadMagic,
     EmptyStream,
@@ -398,6 +399,23 @@ class TestPipelineConfig:
         assert cfg.effective_band() == (0.5, 3.0)
         cfg = read_pipeline({"mode": "breath"})
         assert cfg.effective_band() == MODES["breath"].band
+
+    @pytest.mark.parametrize("window_s, stride, sg_window", [
+        (0.05, 1, 3), (1.0, 7, 5), (2.0, 40, 15), (5.0, 16, 31)])
+    def test_stages_checks_the_rows_the_front_end_allocates(
+            self, monkeypatch, window_s, stride, sg_window):
+        """The size check guards FrontEnd's two buffers, W + stride + 3m
+        padded and 2W + stride + m smoothed rows, and nothing else."""
+        checked = []
+        monkeypatch.setattr(pipeline, "fits_one_array",
+                            lambda count, itemsize: checked.append((count, itemsize)) or True)
+        cfg = PipelineConfig(window_s=window_s, stride=stride, savgol=Savgol(sg_window, 2))
+        front = FrontEnd(cfg, 20.0, np.zeros(3))
+        w, m = round(window_s * 20.0), sg_window // 2
+        rows = (len(front.padded), len(front.smoothed))
+        assert rows == front_end_rows(w, stride, m) == (w + stride + 3 * m, 2 * w + stride + m)
+        assert front.padded.shape[1] == front.smoothed.shape[1] == 3
+        assert checked == [(max(rows) * 3, 8)]
 
 
 class TestSegmentDump:

@@ -662,6 +662,71 @@ class TestRefusals:
         refused(StreamFinished, "finish after finish", predictor.finish)
 
 
+# packets outside the one packet rule, refused by push and pass one alike
+REFUSED_PACKETS = {
+    "boolean": np.array([True, False, True]),
+    "ragged": [np.ones(2, dtype=complex), np.ones(1, dtype=complex)],
+    "text": np.array(["1", "2", "3"]),
+    "none": None,
+    "0-d": np.complex128(1.0),
+    "2-d": np.ones((1, 3), dtype=complex),
+    "narrower": np.ones(2, dtype=complex),
+    "wider": np.ones(4, dtype=complex),
+}
+# packets of other numeric dtypes among complex128 ones, taken as their copy
+TAKEN_PACKETS = {
+    "int16": np.array([30, -20, 50], dtype=np.int16),
+    "complex64": np.array([1.1 + 2.2j, -3.3 + 0.1j, 5.5 - 4.4j], dtype=np.complex64),
+}
+
+
+class TestOnePacketRule:
+    @pytest.mark.parametrize("subs", [None, [2, 0]])
+    @pytest.mark.parametrize("case, bad", [
+        (case, bad) for case in [*REFUSED_PACKETS, *TAKEN_PACKETS]
+        for bad in (0, 7, PACKET_BLOCK + 7)
+        # packet 0 sets the width the others are held to
+        if bad or case not in ("narrower", "wider")])
+    def test_push_and_pass_one_take_and_refuse_the_same_packets(self, case, bad, subs):
+        """Pass one meets the packet as packet ``bad`` of its stream, push
+        after ``bad`` good packets: each refuses it as a ShapeMismatch naming
+        ``bad``, in the same words wherever pass one knows packet 0's width,
+        or each takes it as its complex128 copy, bit for bit."""
+        packet = {**REFUSED_PACKETS, **TAKEN_PACKETS}[case]
+        packets = list(complex_packets(2 * PACKET_BLOCK, 3, seed=29))
+        packets[bad] = packet
+        rec, params, cfg, mu = predictor_for(subcarriers=subs)
+        times, values = rec.stream.timestamps, rec.stream.values
+
+        def pushed(predictor, packet):
+            for t, row in zip(times[:bad], values):
+                predictor.push(float(t), row)
+            return predictor.push(float(times[bad]), packet)
+
+        if case in TAKEN_PACKETS:
+            copy = [np.asarray(p, dtype=np.complex128) for p in packets]
+            mu_copy, count = streaming_column_means(copy, subs)
+            assert count == len(packets)
+            assert streaming_column_means(OneShot(packets), subs)[0].tobytes() \
+                == mu_copy.tobytes()
+            predictors = [StreamingPredictor(params, cfg, 20.0, mu) for _ in range(2)]
+            got = [pushed(pred, p) for pred, p in zip(predictors, (packet, copy[bad]))]
+            for pred, out in zip(predictors, got):
+                for t, row in zip(times[bad + 1:], values[bad + 1:]):
+                    out.extend(pred.push(float(t), row))
+                out.extend(pred.finish())
+            assert len(got[0]) > 0 and got[0] == got[1]
+            return
+        with pytest.raises(ShapeMismatch) as caught:
+            streaming_column_means(OneShot(packets), subs)
+        with pytest.raises(ShapeMismatch) as refused:
+            pushed(StreamingPredictor(params, cfg, 20.0, mu), packet)
+        for error in (caught, refused):
+            assert str(error.value).startswith(f"packet {bad} ")
+        if bad or case in ("boolean", "text"):  # packet 0 is a row
+            assert str(caught.value) == str(refused.value)
+
+
 def scaled_esp32_capture(scale):
     """The first 20 s of fixed_easy_esp32 (1600 packets x 64 at 80 Hz) with
     its CSI multiplied by ``scale``."""

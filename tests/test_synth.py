@@ -149,6 +149,15 @@ class TestValidation:
         with pytest.raises(InvalidScenario):
             basic_scenario(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"duration_s": 10 ** 400}, {"sample_rate_hz": 10 ** 400},
+        {"duration_s": 10 ** 400, "sample_rate_hz": 10 ** 400}])
+    def test_int_past_the_float_range_is_too_many_packets(self, overrides):
+        """A duration or rate past the float range is a scenario too large
+        for one array, not an OverflowError from their product."""
+        with pytest.raises(InvalidScenario, match="exceed the largest array"):
+            basic_scenario(**overrides)
+
     def test_nan_breakpoint_refused(self):
         with pytest.raises(InvalidScenario, match="breakpoints must increase"):
             Schedule((0.0, float("nan")), (70.0, 80.0))

@@ -22,7 +22,6 @@ from pulsesense.training import (
     evaluate,
     kfold_cv,
     predict,
-    repeat_runs,
     split_segments,
     train,
 )
@@ -239,22 +238,7 @@ class TestControlSemantics:
         assert report.mae < 3.0  # labels span ~70 +- 5
 
 
-class TestRepeatRuns:
-    def test_single_run_has_zero_std(self):
-        x, y = tiny_dataset(40)
-        cfg = TrainingConfig(seed=0, batch_size=8, max_epochs=2)
-        agg = repeat_runs((x, y), TINY_MODEL, cfg, n=1)
-        assert all(v == 0.0 for v in agg.stds.values())
-        assert agg.means["mae"] == agg.runs[0].mae
-
-    def test_three_runs_mean_and_std(self):
-        x, y = tiny_dataset(60, seed=1)
-        cfg = TrainingConfig(seed=7, batch_size=8, max_epochs=2)
-        agg = repeat_runs((x, y), TINY_MODEL, cfg, n=3)
-        maes = [r.mae for r in agg.runs]
-        assert agg.means["mae"] == pytest.approx(np.mean(maes))
-        assert agg.stds["mae"] == pytest.approx(np.std(maes, ddof=1))
-
+class TestAggregateReports:
     def test_aggregate_example(self):
         reports = [MetricsReport(n=1, mae=v, mape_percent=1.0,
                                  mape_complement=99.0, threshold=1.5,
@@ -265,11 +249,14 @@ class TestRepeatRuns:
         assert agg.stds["mae"] == pytest.approx(0.1)
 
     def test_identical_metrics_give_zero_std(self):
-        reports = [MetricsReport(n=1, mae=0.5, mape_percent=1.0,
-                                 mape_complement=99.0, threshold=1.5,
-                                 frac_within_threshold=1.0)] * 3
-        agg = aggregate_reports(reports)
-        assert all(v == 0.0 for v in agg.stds.values())
+        """So does a single report, whose std no spread defines."""
+        for n in (3, 1):
+            reports = [MetricsReport(n=1, mae=0.5, mape_percent=1.0,
+                                     mape_complement=99.0, threshold=1.5,
+                                     frac_within_threshold=1.0)] * n
+            agg = aggregate_reports(reports)
+            assert agg.stds and all(v == 0.0 for v in agg.stds.values())
+            assert agg.means["mae"] == 0.5
 
 
 class TestKFold:
